@@ -5,6 +5,13 @@ informations over product input purifications (one pure state per sender) fed
 into the n-fold channel, then reports per-use rates.  All points returned are
 achievable inner-bound points: the rates are the coherent informations
 evaluated at the returned state, up to optimizer suboptimality.
+
+The objective is evaluated for a whole batch of candidate states at once
+(every finite-difference and line-search point of a descent step): each
+connection's channel marginal is precomputed as a superoperator, and the
+reduced states of all rows come from stacked matmuls and one batched
+eigenvalue call per spectrum, in row blocks of bounded memory (see
+``_RegionProblem``).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._optim import minimize_product_states, unpack_states
+from ._optim import complex_parts, minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
@@ -37,6 +44,9 @@ from .linalg import (
 )
 
 BLOCKLENGTH_CAP = 3
+
+# Largest sigma_i stack (bytes) one block of the batched region objective may hold.
+OBJECTIVE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,22 @@ class RateTuple:
 
 
 class _RegionProblem:
-    """Joint-state bookkeeping for the weighted coherent-information objective."""
+    """Product-input bookkeeping and the batched weighted coherent-information objective.
+
+    Each connection i has a marginal superoperator, built once from the Kraus
+    operators: the map from the joint input to output block B_i with the other
+    outputs traced out, a (d_i^2, d_in^2) matrix acting on row-major
+    vectorized operators.  The full d_out^2 x d_in^2 Liouville matrix is never
+    formed.  :meth:`coherent_infos` evaluates a stack of inputs at once:
+    sigma_i = Tr_{R != i} |psi><psi| by a stacked matmul, then the
+    superoperator, then one batched eigenvalue call per spectrum.
+
+    Rows are evaluated in blocks whose sigma_i stack stays under
+    ``OBJECTIVE_BLOCK_BYTES`` (8 rows on a qubit pair at n = 2, about 64 KB per
+    row), so a 128-row finite-difference batch does not raise peak memory.  Every
+    product is a stack of small matmuls, never one tall 2-D GEMM, which would
+    wake a second BLAS thread.
+    """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph, n: int):
         check_graph_compatible(ch, graph)
@@ -142,9 +167,7 @@ class _RegionProblem:
         block_ch = KrausChannel(
             ch.kraus_ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims)
         )
-        self.base_graph = graph
-        self.n = n
-        self.ch = tensor_power(block_ch, n) if n > 1 else block_ch
+        ch_n = tensor_power(block_ch, n) if n > 1 else block_ch
         self.graph = graph.powered(n)
         g = self.graph.size
         self.block_dims = self.graph.dims  # per-connection dims at blocklength n
@@ -168,43 +191,62 @@ class _RegionProblem:
             pos[("A", j)] for j in self.graph.input_order
         ]
         self.joint_leg_dims = leg_dims
-        self.joint_perm = target
-        self.d_ref = int(np.prod(self.block_dims))
-        # output-side leg structure after the channel: refs then output blocks
-        self.out_leg_dims = list(self.block_dims) + [
-            self.block_dims[j] for j in self.graph.output_order
-        ]
-        self.keep_perms = []
+        self.joint_axes = [0] + [1 + p for p in target]
+        self.d_in = d_in = ch_n.in_dim
+        out_dims = [self.block_dims[j] for j in self.graph.output_order]
+        kraus = ch_n.kraus_stack().reshape(-1, *out_dims, d_in)
+        self.superops_t = []
         for i in range(g):
-            kept = [i, g + self.graph.output_order.index(i)]
-            rest = [p for p in range(len(self.out_leg_dims)) if p not in kept]
-            self.keep_perms.append(kept + rest)
+            d = self.block_dims[i]
+            axis = 1 + self.graph.output_order.index(i)
+            # per Kraus operator A_k[(b, c), x]: rows (b, x), columns c over the other outputs
+            ops = np.moveaxis(kraus, axis, 1)
+            ops = np.moveaxis(ops.reshape(len(ops), d, -1, d_in), 3, 2).reshape(
+                len(ops), d * d_in, -1)
+            s = np.zeros((d * d_in, d * d_in), dtype=complex)
+            for a in ops:  # once per problem; small products stay single-threaded
+                s += a @ a.conj().T
+            sup = s.reshape(d, d_in, d, d_in).transpose(0, 2, 1, 3).reshape(d * d, d_in * d_in)
+            # stored transposed and contiguous: it multiplies vectorized operators from the right
+            self.superops_t.append(np.ascontiguousarray(sup.T))
+        widest = max(d * d_in for d in self.block_dims)
+        self.block_rows = max(1, OBJECTIVE_BLOCK_BYTES // (16 * widest**2))
 
-    def sender_leg_dims(self, w: int) -> list[int]:
-        grp = self.groups[w]
-        return [self.block_dims[i] for i in grp] * 2
+    def coherent_infos(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """I_c(R_i > B_i) per connection for a stack of product inputs, in bits.
 
-    def joint_ket(self, sender_states: Sequence[np.ndarray]) -> np.ndarray:
-        ket = kron_all([np.asarray(s, dtype=complex) for s in sender_states])
-        return permute_legs_vector(ket, self.joint_leg_dims, self.joint_perm)
+        ``parts[w]`` holds sender w's unit vectors, shape (rows, part_dims[w]);
+        the result has shape (rows, connections).
+        """
+        rows = parts[0].shape[0]
+        out = np.empty((rows, self.graph.size))
+        for lo in range(0, rows, self.block_rows):
+            hi = lo + self.block_rows
+            out[lo:hi] = self._block_infos([p[lo:hi] for p in parts])
+        return out
 
-    def coherent_infos(self, sender_states: Sequence[np.ndarray]) -> list[float]:
-        ket = self.joint_ket(sender_states)
-        ket_mat = ket.reshape(self.d_ref, self.ch.in_dim)
-        branches = [(ket_mat @ a.T).reshape(-1) for a in self.ch.kraus_ops]
-        infos = []
-        for i in range(self.graph.size):
-            d_pair = self.block_dims[i] ** 2
-            rho = np.zeros((d_pair, d_pair), dtype=complex)
-            for w in branches:
-                wp = permute_legs_vector(w, self.out_leg_dims, self.keep_perms[i])
-                wp = wp.reshape(d_pair, -1)
-                rho += wp @ wp.conj().T
-            w_ab, _ = eigh(rho)
-            s_ab = entropy_of_spectrum(w_ab)
-            rho_b = partial_trace(rho, [self.block_dims[i], self.block_dims[i]], [1])
-            w_b, _ = eigh(rho_b)
-            infos.append(entropy_of_spectrum(w_b) - s_ab)
+    def _block_infos(self, parts: list[np.ndarray]) -> np.ndarray:
+        rows = parts[0].shape[0]
+        ket = parts[0]
+        for p in parts[1:]:
+            ket = (ket[:, :, None] * p[:, None, :]).reshape(rows, -1)
+        # legs (rows, R_0 .. R_{g-1}, input blocks in sender-major order)
+        ket = ket.reshape(rows, *self.joint_leg_dims).transpose(self.joint_axes)
+        d_in = self.d_in
+        infos = np.empty((rows, self.graph.size))
+        for i, (d, sup_t) in enumerate(zip(self.block_dims, self.superops_t)):
+            pre = int(np.prod(self.block_dims[:i]))
+            # psi[r, o, x]: R_i, the other refs, the input
+            psi = ket.reshape(rows, pre, d, -1, d_in).swapaxes(1, 2).reshape(rows, d, -1, d_in)
+            # sigma[r, r', x, x'] = sum_o psi[r, o, x] conj(psi[r', o, x']), one small
+            # matmul per (row, r, r') so the input pair lands contiguous for the superoperator
+            sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
+            rho = (sigma.reshape(rows, d * d, d_in * d_in) @ sup_t).reshape(rows, d, d, d, d)
+            rho_b = np.trace(rho, axis1=1, axis2=2)
+            rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
+            s_rb = entropy_of_spectrum(eigh(rho_rb, vectors=False)[0])
+            s_b = entropy_of_spectrum(eigh(rho_b, vectors=False)[0])
+            infos[:, i] = s_b - s_rb
         return infos
 
     def me_sender_state(self, w: int) -> np.ndarray:
@@ -233,12 +275,7 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     wvec = np.array(weights)
 
     def objective_batch(x_block: np.ndarray) -> np.ndarray:
-        out = np.empty(x_block.shape[0])
-        for row in range(x_block.shape[0]):
-            states = unpack_states(x_block[row], problem.part_dims)
-            infos = problem.coherent_infos(states)
-            out[row] = -float(np.dot(wvec, infos))
-        return out
+        return -(problem.coherent_infos(complex_parts(x_block, problem.part_dims)) @ wvec)
 
     warm = [[problem.me_sender_state(w) for w in range(len(problem.groups))]]
     if n > 1:
@@ -258,7 +295,7 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
         objective_batch, problem.part_dims, rng, restarts=restarts,
         max_iters=max_iters, warm_starts=warm,
     )
-    infos = problem.coherent_infos(result.states)
+    infos = problem.coherent_infos([s[None, :] for s in result.states])[0]
     rates = tuple(v / n for v in infos)
     return RateTuple(
         rates=rates,
@@ -303,20 +340,25 @@ def region_pareto(ch: KrausChannel, graph: ConnectionGraph, n: int,
 
 def simplex_weight_grid(size: int, count: int, rng: np.random.Generator
                         ) -> list[tuple[float, ...]]:
-    """Deterministic weight vectors on the simplex: vertices, the center, then
-    (for two connections) an even sweep or (otherwise) seeded Dirichlet points."""
+    """Deterministic, distinct weight vectors on the simplex.
+
+    Two connections: the even sweep of ``max(count, 3)`` points from (1, 0) to
+    (0, 1), vertices first; it holds the center (0.5, 0.5) when the count is
+    odd.  Three or more: the vertices, the center, then seeded Dirichlet points
+    up to ``count``.  One connection: its single vertex.
+    """
+    if size == 1:
+        return [(1.0,)]
+    if size == 2:
+        ts = np.linspace(0.0, 1.0, max(count, 3))
+        return [(1.0, 0.0), (0.0, 1.0)] + [(float(t), float(1.0 - t)) for t in ts[1:-1]]
     grid: list[tuple[float, ...]] = []
     for i in range(size):
         w = [0.0] * size
         w[i] = 1.0
         grid.append(tuple(w))
     grid.append(tuple(1.0 / size for _ in range(size)))
-    extra = max(0, count - len(grid))
-    if size == 2:
-        for t in np.linspace(0.0, 1.0, extra + 2)[1:-1]:
-            grid.append((float(t), float(1.0 - t)))
-    else:
-        for _ in range(extra):
-            w = rng.dirichlet(np.ones(size))
-            grid.append(tuple(float(x) for x in w))
+    for _ in range(count - len(grid)):
+        w = rng.dirichlet(np.ones(size))
+        grid.append(tuple(float(x) for x in w))
     return grid

@@ -434,6 +434,13 @@ def _require(doc: dict, key: str, kind, where: str = "document"):
     return val
 
 
+def _json_int(val, field: str) -> int:
+    """A JSON integer, read exactly: floats and booleans are rejected, not coerced."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ChannelFormatError(f"field '{field}' must be a JSON integer, got {json.dumps(val)}")
+    return val
+
+
 def write_channel(ch: KrausChannel, graph: ConnectionGraph | None = None) -> str:
     """Serialize a channel (and its connection graph) to the JSON document format."""
     conns = []
@@ -463,8 +470,10 @@ def read_channel(text: str, check_completeness: bool = True
                                  f"{exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ChannelFormatError("top-level value must be an object")
-    in_dims = _require(doc, "in_dims", list)
-    out_dims = _require(doc, "out_dims", list)
+    in_dims = [_json_int(d, f"in_dims[{k}]")
+               for k, d in enumerate(_require(doc, "in_dims", list))]
+    out_dims = [_json_int(d, f"out_dims[{k}]")
+                for k, d in enumerate(_require(doc, "out_dims", list))]
     conns_raw = _require(doc, "connections", list)
     kraus_raw = _require(doc, "kraus", list)
     try:
@@ -503,14 +512,13 @@ def read_channel(text: str, check_completeness: bool = True
         for j, c in enumerate(conns_raw):
             if not isinstance(c, dict):
                 raise ChannelFormatError(f"field 'connections[{j}]' must be an object")
+            where = f"connections[{j}]"
+            fields = [_json_int(_require(c, key, object, where), f"{where}.{key}")
+                      for key in ("sender", "receiver", "ref_dim")]
             try:
-                conns.append(
-                    Connection(int(c["sender"]), int(c["receiver"]), int(c["ref_dim"]))
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ChannelFormatError(
-                    f"field 'connections[{j}]' needs integer sender/receiver/ref_dim"
-                ) from exc
+                conns.append(Connection(*fields))
+            except ValueError as exc:
+                raise ChannelFormatError(f"field '{where}': {exc}") from exc
         graph = ConnectionGraph(conns)
 
     ch = KrausChannel(ops, in_layout, out_layout)

@@ -141,25 +141,38 @@ def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
     return np.einsum(spec, m.reshape(dims + dims)).reshape(dk, dk)
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Largest entry of |m - m^dag|, over every matrix of a stack."""
+    return float(np.max(np.abs(m - _adjoint(m)))) if m.size else 0.0
 
 
-def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL, vectors: bool = True
+         ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, eigenvector columns.
 
-    Inputs with a Hermiticity defect below ``tol`` are symmetrized first;
-    anything worse is rejected.
+    ``h`` may be a stack of matrices (the last two axes); the result is then
+    stacked the same way.  Inputs with a Hermiticity defect below ``tol`` are
+    symmetrized first; a worse defect in any member is rejected.  With
+    ``vectors=False`` only the eigenvalues are computed and ``None`` stands
+    in for the eigenvectors.
     """
     defect = hermiticity_defect(h)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    sym = (h + _adjoint(h)) / 2.0
+    if not vectors:
+        return np.linalg.eigvalsh(sym), None
+    w, v = np.linalg.eigh(sym)
     return w, v
 
 
 def clip_spectrum(w: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
-    """Clip eigenvalues in [-tol, 0) to zero; reject anything more negative."""
+    """Clip eigenvalues in [-tol, 0) to zero; reject anything more negative (in any row)."""
     low = float(np.min(w)) if w.size else 0.0
     if low < -tol:
         raise ValueError(f"spectrum has eigenvalue {low:.3e} below -{tol:.1e}")
@@ -239,10 +252,11 @@ def maximally_entangled_vector(d: int) -> np.ndarray:
     return v
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
+def entropy_of_spectrum(w: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in bits of a spectrum, or of each row of a stack of spectra."""
     w = clip_spectrum(np.asarray(w, dtype=float))
-    pos = w[w > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    h = -np.sum(w * np.log2(np.where(w > 0, w, 1.0)), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def entropy(rho) -> float:

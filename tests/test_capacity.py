@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,10 @@ from polychan import (
     simplex_weight_grid,
     split_rng,
 )
+from polychan.capacity import _RegionProblem
+from polychan.channels import KrausChannel, tensor_power
 from polychan.errors import CapExceededError
+from polychan.linalg import permute_legs_vector
 
 
 def bell_state(d=2):
@@ -222,6 +227,13 @@ class TestRegionPareto:
         assert abs(best0 - want) < 1e-3
         assert abs(best1 - want) < 1e-3
 
+    @pytest.mark.parametrize("size, counts", [(2, range(3, 11)), (3, range(4, 11))])
+    def test_weight_grid_distinct(self, size, counts):
+        for count in counts:
+            grid = simplex_weight_grid(size, count, make_rng(0))
+            assert len(set(grid)) == len(grid) == count
+            assert all(abs(sum(w) - 1.0) < 1e-12 and min(w) >= 0.0 for w in grid)
+
     def test_weight_grid_shapes(self):
         grid = simplex_weight_grid(2, 6, make_rng(0))
         assert (1.0, 0.0) in grid and (0.0, 1.0) in grid
@@ -245,3 +257,69 @@ class TestOtherTopologies:
         rt = region_sample(ch, graph, 1, (1.0, 1.0), make_rng(53), restarts=4)
         assert rt.rates[0] >= 0.99
         assert rt.achievable[1] <= 1e-9
+
+
+def oracle_coherent_infos(ch, graph, n, sender_states):
+    """Per-connection I_c(R_i > B_i) through explicit density matrices.
+
+    Assembles the joint input by hand (refs R_0..R_{g-1}, then the input
+    blocks in sender-major order), applies the n-fold channel with
+    ``apply_with_reference`` and takes each connection's reduced state.
+    """
+    g = graph.size
+    dims = [d**n for d in graph.dims]
+    tags, leg_dims = [], []
+    for grp in (grp for grp in graph.sender_groups() if grp):
+        tags += [("R", i) for i in grp] + [("A", i) for i in grp]
+        leg_dims += [dims[i] for i in grp] * 2
+    order = [tags.index(("R", i)) for i in range(g)] + [
+        tags.index(("A", i)) for i in graph.input_order]
+    joint = permute_legs_vector(functools.reduce(np.kron, sender_states), leg_dims, order)
+    layout = SystemLayout([leg_dims[o] for o in order])
+    block = KrausChannel(ch.kraus_ops, graph.in_block_dims, graph.out_block_dims)
+    out = apply_with_reference(tensor_power(block, n), DensityOperator.from_vector(joint, layout),
+                               ref_legs=g)
+    infos = []
+    for i in range(g):
+        first = g + n * graph.output_order.index(i)
+        marg = out.reduced([i] + list(range(first, first + n)))
+        infos.append(coherent_information(
+            marg, BipartiteSplit(marg.layout, [0], range(1, n + 1))))
+    return infos
+
+
+class TestBatchedObjective:
+    """The batched objective against the density-matrix route, row by row."""
+
+    GRAPHS = {
+        "diagonal": ConnectionGraph.diagonal([2, 2]),
+        "multiple_access": ConnectionGraph([(0, 0, 2), (1, 0, 2)]),
+        "broadcast": ConnectionGraph([(0, 0, 2), (0, 1, 2)]),
+        "two_plus_one": ConnectionGraph([(0, 0, 2), (0, 1, 2), (1, 1, 2)]),
+    }
+
+    @pytest.mark.parametrize("name, n", [
+        ("diagonal", 1), ("diagonal", 2), ("multiple_access", 1), ("multiple_access", 2),
+        ("broadcast", 1), ("broadcast", 2), ("two_plus_one", 1),
+    ])
+    def test_matches_density_matrix_route(self, name, n):
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        rng = make_rng(61)
+        ch = random_channel(d, d, 3, rng)
+        problem = _RegionProblem(ch, graph, n)
+        senders = [grp for grp in graph.sender_groups() if grp]
+        part_dims = [int(np.prod([graph.dims[i] ** n for i in grp])) ** 2 for grp in senders]
+        # one row, and a batch over several evaluation blocks with a ragged last one
+        # (the block is shrunk so the density-matrix route stays cheap at n = 1)
+        problem.block_rows = 3
+        for rows in (1, 7):
+            parts = []
+            for p in part_dims:
+                z = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+                parts.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+            got = problem.coherent_infos(parts)
+            assert got.shape == (rows, graph.size)
+            for r in range(rows):
+                want = oracle_coherent_infos(ch, graph, n, [q[r] for q in parts])
+                assert np.max(np.abs(got[r] - want)) < 1e-12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,24 @@ class TestChannelIO:
         text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))
         with pytest.raises(ChannelFormatError, match="line"):
             read_channel(text[: len(text) // 2])
+
+    @pytest.mark.parametrize("old, new, field", [
+        ('"in_dims": [\n  2\n ]', '"in_dims": [2.7]', "in_dims[0]"),
+        ('"out_dims": [\n  2\n ]', '"out_dims": [true, 2]', "out_dims[0]"),
+        ('"sender": 0', '"sender": 0.9', "connections[0].sender"),
+        ('"receiver": 0', '"receiver": false', "connections[0].receiver"),
+        ('"ref_dim": 2', '"ref_dim": 2.0', "connections[0].ref_dim"),
+    ])
+    def test_rejects_non_integer_fields(self, old, new, field):
+        text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))
+        assert old in text
+        with pytest.raises(ChannelFormatError, match=re.escape(f"'{field}'")):
+            read_channel(text.replace(old, new))
+
+    def test_rejects_missing_connection_field(self):
+        text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))
+        with pytest.raises(ChannelFormatError, match="receiver"):
+            read_channel(text.replace('"receiver": 0,', ""))
 
     def test_channel_without_connections(self):
         ch = random_channel(2, 3, 2, make_rng(5))

@@ -15,7 +15,13 @@ from polychan import (
     uhlmann_fidelity,
 )
 from polychan.errors import CapExceededError
-from polychan.linalg import PAULI_X, permute_legs_matrix, permute_legs_vector
+from polychan.linalg import (
+    EIGENVALUE_TOL,
+    PAULI_X,
+    entropy_of_spectrum,
+    permute_legs_matrix,
+    permute_legs_vector,
+)
 
 
 def naive_partial_trace(m, dims, keep):
@@ -131,8 +137,41 @@ class TestEigh:
         w, _ = eigh(random_density(5, rng))
         assert abs(np.sum(w) - 1.0) < 1e-9
 
+    def test_stack_matches_members(self, rng):
+        stack = np.stack([random_density(4, rng) for _ in range(5)])
+        w, v = eigh(stack)
+        values_only, none = eigh(stack, vectors=False)
+        assert none is None
+        for k, m in enumerate(stack):
+            wk, vk = eigh(m)
+            assert np.allclose(w[k], wk) and np.allclose(values_only[k], wk)
+            assert np.max(np.abs(v[k] @ np.diag(w[k]) @ v[k].conj().T - m)) < 1e-12
+
+    def test_stack_rejects_one_non_hermitian_member(self, rng):
+        stack = np.stack([random_density(3, rng) for _ in range(4)])
+        stack[2, 0, 1] += 1e-6
+        for vectors in (True, False):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eigh(stack, vectors=vectors)
+
 
 class TestEntropy:
+    def test_spectrum_stack_matches_rows(self):
+        spectra = np.array([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
+        got = entropy_of_spectrum(spectra)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [entropy_of_spectrum(w) for w in spectra])
+        assert np.allclose(got, [0.0, 2.0, 1.0])
+
+    def test_spectrum_stack_rejects_one_negative_row(self):
+        spectra = np.array([[0.5, 0.5], [1.0 + 2 * EIGENVALUE_TOL, -2 * EIGENVALUE_TOL],
+                            [1.0, 0.0]])
+        with pytest.raises(ValueError, match="below"):
+            entropy_of_spectrum(spectra)
+        # the same row inside the tolerance is clipped, not rejected
+        spectra[1] = [1.0 + EIGENVALUE_TOL / 2, -EIGENVALUE_TOL / 2]
+        assert np.allclose(entropy_of_spectrum(spectra), [1.0, 0.0, 0.0])
+
     def test_pure_state(self):
         assert entropy(np.diag([1.0, 0.0]).astype(complex)) == 0.0
 
