@@ -2,8 +2,9 @@
 
 Shared by the worst-case fidelity search and the rate-region sampler.  States
 are packed as flat real vectors (interleaved re/im per complex amplitude);
-each part is kept on its sphere by renormalizing after every step.  Gradients
-are numerical (central differences), evaluated through a batched objective so
+each part is kept on its sphere by renormalizing after every step.  Callers
+may pass an exact gradient (the worst-case fidelity search does); otherwise
+gradients are central differences, evaluated through the batched objective so
 callers can vectorize.
 """
 

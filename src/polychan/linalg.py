@@ -161,10 +161,11 @@ def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL, vectors: bool = True
     ``vectors=False`` only the eigenvalues are computed and ``None`` stands
     in for the eigenvectors.
     """
-    defect = hermiticity_defect(h)
+    adj = _adjoint(h)
+    defect = float(np.max(np.abs(h - adj))) if h.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
-    sym = (h + _adjoint(h)) / 2.0
+    sym = (h + adj) / 2.0
     if not vectors:
         return np.linalg.eigvalsh(sym), None
     w, v = np.linalg.eigh(sym)

@@ -21,13 +21,15 @@ from polychan import (
     local_entanglement_fidelity,
     make_rng,
     min_subspace_fidelity,
+    mixed_fidelity,
     product_channel,
     pure_state_fidelity,
     random_channel,
     split_rng,
 )
+from polychan._optim import complex_parts, project_tangent, renormalize_rows
 from polychan.channels import KrausChannel
-from polychan.fidelities import _conn_ordered_kraus
+from polychan.fidelities import QuadraticOverlap, _conn_ordered_kraus, _purification_amp
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -337,6 +339,110 @@ class TestMinSubspaceFidelity:
             min_subspace_fidelity(
                 identity_channel([2]), QUBIT_GRAPH, [np.zeros((2, 0))], make_rng(0)
             )
+
+
+CROSS5_GRAPH = ConnectionGraph([(s, r, 2) for s, r in [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)]])
+
+
+def random_basis(d, cols, rng):
+    z = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
+    return np.linalg.qr(z)[0]
+
+
+class TestQuadraticOverlap:
+    """Values, gradients and local models of the fixed-input fidelity problem,
+    against the definitional overlap route and finite differences."""
+
+    def problem(self, case, rng):
+        """(channel, graph, bases, fixed density matrices) for a named case."""
+        if case == "cross5":
+            # input order != output order; connection 3 confined to one direction
+            bases = {i: np.eye(2, dtype=complex) for i in range(5)}
+            bases[3] = random_basis(2, 1, rng)
+            return random_channel(32, 32, 3, rng), CROSS5_GRAPH, bases, {}
+        if case == "cross5_fixed":
+            bases = {i: random_basis(2, 2, rng) for i in (0, 1, 3, 4)}
+            return random_channel(32, 32, 2, rng), CROSS5_GRAPH, bases, {
+                2: random_density(2, rng)}
+        if case == "pair_fixed_mixed":
+            graph = ConnectionGraph.diagonal([2, 3])
+            return random_channel(6, 6, 3, rng), graph, {1: random_basis(3, 2, rng)}, {
+                0: random_density(2, rng)}
+        graph = ConnectionGraph.diagonal([2, 2, 2])  # "middle_fixed"
+        bases = {0: np.eye(2, dtype=complex), 2: random_basis(2, 2, rng)}
+        return random_channel(8, 8, 2, rng), graph, bases, {1: random_density(2, rng)}
+
+    def build(self, case, rng):
+        ch, graph, bases, fixed = self.problem(case, rng)
+        amps = {j: _purification_amp(rho) for j, rho in fixed.items()}
+        return ch, graph, bases, fixed, QuadraticOverlap(ch, graph, bases, amps)
+
+    CASES = ["cross5", "cross5_fixed", "pair_fixed_mixed", "middle_fixed"]
+
+    @pytest.mark.parametrize("rows", [1, 17])
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_values_match_overlap_route(self, case, rows, rng):
+        ch, graph, bases, fixed, problem = self.build(case, rng)
+        x_block = rng.standard_normal((rows, 2 * sum(problem.part_dims)))
+        got = problem.batch_values(x_block)
+        assert got.shape == (rows,)
+        coords = complex_parts(x_block, problem.part_dims)
+        for r in range(rows):
+            states = {i: bases[i] @ coords[k][r] for k, i in enumerate(sorted(bases))}
+            if fixed:
+                want = mixed_fidelity(ch, graph, [
+                    ("mixed", fixed[j]) if j in fixed else ("pure", states[j])
+                    for j in range(graph.size)])
+            else:
+                want = pure_state_fidelity(ch, graph, [states[j] for j in range(graph.size)])
+            assert abs(got[r] - want) < 1e-12
+            assert abs(problem.value([c[r] for c in coords]) - want) < 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradient_matches_central_differences(self, case, rng):
+        *_, problem = self.build(case, rng)
+        dims = problem.part_dims
+        n = 2 * sum(dims)
+        # sixth-order central stencil: truncation and round-off both near 1e-14 here
+        h, stencil = 2e-3, [(1, 3 / 4), (2, -3 / 20), (3, 1 / 60)]
+        for _ in range(3):
+            x = renormalize_rows(rng.standard_normal(n), dims)[0]
+            grad = project_tangent(x, problem.packed_gradient(x), dims)
+            fd = np.zeros(n)
+            for k, c in stencil:
+                step = k * h * np.eye(n)
+                fd += c * (problem.batch_values(x + step) - problem.batch_values(x - step)) / h
+            assert np.max(np.abs(grad - fd)) < 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_field_matrix_gives_gradient(self, case, rng):
+        # polish relies on grad_i F = H_i c_i
+        *_, problem = self.build(case, rng)
+        dims = problem.part_dims
+        x = renormalize_rows(rng.standard_normal(2 * sum(dims)), dims)[0]
+        coords = [c[0] for c in complex_parts(x, dims)]
+        fields, gauss = problem._part_models(coords)
+        packed = problem.packed_gradient(x)
+        pos = 0
+        for h_i, m_i, c_i, d in zip(fields, gauss, coords, dims):
+            assert h_i.shape == m_i.shape == (d, d)
+            want = packed[pos : pos + 2 * d]
+            assert np.max(np.abs(2.0 * (h_i @ c_i).view(float) - want)) < 1e-12
+            assert np.max(np.abs(m_i - m_i.conj().T)) < 1e-12
+            pos += 2 * d
+
+    def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
+        graph = ConnectionGraph.diagonal([2, 3])
+        ch = random_channel(6, 6, 2, rng)
+        with pytest.raises(ValueError, match="connection 1"):
+            QuadraticOverlap(ch, graph, {0: np.eye(2)}, {1: _purification_amp(np.eye(2) / 2)})
+
+    def test_rejects_basis_with_wrong_row_count(self, rng):
+        graph = ConnectionGraph.diagonal([2, 3])
+        ch = random_channel(6, 6, 2, rng)
+        with pytest.raises(ValueError, match="connection 0"):
+            QuadraticOverlap(ch, graph, {0: np.eye(3)[:, :2]},
+                             {1: _purification_amp(np.eye(3) / 3)})
 
 
 class TestCrossedGraph:
