@@ -3,9 +3,8 @@
 Shared by the worst-case fidelity search and the rate-region sampler.  States
 are packed as flat real vectors (interleaved re/im per complex amplitude);
 each part is kept on its sphere by renormalizing after every step.  Callers
-may pass an exact gradient (the worst-case fidelity search does); otherwise
-gradients are central differences, evaluated through the batched objective so
-callers can vectorize.
+supply the exact gradient of their objective; the batched objective evaluates
+the whole line-search ladder of a step in one call.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-GRAD_STEP = 1e-5
-
 
 def pack_states(states: Sequence[np.ndarray]) -> np.ndarray:
     """Complex part vectors -> one flat real parameter vector."""
@@ -105,21 +101,20 @@ def minimize_product_states(
     objective_batch: Callable[[np.ndarray], np.ndarray],
     part_dims: Sequence[int],
     rng: np.random.Generator,
+    gradient: Callable[[np.ndarray], np.ndarray],
     restarts: int = 32,
     max_iters: int = 300,
     warm_starts: Sequence[Sequence[np.ndarray]] = (),
-    grad_step: float = GRAD_STEP,
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SphereResult:
     """Minimize a smooth objective over product pure states.
 
     ``objective_batch`` maps a (B, n_params) block of packed parameters to B
-    objective values; parts are normalized before evaluation, so the objective
-    must be scale-invariant per part (callers normalize inside as well).
-    ``gradient``, when given, returns the exact tangent gradient at one packed
-    point; otherwise central differences are used.  Deterministic for a fixed
-    rng state.  The returned value is the best local minimum found, an upper
-    bound on the true minimum.
+    objective values.  Every row it receives (the starts and the line-search
+    candidates) is already normalized per part, so it need not normalize
+    again.  ``gradient`` returns the exact gradient with respect to the packed
+    real parameters at one such point; its per-part radial components are
+    projected out here.  Deterministic for a fixed rng state.  The returned
+    value is the best local minimum found, an upper bound on the true minimum.
     """
     part_dims = tuple(int(d) for d in part_dims)
     n = 2 * sum(part_dims)
@@ -135,7 +130,7 @@ def minimize_product_states(
     best_x = starts[0]
     best_idx = 0
     for idx, x0 in enumerate(starts):
-        val, x = _descend(objective_batch, x0, part_dims, max_iters, grad_step, gradient)
+        val, x = _descend(objective_batch, gradient, x0, part_dims, max_iters)
         if val < best_val - 1e-15:
             best_val, best_x, best_idx = val, x, idx
     return SphereResult(
@@ -145,23 +140,12 @@ def minimize_product_states(
     )
 
 
-def _descend(objective_batch, x0, part_dims, max_iters, grad_step, gradient):
+def _descend(objective_batch, gradient, x0, part_dims, max_iters):
     x = x0
     fx = float(objective_batch(x[None, :])[0])
     step = 0.5
-    n = x.size
     for _ in range(max_iters):
-        if gradient is not None:
-            grad = gradient(x)
-        else:
-            # central differences, one batched call
-            pts = np.repeat(x[None, :], 2 * n, axis=0)
-            idx = np.arange(n)
-            pts[2 * idx, idx] += grad_step
-            pts[2 * idx + 1, idx] -= grad_step
-            vals = objective_batch(pts)
-            grad = (vals[0::2] - vals[1::2]) / (2 * grad_step)
-        grad = project_tangent(x, grad, part_dims)
+        grad = project_tangent(x, gradient(x), part_dims)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12:
             break

@@ -7,10 +7,11 @@ achievable inner-bound points: the rates are the coherent informations
 evaluated at the returned state, up to optimizer suboptimality.
 
 The objective is evaluated for a whole batch of candidate states at once
-(every finite-difference and line-search point of a descent step): each
-connection's channel marginal is precomputed as a superoperator, and the
-reduced states of all rows come from stacked matmuls and one batched
-eigenvalue call per spectrum, in row blocks of bounded memory (see
+(every line-search point of a descent step): each connection's channel
+marginal is precomputed as a superoperator, and the reduced states of all
+rows come from stacked matmuls and one batched eigenvalue call per spectrum,
+in row blocks of bounded memory.  Its exact gradient at one point pulls
+I_R (x) log2 rho_B - log2 rho_RB back through the adjoint superoperators (see
 ``_RegionProblem``).
 """
 
@@ -34,6 +35,7 @@ from .errors import CapExceededError
 from .linalg import (
     DensityOperator,
     SystemLayout,
+    clip_spectrum,
     eigh,
     entropy,
     entropy_of_spectrum,
@@ -150,12 +152,14 @@ class _RegionProblem:
     formed.  :meth:`coherent_infos` evaluates a stack of inputs at once:
     sigma_i = Tr_{R != i} |psi><psi| by a stacked matmul, then the
     superoperator, then one batched eigenvalue call per spectrum.
+    :meth:`packed_gradient` reuses the same leg view and reduced states at one
+    point, with eigenvectors.
 
     Rows are evaluated in blocks whose sigma_i stack stays under
     ``OBJECTIVE_BLOCK_BYTES`` (8 rows on a qubit pair at n = 2, about 64 KB per
-    row), so a 128-row finite-difference batch does not raise peak memory.  Every
-    product is a stack of small matmuls, never one tall 2-D GEMM, which would
-    wake a second BLAS thread.
+    row), so a long batch does not raise peak memory.  Every product is a stack
+    of small matmuls, never one tall 2-D GEMM, which would wake a second BLAS
+    thread.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph, n: int):
@@ -187,15 +191,19 @@ class _RegionProblem:
                 leg_dims.append(self.block_dims[i])
                 tags.append(("A", i))
         pos = {t: p for p, t in enumerate(tags)}
-        target = [pos[("R", i)] for i in range(g)] + [
-            pos[("A", j)] for j in self.graph.input_order
-        ]
+        inputs = [pos[("A", j)] for j in self.graph.input_order]
         self.joint_leg_dims = leg_dims
-        self.joint_axes = [0] + [1 + p for p in target]
+        # per connection: sender-major legs -> (R_i, the other refs, the input blocks)
+        self.leg_axes = []
+        for i in range(g):
+            refs = [pos[("R", i)]] + [pos[("R", j)] for j in range(g) if j != i]
+            axes = [0] + [1 + p for p in refs + inputs]
+            self.leg_axes.append((axes, [leg_dims[a - 1] for a in axes[1:]], np.argsort(axes)))
         self.d_in = d_in = ch_n.in_dim
         out_dims = [self.block_dims[j] for j in self.graph.output_order]
         kraus = ch_n.kraus_stack().reshape(-1, *out_dims, d_in)
         self.superops_t = []
+        self.adjoints = []
         for i in range(g):
             d = self.block_dims[i]
             axis = 1 + self.graph.output_order.index(i)
@@ -209,6 +217,9 @@ class _RegionProblem:
             sup = s.reshape(d, d_in, d, d_in).transpose(0, 2, 1, 3).reshape(d * d, d_in * d_in)
             # stored transposed and contiguous: it multiplies vectorized operators from the right
             self.superops_t.append(np.ascontiguousarray(sup.T))
+            # the adjoint map is sup^dag, stored as adj[x][(b, b'), x'] = conj(sup)[(b, b'), (x, x')]
+            self.adjoints.append(np.ascontiguousarray(
+                sup.conj().reshape(d * d, d_in, d_in).transpose(1, 0, 2)))
         widest = max(d * d_in for d in self.block_dims)
         self.block_rows = max(1, OBJECTIVE_BLOCK_BYTES // (16 * widest**2))
 
@@ -226,28 +237,79 @@ class _RegionProblem:
         return out
 
     def _block_infos(self, parts: list[np.ndarray]) -> np.ndarray:
-        rows = parts[0].shape[0]
-        ket = parts[0]
-        for p in parts[1:]:
-            ket = (ket[:, :, None] * p[:, None, :]).reshape(rows, -1)
-        # legs (rows, R_0 .. R_{g-1}, input blocks in sender-major order)
-        ket = ket.reshape(rows, *self.joint_leg_dims).transpose(self.joint_axes)
-        d_in = self.d_in
-        infos = np.empty((rows, self.graph.size))
-        for i, (d, sup_t) in enumerate(zip(self.block_dims, self.superops_t)):
-            pre = int(np.prod(self.block_dims[:i]))
-            # psi[r, o, x]: R_i, the other refs, the input
-            psi = ket.reshape(rows, pre, d, -1, d_in).swapaxes(1, 2).reshape(rows, d, -1, d_in)
-            # sigma[r, r', x, x'] = sum_o psi[r, o, x] conj(psi[r', o, x']), one small
-            # matmul per (row, r, r') so the input pair lands contiguous for the superoperator
-            sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
-            rho = (sigma.reshape(rows, d * d, d_in * d_in) @ sup_t).reshape(rows, d, d, d, d)
-            rho_b = np.trace(rho, axis1=1, axis2=2)
-            rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
+        ket = _product_kets(parts)
+        infos = np.empty((ket.shape[0], self.graph.size))
+        for i in range(self.graph.size):
+            rho_rb, rho_b = self._output_states(self._connection_legs(ket, i), i)
             s_rb = entropy_of_spectrum(eigh(rho_rb, vectors=False)[0])
             s_b = entropy_of_spectrum(eigh(rho_b, vectors=False)[0])
             infos[:, i] = s_b - s_rb
         return infos
+
+    def _connection_legs(self, ket: np.ndarray, i: int, inverse: bool = False) -> np.ndarray:
+        """Sender-major kets (rows, D) -> psi[row, r, o, x] for connection i, or back.
+
+        r runs over R_i, o over the other refs, x over the joint input (blocks
+        in the graph's input order).  With ``inverse`` an array shaped like psi
+        goes back to sender-major rows.
+        """
+        axes, dims, back = self.leg_axes[i]
+        rows = ket.shape[0]
+        if inverse:
+            return ket.reshape(rows, *dims).transpose(back).reshape(rows, -1)
+        legs = ket.reshape(rows, *self.joint_leg_dims).transpose(axes)
+        return legs.reshape(rows, dims[0], -1, self.d_in)
+
+    def _output_states(self, psi: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """rho_RB, shape (rows, d^2, d^2), and rho_B of connection i from psi[row, r, o, x]."""
+        rows, d = psi.shape[:2]
+        # sigma[r, r', x, x'] = sum_o psi[r, o, x] conj(psi[r', o, x']), one small
+        # matmul per (row, r, r') so the input pair lands contiguous for the superoperator
+        sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
+        rho = (sigma.reshape(rows, d * d, -1) @ self.superops_t[i]).reshape(rows, d, d, d, d)
+        rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
+        return rho_rb, np.trace(rho, axis1=1, axis2=2)
+
+    def packed_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Exact gradient of -sum_i w_i I_c(R_i > B_i) at one packed point.
+
+        With X_i = I_R (x) log2 rho_B - log2 rho_RB, d(-I_c) = tr[X_i d rho_RB]
+        (the trace terms of dS cancel between the two entropies).  The adjoint
+        superoperator pulls X_i back to Y_i on (R_i, input), and
+        df/d conj(psi) = sum_i w_i (Y_i (x) I) psi.  Eigenvalues are floored
+        inside the log: <k|d rho|k> = 0 on ker rho along every direction, so
+        the floor multiplies zero and the gradient stays exact at rank-deficient
+        points.  Packed like ``QuadraticOverlap.packed_gradient``: twice the
+        (re, im) of df/d conj(c_w), sender by sender.
+        """
+        parts = complex_parts(x[None, :], self.part_dims, normalize=False)
+        ket = _product_kets(parts)
+        grad = np.zeros_like(ket)
+        d_in = self.d_in
+        for i, (d, adj) in enumerate(zip(self.block_dims, self.adjoints)):
+            if weights[i] == 0:
+                continue
+            psi = self._connection_legs(ket, i)
+            rho_rb, rho_b = self._output_states(psi, i)
+            # X[(r, r'), (b, b')] = delta_rr' log2 rho_B[b, b'] - log2 rho_RB[(r, b), (r', b')]
+            log_rb = _log2m(rho_rb[0]).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+            x_rr = (np.eye(d)[:, :, None, None] * _log2m(rho_b[0]) - log_rb).reshape(d * d, -1)
+            # pulled back to Y[x, (r, r'), x']; every product is a stack of small matmuls
+            # (a wide 2-D GEMM wakes a second BLAS thread)
+            y = (x_rr @ adj).reshape(d_in, d, d, d_in).transpose(1, 0, 2, 3)
+            # (Y (x) I_o) psi: sum over (r', x'), stacked over r -> [r, x, o]
+            y_psi = y.reshape(d, d_in, d * d_in) @ psi[0].swapaxes(1, 2).reshape(d * d_in, -1)
+            grad += weights[i] * self._connection_legs(y_psi.swapaxes(1, 2)[None], i, inverse=True)
+        grad = grad.reshape(self.part_dims)
+        senders = range(len(parts))
+        out = []
+        for w in senders:
+            args = [grad, list(senders)]
+            for v in senders:
+                if v != w:
+                    args += [parts[v][0].conj(), [v]]
+            out.append(np.einsum(*args, [w]))
+        return 2.0 * np.concatenate(out).view(float)
 
     def me_sender_state(self, w: int) -> np.ndarray:
         """Product of maximally entangled ref-input pairs for one sender."""
@@ -260,6 +322,21 @@ class _RegionProblem:
         c = len(grp)
         order = [2 * j for j in range(c)] + [2 * j + 1 for j in range(c)]
         return permute_legs_vector(vec, pair_dims, order)
+
+
+def _product_kets(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise tensor product of per-sender state batches, in sender order."""
+    ket = parts[0]
+    for p in parts[1:]:
+        ket = (ket[:, :, None] * p[:, None, :]).reshape(ket.shape[0], -1)
+    return ket
+
+
+def _log2m(rho: np.ndarray) -> np.ndarray:
+    """log2 of a density matrix, with its zero eigenvalues floored to the smallest float."""
+    w, v = eigh(rho)
+    w = np.maximum(clip_spectrum(w), np.finfo(float).tiny)
+    return (v * np.log2(w)) @ v.conj().T
 
 
 def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
@@ -275,7 +352,11 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     wvec = np.array(weights)
 
     def objective_batch(x_block: np.ndarray) -> np.ndarray:
-        return -(problem.coherent_infos(complex_parts(x_block, problem.part_dims)) @ wvec)
+        parts = complex_parts(x_block, problem.part_dims, normalize=False)
+        return -(problem.coherent_infos(parts) @ wvec)
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return problem.packed_gradient(x, wvec)
 
     warm = [[problem.me_sender_state(w) for w in range(len(problem.groups))]]
     if n > 1:
@@ -292,7 +373,7 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
         warm.append(lifted)
 
     result = minimize_product_states(
-        objective_batch, problem.part_dims, rng, restarts=restarts,
+        objective_batch, problem.part_dims, rng, gradient, restarts=restarts,
         max_iters=max_iters, warm_starts=warm,
     )
     infos = problem.coherent_infos([s[None, :] for s in result.states])[0]

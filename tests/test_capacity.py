@@ -14,6 +14,7 @@ from polychan import (
     check_dpi,
     coherent_information,
     continuity_gap,
+    dephasing,
     depolarizing,
     identity_channel,
     make_rng,
@@ -25,6 +26,7 @@ from polychan import (
     simplex_weight_grid,
     split_rng,
 )
+from polychan._optim import complex_parts, pack_states, project_tangent, renormalize_rows
 from polychan.capacity import _RegionProblem
 from polychan.channels import KrausChannel, tensor_power
 from polychan.errors import CapExceededError
@@ -323,3 +325,64 @@ class TestBatchedObjective:
             for r in range(rows):
                 want = oracle_coherent_infos(ch, graph, n, [q[r] for q in parts])
                 assert np.max(np.abs(got[r] - want)) < 1e-12
+
+
+def readme_pair():
+    graph = ConnectionGraph.diagonal([2, 2])
+    return product_channel([dephasing(0.1), depolarizing(2, 0.3)], graph), graph
+
+
+class TestRegionGradient:
+    """The exact packed gradient of the weighted objective, against finite differences."""
+
+    GRAPHS = dict(TestBatchedObjective.GRAPHS, crossed=ConnectionGraph([(0, 1, 2), (1, 0, 2)]))
+
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    @pytest.mark.parametrize("name, n", [
+        ("diagonal", 1), ("diagonal", 2), ("multiple_access", 1), ("multiple_access", 2),
+        ("broadcast", 1), ("broadcast", 2), ("two_plus_one", 1), ("crossed", 1), ("crossed", 2),
+    ])
+    def test_matches_central_difference(self, name, n, zero_weight):
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        rng = make_rng(71)
+        problem = _RegionProblem(random_channel(d, d, 3, rng), graph, n)
+        weights = rng.uniform(0.2, 1.5, graph.size)
+        if zero_weight:
+            weights[1] = 0.0
+        dims = problem.part_dims
+        x = renormalize_rows(rng.standard_normal(2 * sum(dims)), dims)[0]
+        got = project_tangent(x, problem.packed_gradient(x, weights), dims)
+        # fourth-order central difference of the (scale-invariant) batched objective
+        h = 1e-3
+        steps = np.array([2.0, 1.0, -1.0, -2.0]) * h
+        pts = x[None, None, :] + steps[None, :, None] * np.eye(x.size)[:, None, :]
+        vals = -(problem.coherent_infos(complex_parts(pts.reshape(-1, x.size), dims)) @ weights)
+        vals = vals.reshape(x.size, 4)
+        fd = (-vals[:, 0] + 8.0 * vals[:, 1] - 8.0 * vals[:, 2] + vals[:, 3]) / (12.0 * h)
+        want = project_tangent(x, fd, dims)
+        assert np.linalg.norm(want) > 0.1
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("pair", [readme_pair, identity_pair])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stationary_at_maximally_entangled_start(self, pair, n):
+        # rho_RB is rank-deficient here, so the floored eigenvalues are in play
+        ch, graph = pair()
+        problem = _RegionProblem(ch, graph, n)
+        dims = problem.part_dims
+        x = renormalize_rows(pack_states(
+            [problem.me_sender_state(w) for w in range(len(dims))]), dims)[0]
+        grad = problem.packed_gradient(x, np.array([1.0, 1.0]))
+        assert np.all(np.isfinite(grad))
+        assert np.linalg.norm(project_tangent(x, grad, dims)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_readme_pair_closed_form(self, n):
+        # dephasing(0.1) reaches 1 - h2(0.1) at every blocklength (it is degradable);
+        # depolarizing(2, 0.3) is past its hashing point, so its best rate is 0
+        ch, graph = readme_pair()
+        rt = region_sample(ch, graph, n, (1.0, 1.0), make_rng(81), restarts=4)
+        h2 = -(0.1 * np.log2(0.1) + 0.9 * np.log2(0.9))
+        assert abs(rt.rates[0] - (1.0 - h2)) < 1e-9
+        assert abs(rt.achievable[1]) < 1e-9
