@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._optim import complex_parts, minimize_product_states
+from ._optim import minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
@@ -270,8 +270,9 @@ class _RegionProblem:
         rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
         return rho_rb, np.trace(rho, axis1=1, axis2=2)
 
-    def packed_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Exact gradient of -sum_i w_i I_c(R_i > B_i) at one packed point.
+    def packed_gradient(self, states: Sequence[np.ndarray], weights: np.ndarray
+                        ) -> list[np.ndarray]:
+        """Exact gradient of -sum_i w_i I_c(R_i > B_i) at one product point.
 
         With X_i = I_R (x) log2 rho_B - log2 rho_RB, d(-I_c) = tr[X_i d rho_RB]
         (the trace terms of dS cancel between the two entropies).  The adjoint
@@ -279,10 +280,10 @@ class _RegionProblem:
         df/d conj(psi) = sum_i w_i (Y_i (x) I) psi.  Eigenvalues are floored
         inside the log: <k|d rho|k> = 0 on ker rho along every direction, so
         the floor multiplies zero and the gradient stays exact at rank-deficient
-        points.  Packed like ``QuadraticOverlap.packed_gradient``: twice the
-        (re, im) of df/d conj(c_w), sender by sender.
+        points.  ``states`` holds one unit vector per sender; the result is
+        df/d conj(c_w) per sender.
         """
-        parts = complex_parts(x[None, :], self.part_dims, normalize=False)
+        parts = [s[None, :] for s in states]
         ket = _product_kets(parts)
         grad = np.zeros_like(ket)
         d_in = self.d_in
@@ -301,15 +302,15 @@ class _RegionProblem:
             y_psi = y.reshape(d, d_in, d * d_in) @ psi[0].swapaxes(1, 2).reshape(d * d_in, -1)
             grad += weights[i] * self._connection_legs(y_psi.swapaxes(1, 2)[None], i, inverse=True)
         grad = grad.reshape(self.part_dims)
-        senders = range(len(parts))
+        senders = range(len(states))
         out = []
         for w in senders:
             args = [grad, list(senders)]
             for v in senders:
                 if v != w:
-                    args += [parts[v][0].conj(), [v]]
+                    args += [states[v].conj(), [v]]
             out.append(np.einsum(*args, [w]))
-        return 2.0 * np.concatenate(out).view(float)
+        return out
 
     def me_sender_state(self, w: int) -> np.ndarray:
         """Product of maximally entangled ref-input pairs for one sender."""
@@ -351,12 +352,11 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     problem = _RegionProblem(ch, graph, n)
     wvec = np.array(weights)
 
-    def objective_batch(x_block: np.ndarray) -> np.ndarray:
-        parts = complex_parts(x_block, problem.part_dims, normalize=False)
+    def objective_batch(parts: list[np.ndarray]) -> np.ndarray:
         return -(problem.coherent_infos(parts) @ wvec)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return problem.packed_gradient(x, wvec)
+    def gradient(states: list[np.ndarray]) -> list[np.ndarray]:
+        return problem.packed_gradient(states, wvec)
 
     warm = [[problem.me_sender_state(w) for w in range(len(problem.groups))]]
     if n > 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -49,11 +50,25 @@ def _emit(header: list[str], rows: list[dict], fmt: str, out: str | None,
         for row in rows:
             lines.append(",".join(_fmt(row[h]) for h in header))
         text = "\n".join(lines)
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text and a newline to the file ``out``, or to stdout.
+
+    A reader that closes stdout early ends the output, not the command: the
+    command runs on and returns its own exit code, with no traceback.
+    """
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten buffer would fail again when the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load(path: str, check_completeness: bool = True
@@ -86,16 +101,15 @@ def _parse_weights(text: str, size: int) -> tuple[float, ...]:
 def cmd_validate(args) -> int:
     ch, graph = _load(args.channel, check_completeness=False)
     report = channels.validate(ch, tol=args.tol_completeness)
-    print(f"in_dims: {list(ch.in_layout.leg_dims)}")
-    print(f"out_dims: {list(ch.out_layout.leg_dims)}")
-    print(f"kraus_count: {ch.num_kraus}")
-    if graph is not None:
-        conns = [(c.sender, c.receiver, c.dim) for c in graph.connections]
-        print(f"connections (sender, receiver, dim): {conns}")
-    else:
-        print("connections (sender, receiver, dim): none")
-    print(f"completeness_defect: {report.defect!r}")
-    print(f"status: {'valid' if report.passed else 'invalid'}")
+    conns = "none" if graph is None else [(c.sender, c.receiver, c.dim) for c in graph.connections]
+    _write("\n".join([
+        f"in_dims: {list(ch.in_layout.leg_dims)}",
+        f"out_dims: {list(ch.out_layout.leg_dims)}",
+        f"kraus_count: {ch.num_kraus}",
+        f"connections (sender, receiver, dim): {conns}",
+        f"completeness_defect: {report.defect!r}",
+        f"status: {'valid' if report.passed else 'invalid'}",
+    ]), None)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -350,12 +364,7 @@ def cmd_twirl(args) -> int:
             ensembles.append(protocols.haar_ensemble(d, args.ensemble_size, rng))
             modes.append(f"sampled haar ({args.ensemble_size} elements)")
     twirled = protocols.twirl_channel(ch, graph, ensembles)
-    text = channels.write_channel(twirled, graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(channels.write_channel(twirled, graph), args.out)
     for i, mode in enumerate(modes):
         print(f"connection {i}: {mode}", file=sys.stderr)
     return EXIT_OK
@@ -374,12 +383,7 @@ def cmd_teleport(args) -> int:
     )
     resource = channels.apply_with_reference(ch, resource_in, ref_legs=1)
     effective = protocols.teleport_channel(resource)
-    text = channels.write_channel(effective, ConnectionGraph.single(d))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(channels.write_channel(effective, ConnectionGraph.single(d)), args.out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._optim import complex_parts, minimize_product_states, unpack_states
+from ._optim import minimize_product_states
 from .channels import ConnectionGraph, KrausChannel, check_graph_compatible
 from .errors import CapExceededError
 from .linalg import (
@@ -387,18 +387,19 @@ class QuadraticOverlap:
     def value(self, coords: Sequence[np.ndarray]) -> float:
         return float(self._values(self._point(coords)[1][None, :])[0])
 
-    def batch_values(self, x_block: np.ndarray) -> np.ndarray:
-        return self._values(self._kets(complex_parts(np.atleast_2d(x_block), self.part_dims))[1])
+    def batch_values(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Fidelities for per-part coordinate batches of shape (rows, part_dims[i])."""
+        return self._values(self._kets(parts)[1])
 
-    def packed_gradient(self, x: np.ndarray) -> np.ndarray:
-        psis, phi = self._point(unpack_states(x, self.part_dims))
+    def packed_gradient(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """dF/d conj(c_i) per part, at one point."""
+        psis, phi = self._point(coords)
         u = self.red @ phi
         m = u @ phi.conj()
         v = (m.conj() @ u + m @ (self.red_adj @ phi)).reshape(self.var_dims)
         bras = [p.conj() for p in psis]
-        grads = [b.conj().T @ np.einsum(spec, v, *bras[:i], *bras[i + 1 :])
-                 for i, (spec, b) in enumerate(zip(self.loo_specs, self.bases))]
-        return 2.0 * np.concatenate(grads).view(float)
+        return [b.conj().T @ np.einsum(spec, v, *bras[:i], *bras[i + 1 :])
+                for i, (spec, b) in enumerate(zip(self.loo_specs, self.bases))]
 
     def _part_models(self, coords: Sequence[np.ndarray]
                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:

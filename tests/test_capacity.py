@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, tangent_gradient, unit_parts
 from polychan import (
     BipartiteSplit,
     ConnectionGraph,
@@ -26,7 +26,6 @@ from polychan import (
     simplex_weight_grid,
     split_rng,
 )
-from polychan._optim import complex_parts, pack_states, project_tangent, renormalize_rows
 from polychan.capacity import _RegionProblem
 from polychan.channels import KrausChannel, tensor_power
 from polychan.errors import CapExceededError
@@ -351,16 +350,18 @@ class TestRegionGradient:
         if zero_weight:
             weights[1] = 0.0
         dims = problem.part_dims
-        x = renormalize_rows(rng.standard_normal(2 * sum(dims)), dims)[0]
-        got = project_tangent(x, problem.packed_gradient(x, weights), dims)
-        # fourth-order central difference of the (scale-invariant) batched objective
+        states = [p[0] for p in unit_parts(rng.standard_normal(2 * sum(dims)), dims)]
+        got = tangent_gradient(states, problem.packed_gradient(states, weights))
+        # fourth-order central difference, over the real coordinates, of the batched
+        # objective at the renormalized points
+        x = np.concatenate(states).view(float)
         h = 1e-3
         steps = np.array([2.0, 1.0, -1.0, -2.0]) * h
         pts = x[None, None, :] + steps[None, :, None] * np.eye(x.size)[:, None, :]
-        vals = -(problem.coherent_infos(complex_parts(pts.reshape(-1, x.size), dims)) @ weights)
+        vals = -(problem.coherent_infos(unit_parts(pts.reshape(-1, x.size), dims)) @ weights)
         vals = vals.reshape(x.size, 4)
         fd = (-vals[:, 0] + 8.0 * vals[:, 1] - 8.0 * vals[:, 2] + vals[:, 3]) / (12.0 * h)
-        want = project_tangent(x, fd, dims)
+        want = tangent_gradient(states, np.split(fd.view(complex) / 2.0, np.cumsum(dims)[:-1]))
         assert np.linalg.norm(want) > 0.1
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -370,12 +371,11 @@ class TestRegionGradient:
         # rho_RB is rank-deficient here, so the floored eigenvalues are in play
         ch, graph = pair()
         problem = _RegionProblem(ch, graph, n)
-        dims = problem.part_dims
-        x = renormalize_rows(pack_states(
-            [problem.me_sender_state(w) for w in range(len(dims))]), dims)[0]
-        grad = problem.packed_gradient(x, np.array([1.0, 1.0]))
-        assert np.all(np.isfinite(grad))
-        assert np.linalg.norm(project_tangent(x, grad, dims)) < 1e-10
+        states = [s / np.linalg.norm(s)
+                  for s in (problem.me_sender_state(w) for w in range(len(problem.part_dims)))]
+        grad = problem.packed_gradient(states, np.array([1.0, 1.0]))
+        assert all(np.all(np.isfinite(g)) for g in grad)
+        assert np.linalg.norm(tangent_gradient(states, grad)) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_readme_pair_closed_form(self, n):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polychan
 from polychan import (
     ConnectionGraph,
     KrausChannel,
@@ -47,6 +52,14 @@ def fully_dep_pair_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def non_cptp_file(tmp_path):
+    ops = [0.9 * a for a in depolarizing(2, 0.3).kraus_ops]
+    path = tmp_path / "bad.json"
+    path.write_text(write_channel(KrausChannel(ops, [2], [2]), ConnectionGraph.single(2)))
+    return str(path)
+
+
 def rows_from_csv(text):
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",")
@@ -70,12 +83,8 @@ class TestValidateCommand:
         assert code == 2
         assert "line" in err
 
-    def test_non_cptp_file(self, tmp_path, capsys):
-        ops = [0.9 * a for a in depolarizing(2, 0.3).kraus_ops]
-        ch = KrausChannel(ops, [2], [2])
-        bad = tmp_path / "bad.json"
-        bad.write_text(write_channel(ch, ConnectionGraph.single(2)))
-        code = main(["validate", str(bad)])
+    def test_non_cptp_file(self, non_cptp_file, capsys):
+        code = main(["validate", non_cptp_file])
         out = capsys.readouterr().out
         assert code == 1
         assert "invalid" in out
@@ -232,3 +241,30 @@ class TestTeleportCommand:
 
     def test_rejects_multi_connection(self, pair_file):
         assert main(["teleport", pair_file, "--out", "/tmp/unused.json"]) == 2
+
+
+class TestClosedStdout:
+    """A reader that exits before the output is written ends the output, not the command."""
+
+    @staticmethod
+    def run_unread(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(polychan.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from polychan.cli import main; sys.exit(main())",
+             *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        # the child is still importing numpy when its only reader goes away
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return proc.wait(timeout=300), err
+
+    @pytest.mark.parametrize("command", [
+        ["region", "{pair}", "--n", "1", "--grid", "3", "--restarts", "2"],
+        ["validate", "{non_cptp}"],
+        ["fidelity", "{pair}", "--samples", "200", "--restarts", "2"],
+    ], ids=["region", "validate", "fidelity"])
+    def test_no_traceback_and_same_exit_code(self, command, pair_file, non_cptp_file, capsys):
+        argv = [a.format(pair=pair_file, non_cptp=non_cptp_file) for a in command]
+        code, err = self.run_unread(argv)
+        assert err == ""
+        assert code == main(argv)

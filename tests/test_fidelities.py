@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, tangent_gradient, unit_parts
 from polychan import (
     ConnectionGraph,
     DensityOperator,
@@ -27,7 +27,6 @@ from polychan import (
     random_channel,
     split_rng,
 )
-from polychan._optim import complex_parts, project_tangent, renormalize_rows
 from polychan.channels import KrausChannel
 from polychan.fidelities import QuadraticOverlap, _conn_ordered_kraus, _purification_amp
 
@@ -383,10 +382,10 @@ class TestQuadraticOverlap:
     @pytest.mark.parametrize("case", CASES)
     def test_batch_values_match_overlap_route(self, case, rows, rng):
         ch, graph, bases, fixed, problem = self.build(case, rng)
-        x_block = rng.standard_normal((rows, 2 * sum(problem.part_dims)))
-        got = problem.batch_values(x_block)
+        coords = unit_parts(rng.standard_normal((rows, 2 * sum(problem.part_dims))),
+                            problem.part_dims)
+        got = problem.batch_values(coords)
         assert got.shape == (rows,)
-        coords = complex_parts(x_block, problem.part_dims)
         for r in range(rows):
             states = {i: bases[i] @ coords[k][r] for k, i in enumerate(sorted(bases))}
             if fixed:
@@ -406,30 +405,29 @@ class TestQuadraticOverlap:
         # sixth-order central stencil: truncation and round-off both near 1e-14 here
         h, stencil = 2e-3, [(1, 3 / 4), (2, -3 / 20), (3, 1 / 60)]
         for _ in range(3):
-            x = renormalize_rows(rng.standard_normal(n), dims)[0]
-            grad = project_tangent(x, problem.packed_gradient(x), dims)
+            states = [p[0] for p in unit_parts(rng.standard_normal(n), dims)]
+            grad = tangent_gradient(states, problem.packed_gradient(states))
+            # over the real coordinates, at the renormalized points
+            x = np.concatenate(states).view(float)
             fd = np.zeros(n)
             for k, c in stencil:
                 step = k * h * np.eye(n)
-                fd += c * (problem.batch_values(x + step) - problem.batch_values(x - step)) / h
-            assert np.max(np.abs(grad - fd)) < 1e-12
+                fd += c * (problem.batch_values(unit_parts(x + step, dims))
+                           - problem.batch_values(unit_parts(x - step, dims))) / h
+            assert np.max(np.abs(grad - fd.view(complex))) < 1e-12
 
     @pytest.mark.parametrize("case", CASES)
     def test_field_matrix_gives_gradient(self, case, rng):
         # polish relies on grad_i F = H_i c_i
         *_, problem = self.build(case, rng)
         dims = problem.part_dims
-        x = renormalize_rows(rng.standard_normal(2 * sum(dims)), dims)[0]
-        coords = [c[0] for c in complex_parts(x, dims)]
+        coords = [c[0] for c in unit_parts(rng.standard_normal(2 * sum(dims)), dims)]
         fields, gauss = problem._part_models(coords)
-        packed = problem.packed_gradient(x)
-        pos = 0
-        for h_i, m_i, c_i, d in zip(fields, gauss, coords, dims):
+        grads = problem.packed_gradient(coords)
+        for h_i, m_i, c_i, g_i, d in zip(fields, gauss, coords, grads, dims):
             assert h_i.shape == m_i.shape == (d, d)
-            want = packed[pos : pos + 2 * d]
-            assert np.max(np.abs(2.0 * (h_i @ c_i).view(float) - want)) < 1e-12
+            assert np.max(np.abs(h_i @ c_i - g_i)) < 1e-12
             assert np.max(np.abs(m_i - m_i.conj().T)) < 1e-12
-            pos += 2 * d
 
     def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
