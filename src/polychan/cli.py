@@ -68,7 +68,9 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         # the unwritten buffer would fail again when the interpreter flushes it at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load(path: str, check_completeness: bool = True

@@ -426,7 +426,8 @@ class TestQuadraticOverlap:
         grads = problem.packed_gradient(coords)
         for h_i, m_i, c_i, g_i, d in zip(fields, gauss, coords, grads, dims):
             assert h_i.shape == m_i.shape == (d, d)
-            assert np.max(np.abs(h_i @ c_i - g_i)) < 1e-12
+            # on the optimizer's scale 2 dF/d conj(c), as before the complex states
+            assert np.max(np.abs(2.0 * (h_i @ c_i - g_i))) < 1e-12
             assert np.max(np.abs(m_i - m_i.conj().T)) < 1e-12
 
     def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
