@@ -26,10 +26,9 @@ from ._optim import minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
-    _leg_grouping_index,
     apply_with_reference,
     check_graph_compatible,
-    tensor_power,
+    connection_kraus,
 )
 from .errors import CapExceededError
 from .linalg import (
@@ -40,6 +39,8 @@ from .linalg import (
     entropy,
     entropy_of_spectrum,
     kron_all,
+    kron_rows,
+    maximally_entangled_vector,
     partial_trace,
     permute_legs_vector,
     uhlmann_fidelity,
@@ -168,10 +169,7 @@ class _RegionProblem:
             raise ValueError("blocklength must be >= 1")
         if n > BLOCKLENGTH_CAP:
             raise CapExceededError(f"blocklength {n} exceeds the cap {BLOCKLENGTH_CAP}")
-        block_ch = KrausChannel(
-            ch.kraus_ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims)
-        )
-        ch_n = tensor_power(block_ch, n) if n > 1 else block_ch
+        kraus = connection_kraus(ch, graph, n)
         self.graph = graph.powered(n)
         g = self.graph.size
         self.block_dims = self.graph.dims  # per-connection dims at blocklength n
@@ -181,34 +179,23 @@ class _RegionProblem:
             int(np.prod([self.block_dims[i] for i in grp])) ** 2 for grp in self.groups
         ]
         # joint legs (sender-major): per sender, ref blocks then input blocks
-        leg_dims: list[int] = []
-        tags: list[tuple[str, int]] = []
-        for grp in self.groups:
-            for i in grp:
-                leg_dims.append(self.block_dims[i])
-                tags.append(("R", i))
-            for i in grp:
-                leg_dims.append(self.block_dims[i])
-                tags.append(("A", i))
-        pos = {t: p for p, t in enumerate(tags)}
-        inputs = [pos[("A", j)] for j in self.graph.input_order]
-        self.joint_leg_dims = leg_dims
-        # per connection: sender-major legs -> (R_i, the other refs, the input blocks)
+        legs = [(side, i) for grp in self.groups for side in "RA" for i in grp]
+        pos = {leg: p for p, leg in enumerate(legs)}
+        self.joint_leg_dims = leg_dims = [self.block_dims[i] for _, i in legs]
+        # per connection: joint legs -> (R_i, the other refs, the inputs in index order)
         self.leg_axes = []
         for i in range(g):
-            refs = [pos[("R", i)]] + [pos[("R", j)] for j in range(g) if j != i]
-            axes = [0] + [1 + p for p in refs + inputs]
+            refs = [pos["R", i]] + [pos["R", j] for j in range(g) if j != i]
+            axes = [0] + [1 + p for p in refs + [pos["A", j] for j in range(g)]]
             self.leg_axes.append((axes, [leg_dims[a - 1] for a in axes[1:]], np.argsort(axes)))
-        self.d_in = d_in = ch_n.in_dim
-        out_dims = [self.block_dims[j] for j in self.graph.output_order]
-        kraus = ch_n.kraus_stack().reshape(-1, *out_dims, d_in)
+        self.d_in = d_in = self.graph.total_dim()
+        kraus = kraus.reshape(-1, *self.block_dims, d_in)
         self.superops_t = []
         self.adjoints = []
         for i in range(g):
             d = self.block_dims[i]
-            axis = 1 + self.graph.output_order.index(i)
             # per Kraus operator A_k[(b, c), x]: rows (b, x), columns c over the other outputs
-            ops = np.moveaxis(kraus, axis, 1)
+            ops = np.moveaxis(kraus, 1 + i, 1)
             ops = np.moveaxis(ops.reshape(len(ops), d, -1, d_in), 3, 2).reshape(
                 len(ops), d * d_in, -1)
             s = np.zeros((d * d_in, d * d_in), dtype=complex)
@@ -237,7 +224,7 @@ class _RegionProblem:
         return out
 
     def _block_infos(self, parts: list[np.ndarray]) -> np.ndarray:
-        ket = _product_kets(parts)
+        ket = kron_rows(parts)
         infos = np.empty((ket.shape[0], self.graph.size))
         for i in range(self.graph.size):
             rho_rb, rho_b = self._output_states(self._connection_legs(ket, i), i)
@@ -249,8 +236,8 @@ class _RegionProblem:
     def _connection_legs(self, ket: np.ndarray, i: int, inverse: bool = False) -> np.ndarray:
         """Sender-major kets (rows, D) -> psi[row, r, o, x] for connection i, or back.
 
-        r runs over R_i, o over the other refs, x over the joint input (blocks
-        in the graph's input order).  With ``inverse`` an array shaped like psi
+        r runs over R_i, o over the other refs, x over the joint input (one
+        block per connection, in index order).  With ``inverse`` an array shaped like psi
         goes back to sender-major rows.
         """
         axes, dims, back = self.leg_axes[i]
@@ -284,7 +271,7 @@ class _RegionProblem:
         df/d conj(c_w) per sender.
         """
         parts = [s[None, :] for s in states]
-        ket = _product_kets(parts)
+        ket = kron_rows(parts)
         grad = np.zeros_like(ket)
         d_in = self.d_in
         for i, (d, adj) in enumerate(zip(self.block_dims, self.adjoints)):
@@ -312,27 +299,6 @@ class _RegionProblem:
             out.append(np.einsum(*args, [w]))
         return out
 
-    def me_sender_state(self, w: int) -> np.ndarray:
-        """Product of maximally entangled ref-input pairs for one sender."""
-        grp = self.groups[w]
-        vec = kron_all(
-            [np.eye(self.block_dims[i], dtype=complex).reshape(-1) / np.sqrt(self.block_dims[i])
-             for i in grp]
-        )
-        pair_dims = [d for i in grp for d in (self.block_dims[i], self.block_dims[i])]
-        c = len(grp)
-        order = [2 * j for j in range(c)] + [2 * j + 1 for j in range(c)]
-        return permute_legs_vector(vec, pair_dims, order)
-
-
-def _product_kets(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise tensor product of per-sender state batches, in sender order."""
-    ket = parts[0]
-    for p in parts[1:]:
-        ket = (ket[:, :, None] * p[:, None, :]).reshape(ket.shape[0], -1)
-    return ket
-
-
 def _log2m(rho: np.ndarray) -> np.ndarray:
     """log2 of a density matrix, with its zero eigenvalues floored to the smallest float."""
     w, v = eigh(rho)
@@ -358,18 +324,20 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     def gradient(states: list[np.ndarray]) -> list[np.ndarray]:
         return problem.packed_gradient(states, wvec)
 
-    warm = [[problem.me_sender_state(w) for w in range(len(problem.groups))]]
+    # the product of a sender's maximally entangled (ref, input) pairs, refs first,
+    # is the maximally entangled state of its composite system
+    warm = [[maximally_entangled_vector(int(np.prod([problem.block_dims[i] for i in grp])))
+             for grp in problem.groups]]
     if n > 1:
         base = region_sample(ch, graph, 1, weights, rng.spawn(1)[0],
                              restarts=max(4, restarts // 2), max_iters=max_iters)
         lifted = []
         for w, grp in enumerate(problem.groups):
-            single = base.sender_states[w]
-            single_dims = [graph.dims[i] for i in grp] * 2
-            # regroup n copies so the per-connection blocks stay contiguous
-            vec = kron_all([single] * n)
-            idx = _leg_grouping_index(single_dims, n)
-            lifted.append(vec[idx])
+            dims = [graph.dims[i] for i in grp] * 2
+            # n copies, regrouped so each leg's copies sit together
+            order = [c * len(dims) + leg for leg in range(len(dims)) for c in range(n)]
+            lifted.append(permute_legs_vector(kron_all([base.sender_states[w]] * n),
+                                              dims * n, order))
         warm.append(lifted)
 
     result = minimize_product_states(

@@ -5,7 +5,9 @@ receivers' joint output space.  The sender/receiver structure is carried by a
 :class:`ConnectionGraph`: one entry per sender-receiver connection, each with
 its own message dimension.  By convention the composite input index runs over
 per-connection blocks in sender-major order and the composite output index in
-receiver-major order.
+receiver-major order.  :func:`connection_kraus` and :func:`block_kraus` are the
+only code that knows these orders; the rest of the package works on
+connections in index order.
 
 Channel files are JSON documents (see :func:`read_channel`); floats are
 written with their shortest round-trippable decimal representation, so
@@ -383,6 +385,37 @@ def dephasing(p: float) -> KrausChannel:
     )
 
 
+def connection_kraus(ch: KrausChannel, graph: ConnectionGraph, n: int = 1) -> np.ndarray:
+    """Kraus stack of the n-fold channel with one output and one input leg per connection.
+
+    The result has shape ``(K**n, d_0**n, ..., d_{g-1}**n, d_0**n, ..., d_{g-1}**n)``:
+    output legs, then input legs, each side in connection-index order.  Leg i
+    holds connection i's n copies, grouped as in :func:`tensor_power`.
+    """
+    g = graph.size
+    blocks = ch.kraus_stack().reshape(-1, *graph.out_block_dims, *graph.in_block_dims)
+    axes = [1 + graph.output_order.index(c) for c in range(g)]
+    axes += [1 + g + graph.input_order.index(c) for c in range(g)]
+    one = blocks.transpose([0] + axes)
+    if n == 1:
+        return one
+    d = graph.total_dim()
+    power = tensor_power(KrausChannel(one.reshape(-1, d, d), graph.dims, graph.dims), n)
+    dims = graph.powered(n).dims
+    return power.kraus_stack().reshape(-1, *dims, *dims)
+
+
+def block_kraus(kraus: np.ndarray, graph: ConnectionGraph) -> np.ndarray:
+    """Inverse of :func:`connection_kraus` at n = 1: a connection-ordered Kraus stack
+    (any shape that splits into one output and one input leg per connection) as
+    ``(K, d_out, d_in)`` matrices, inputs sender-major and outputs receiver-major."""
+    g = graph.size
+    legs = np.asarray(kraus).reshape(-1, *graph.dims, *graph.dims)
+    axes = [1 + c for c in graph.output_order] + [1 + g + c for c in graph.input_order]
+    d = graph.total_dim()
+    return legs.transpose([0] + axes).reshape(-1, d, d)
+
+
 def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph,
                     max_kraus: int = MAX_KRAUS) -> KrausChannel:
     """Combine one single-connection channel per graph connection into one channel.
@@ -400,11 +433,8 @@ def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph,
     combined = parts[0]
     for part in parts[1:]:
         combined = tensor(combined, part, max_kraus=max_kraus)
-    # combined legs are in connection order on both sides; move to block orders
-    conn_dims = graph.dims
-    col_map = permute_legs_vector(np.arange(int(np.prod(conn_dims))), conn_dims, graph.input_order)
-    row_map = permute_legs_vector(np.arange(int(np.prod(conn_dims))), conn_dims, graph.output_order)
-    ops = [a[np.ix_(row_map, col_map)] for a in combined.kraus_ops]
+    # combined legs are in connection order on both sides
+    ops = block_kraus(combined.kraus_stack(), graph)
     return KrausChannel(ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims))
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 failed check or invalid channel, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .linalg import (
     DensityOperator,
     SystemLayout,
     haar_state,
+    kron_all,
     make_rng,
     maximally_entangled_vector,
     split_rng,
@@ -210,44 +212,45 @@ def _check_average_identity(ch, graph, rng, samples, tol_stat, tol_exact):
 
 
 def _check_route_equality(ch, graph, tol_exact):
-    import itertools as it
-
     worst = 0.0
     inputs = [DensityOperator.maximally_mixed([d]) for d in graph.dims]
     for r in range(1, graph.size + 1):
-        for kept in it.combinations(range(graph.size), r):
+        for kept in itertools.combinations(range(graph.size), r):
             a = fidelities.group_fidelity(ch, inputs, graph, kept)
             b = fidelities.group_channel_fidelity_kraus(ch, graph, kept)
             worst = max(worst, abs(a - b))
     return worst, tol_exact, "exact"
 
 
-def _random_output_state(ch, graph, rng):
-    """Channel output on (reference x output legs) from a random product input."""
-    amp_rows = []
+def _connection_channel(ch, graph):
+    """The channel with one input and one output leg per connection, in index order."""
+    d = graph.total_dim()
+    kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
+    return KrausChannel(kraus, graph.dims, graph.dims)
+
+
+def _random_output_state(conn_ch, graph, rng):
+    """Output of a :func:`_connection_channel` for a random product input: a random
+    pure state on each connection's (reference, input) pair.
+
+    The legs come out as the joint reference (R_0..R_{g-1}, one leg) and then
+    one output leg per connection, all in connection-index order.
+    """
+    amps = []
     for d in graph.dims:
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        amp_rows.append(z.reshape(-1) / np.linalg.norm(z))
-    vec = amp_rows[0]
-    dims = [graph.dims[0], graph.dims[0]]
-    for d, amp in zip(graph.dims[1:], amp_rows[1:]):
-        vec = np.kron(vec, amp)
-        dims += [d, d]
-    order = list(range(0, 2 * graph.size, 2)) + list(range(1, 2 * graph.size, 2))
-    from .linalg import permute_legs_vector
-
-    vec = permute_legs_vector(vec, dims, order)
-    ref_dim = int(np.prod(graph.dims))
-    state = DensityOperator.from_vector(
-        vec, SystemLayout([ref_dim] + list(graph.in_block_dims))
-    )
-    return channels.apply_with_reference(ch, state, ref_legs=1)
+        amps.append(z / np.linalg.norm(z))
+    # rows run over the references, columns over the inputs
+    amp = kron_all(amps)
+    state = DensityOperator.from_vector(amp.reshape(-1), SystemLayout((len(amp),) + graph.dims))
+    return channels.apply_with_reference(conn_ch, state, ref_legs=1)
 
 
 def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
+    conn_ch = _connection_channel(ch, graph)
     worst = float("inf")
     for stream in split_rng(rng, trials):
-        out = _random_output_state(ch, graph, stream)
+        out = _random_output_state(conn_ch, graph, stream)
         split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
         post = channels.random_channel(ch.out_dim, ch.out_dim, 2, stream)
         margin = capacity.check_dpi(out, split, post)
@@ -256,10 +259,11 @@ def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
 
 
 def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
+    conn_ch = _connection_channel(ch, graph)
     worst = -float("inf")
     for stream in split_rng(rng, trials):
-        a = _random_output_state(ch, graph, stream)
-        b = _random_output_state(ch, graph, stream)
+        a = _random_output_state(conn_ch, graph, stream)
+        b = _random_output_state(conn_ch, graph, stream)
         split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
         lhs, rhs = capacity.continuity_gap(a, b, split)
         worst = max(worst, lhs - rhs)

@@ -26,14 +26,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._optim import minimize_product_states
-from .channels import ConnectionGraph, KrausChannel, check_graph_compatible
+from .channels import ConnectionGraph, KrausChannel, check_graph_compatible, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
+    UNITARITY_TOL,
     DensityOperator,
+    SystemLayout,
     _adjoint,
     clip_spectrum,
     eigh,
     kron_all,
+    kron_rows,
     permute_legs_vector,
 )
 
@@ -70,69 +73,45 @@ def _check_amps(graph: ConnectionGraph, amps: Sequence[np.ndarray]) -> None:
             )
 
 
-def _paired_vector(amps: Sequence[np.ndarray], conns: Sequence[int], graph: ConnectionGraph,
-                   side_order: Sequence[int]) -> np.ndarray:
-    """Product of per-connection purification amplitudes, reference legs first.
-
-    Legs come out as [R_i for i in ``conns`` in index order] followed by the
-    channel-side legs of ``conns`` arranged by ``side_order``.
-    """
-    conns = list(conns)
-    vec = kron_all([amps[i].reshape(-1) for i in conns]) if conns else np.ones(1, dtype=complex)
-    leg_dims: list[int] = []
-    tags: list[tuple[str, int]] = []
-    for i in conns:
-        leg_dims += [amps[i].shape[0], graph.dims[i]]
-        tags += [("R", i), ("S", i)]
-    pos = {t: p for p, t in enumerate(tags)}
-    order = [pos[("R", i)] for i in conns] + [
-        pos[("S", j)] for j in side_order if j in set(conns)
-    ]
-    return permute_legs_vector(vec, leg_dims, order)
+def _paired_vector(amps: Sequence[np.ndarray], conns: Sequence[int]) -> np.ndarray:
+    """Product of per-connection purification amplitudes: the reference legs of
+    ``conns``, then their channel-side legs, each in the order given."""
+    vec = kron_all([amps[i].reshape(-1) for i in conns])
+    c = len(conns)
+    legs = [dim for i in conns for dim in amps[i].shape]
+    return permute_legs_vector(vec, legs, [*range(0, 2 * c, 2), *range(1, 2 * c, 2)])
 
 
 def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[np.ndarray],
                       keep: Iterable[int] | None = None) -> float:
-    """Overlap of the channel output with the product purification, on kept connections."""
+    """Overlap of the channel output with the product purification, on kept connections.
+
+    The purification ``v`` is sent through ``I_R (x) A_K`` with the Kraus
+    operators in connection order, so its inputs and the outputs share one leg
+    order.  Connections outside ``keep`` are traced out: their reference and
+    output legs stay open in the overlap with the kept connections' part of
+    ``v``.
+    """
     check_graph_compatible(ch, graph)
     _check_amps(graph, amps)
     g = graph.size
     keep_set = set(range(g)) if keep is None else set(int(k) for k in keep)
     if not keep_set or not keep_set.issubset(range(g)):
         raise ValueError(f"invalid connection subset {sorted(keep_set)}")
+    kept = sorted(keep_set)
 
-    all_conns = list(range(g))
-    ket = _paired_vector(amps, all_conns, graph, graph.input_order)
-    ref_dims = [amps[i].shape[0] for i in all_conns]
-    d_ref = int(np.prod(ref_dims))
-    ket_mat = ket.reshape(d_ref, ch.in_dim)
-
-    if keep_set == set(all_conns):
-        bra = _paired_vector(amps, all_conns, graph, graph.output_order)
-        total = 0.0
-        for a in ch.kraus_ops:
-            w = (ket_mat @ a.T).reshape(-1)
-            total += abs(np.vdot(bra, w)) ** 2
-        return float(total)
-
-    # group fidelity: trace out the connections outside keep_set first
-    out_leg_dims = ref_dims + [graph.dims[j] for j in graph.output_order]
-    out_tags = [("R", i) for i in all_conns] + [("B", j) for j in graph.output_order]
-    pos = {t: p for p, t in enumerate(out_tags)}
-    kept_order = [pos[("R", i)] for i in all_conns if i in keep_set] + [
-        pos[("B", j)] for j in graph.output_order if j in keep_set
-    ]
-    rest = [p for p in range(len(out_tags)) if p not in set(kept_order)]
-    perm = kept_order + rest
-    d_keep = int(np.prod([out_leg_dims[p] for p in kept_order]))
-    kept_bra = _paired_vector(amps, sorted(keep_set), graph, graph.output_order)
-
-    total = 0.0
-    for a in ch.kraus_ops:
-        w = (ket_mat @ a.T).reshape(-1)
-        wp = permute_legs_vector(w, out_leg_dims, perm).reshape(d_keep, -1)
-        total += float(np.sum(np.abs(kept_bra.conj() @ wp) ** 2))
-    return float(total)
+    ket = _paired_vector(amps, range(g))
+    ref_dims = [amp.shape[0] for amp in amps]
+    d = graph.total_dim()
+    kraus = connection_kraus(ch, graph).reshape(-1, d, d)
+    # legs of the sent states: Kraus index, R_0..R_{g-1}, B_0..B_{g-1}
+    sent = (ket.reshape(-1, d) @ kraus.swapaxes(1, 2)).reshape(-1, *ref_dims, *graph.dims)
+    kept_legs = [1 + i for i in kept] + [1 + g + i for i in kept]
+    open_legs = [0] + [leg for leg in range(1, 2 * g + 1) if leg not in kept_legs]
+    bra = ket if len(kept) == g else _paired_vector(amps, kept)
+    bra = bra.conj().reshape([sent.shape[leg] for leg in kept_legs])
+    overlaps = np.einsum(sent, list(range(2 * g + 1)), bra, kept_legs, open_legs)
+    return float(np.sum(overlaps.real ** 2 + overlaps.imag ** 2))
 
 
 def entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph) -> float:
@@ -178,16 +157,6 @@ def _me_amps(graph: ConnectionGraph) -> list[np.ndarray]:
     return [np.eye(d, dtype=complex) / np.sqrt(d) for d in graph.dims]
 
 
-def _conn_ordered_kraus(ch: KrausChannel, graph: ConnectionGraph) -> list[np.ndarray]:
-    """Kraus operators as tensors with one output and one input leg per connection,
-    both sides in connection-index order."""
-    g = graph.size
-    out_axes = [graph.output_order.index(c) for c in range(g)]
-    in_axes = [g + graph.input_order.index(c) for c in range(g)]
-    shape = tuple(graph.out_block_dims) + tuple(graph.in_block_dims)
-    return [np.transpose(a.reshape(shape), axes=out_axes + in_axes) for a in ch.kraus_ops]
-
-
 def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                           keep_set: frozenset[int]) -> float:
     """Swap-contraction route for channel fidelities at maximally entangled inputs."""
@@ -214,7 +183,7 @@ def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     for i in range(g):
         denom *= graph.dims[i] ** 2 if i in keep_set else graph.dims[i]
     total = 0.0
-    for t in _conn_ordered_kraus(ch, graph):
+    for t in connection_kraus(ch, graph):
         total += float(np.real(np.einsum(spec, t.conj(), t)))
     return total / denom
 
@@ -256,23 +225,14 @@ def average_fidelity_exact(ch: KrausChannel, graph: ConnectionGraph) -> float:
     return total / d_plus
 
 
-def _product_batch(states: Sequence[np.ndarray], order: Sequence[int]) -> np.ndarray:
-    """Row-wise tensor product of per-connection state batches, in the given block order."""
-    b = states[0].shape[0]
-    acc = np.ones((b, 1), dtype=complex)
-    for j in order:
-        acc = np.einsum("sa,sb->sab", acc, states[j]).reshape(b, -1)
-    return acc
-
-
 def _batch_pure_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                          states: Sequence[np.ndarray]) -> np.ndarray:
     """Pure-state fidelities for a batch of per-connection states (rows)."""
-    psi_in = _product_batch(states, graph.input_order)
-    phi_out = _product_batch(states, graph.output_order)
-    stack = ch.kraus_stack()
-    sent = np.einsum("kij,sj->ski", stack, psi_in)
-    amp = np.einsum("si,ski->sk", phi_out.conj(), sent)
+    psi = kron_rows(states)
+    d = psi.shape[1]
+    stack = connection_kraus(ch, graph).reshape(-1, d, d)
+    sent = np.einsum("kij,sj->ski", stack, psi)
+    amp = np.einsum("si,ski->sk", psi.conj(), sent)
     return np.sum(np.abs(amp) ** 2, axis=1)
 
 
@@ -299,15 +259,35 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
     return mean, stderr
 
 
-def _subspace_matrix(basis) -> np.ndarray:
-    v = getattr(basis, "vectors", basis)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[1] == 0:
-        raise ValueError("subspace basis must be a nonempty matrix of column vectors")
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
-        raise ValueError("subspace basis columns are not orthonormal")
-    return v
+@dataclass(frozen=True)
+class SubspaceBasis:
+    """Orthonormal columns spanning a subspace of an ambient space."""
+
+    vectors: np.ndarray
+
+    def __init__(self, vectors: np.ndarray):
+        v = np.asarray(vectors, dtype=complex)
+        if v.ndim != 2 or v.shape[1] == 0:
+            raise ValueError("subspace basis must be a nonempty matrix of column vectors")
+        gram = v.conj().T @ v
+        if np.max(np.abs(gram - np.eye(v.shape[1]))) > UNITARITY_TOL:
+            raise ValueError("subspace basis columns are not orthonormal")
+        object.__setattr__(self, "vectors", v)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.vectors.shape[0]
+
+    def projector(self) -> np.ndarray:
+        return self.vectors @ self.vectors.conj().T
+
+    def uniform_state(self, layout=None) -> DensityOperator:
+        layout = layout if layout is not None else SystemLayout([self.ambient_dim])
+        return DensityOperator(self.projector() / self.dim, layout)
 
 
 class QuadraticOverlap:
@@ -356,7 +336,7 @@ class QuadraticOverlap:
         fold = ",".join([kraus + out + inn] + [out[j] + inn[j] for j in fixed]) + "->" + (
             kraus + "".join(out[i] for i in self.varying) + "".join(inn[i] for i in self.varying))
         grams = [fixed_amps[j].conj().T @ fixed_amps[j] for j in fixed]
-        stack = np.stack(_conn_ordered_kraus(ch, graph))
+        stack = connection_kraus(ch, graph)
         self.red = np.ascontiguousarray(np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var))
         self.red_adj = np.ascontiguousarray(_adjoint(self.red))
 
@@ -374,7 +354,7 @@ class QuadraticOverlap:
     def _kets(self, coords: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-part states (rows) in the ambient spaces, and their row-wise product kets."""
         psis = [c @ b.T for c, b in zip(coords, self.bases)]
-        return psis, _product_batch(psis, range(len(psis)))
+        return psis, kron_rows(psis)
 
     def _point(self, coords: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
         psis, phi = self._kets([np.asarray(c, dtype=complex)[None, :] for c in coords])
@@ -460,7 +440,7 @@ def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: S
     a fixed rng state.
     """
     check_graph_compatible(ch, graph)
-    bases = [_subspace_matrix(s) for s in subspaces]
+    bases = [(s if isinstance(s, SubspaceBasis) else SubspaceBasis(s)).vectors for s in subspaces]
     if len(bases) != graph.size:
         raise ValueError(f"need one subspace per connection ({graph.size})")
     problem = QuadraticOverlap(ch, graph, dict(enumerate(bases)), {})

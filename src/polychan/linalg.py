@@ -25,6 +25,7 @@ MAX_DIM = 4096
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
+UNITARITY_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,6 +95,14 @@ def kron_all(mats: Sequence[np.ndarray], max_dim: int = MAX_DIM) -> np.ndarray:
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = kron(out, m, max_dim=max_dim)
+    return out
+
+
+def kron_rows(batches: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of state batches, each of shape (rows, d_j)."""
+    out = batches[0]
+    for b in batches[1:]:
+        out = (out[:, :, None] * b[:, None, :]).reshape(out.shape[0], -1)
     return out
 
 

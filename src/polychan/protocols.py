@@ -17,16 +17,26 @@ from typing import Sequence
 import numpy as np
 
 from ._optim import minimize_product_states
-from .channels import ConnectionGraph, KrausChannel, MAX_KRAUS, check_graph_compatible, weyl_operators
+from .channels import (
+    MAX_KRAUS,
+    ConnectionGraph,
+    KrausChannel,
+    block_kraus,
+    check_graph_compatible,
+    connection_kraus,
+    weyl_operators,
+)
 from .errors import CapExceededError, PolychanError
 from .fidelities import (
     QuadraticOverlap,
+    SubspaceBasis,
     _pure_amp,
     _purification_amp,
     entanglement_fidelity,
     min_subspace_fidelity,
 )
 from .linalg import (
+    UNITARITY_TOL,
     DensityOperator,
     SystemLayout,
     clip_spectrum,
@@ -34,8 +44,6 @@ from .linalg import (
     haar_unitary,
     kron_all,
 )
-
-UNITARITY_TOL = 1e-10
 
 
 class ExtractionError(PolychanError):
@@ -67,37 +75,6 @@ class UnitaryEnsemble:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of an ambient space."""
-
-    vectors: np.ndarray
-
-    def __init__(self, vectors: np.ndarray):
-        v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[1] == 0:
-            raise ValueError("subspace basis must be a nonempty matrix of column vectors")
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > UNITARITY_TOL:
-            raise ValueError("subspace basis columns are not orthonormal")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
-
-    def uniform_state(self, layout=None) -> DensityOperator:
-        layout = layout if layout is not None else SystemLayout([self.ambient_dim])
-        return DensityOperator(self.projector() / self.dim, layout)
 
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:
@@ -169,14 +146,14 @@ def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
         raise CapExceededError(f"twirl would need {count} Kraus operators (cap {max_kraus})")
 
     scale = 1.0 / np.sqrt(n_total)
-    ops = []
-    for combo in itertools.product(*[range(len(e)) for e in ensembles]):
-        w_in = kron_all([ensembles[j].elements[combo[j]] for j in graph.input_order])
-        w_out = kron_all([ensembles[j].elements[combo[j]] for j in graph.output_order])
-        w_out_dag = w_out.conj().T
-        for a in ch.kraus_ops:
-            ops.append(scale * (w_out_dag @ a @ w_in))
-    return KrausChannel(ops, ch.in_layout, ch.out_layout)
+    d = graph.total_dim()
+    stack = connection_kraus(ch, graph).reshape(-1, d, d)
+    k = len(stack)
+    ops = np.empty((count, d, d), dtype=complex)
+    for j, combo in enumerate(itertools.product(*[e.elements for e in ensembles])):
+        w = kron_all(combo)
+        ops[j * k : (j + 1) * k] = scale * (w.conj().T @ stack @ w)
+    return KrausChannel(block_kraus(ops, graph), ch.in_layout, ch.out_layout)
 
 
 def teleport_channel(resource: DensityOperator) -> KrausChannel:
@@ -340,7 +317,7 @@ def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Seq
     entanglement fidelity: F_e >= 1 - (3/2)^{|G|} eta."""
     bases = [s if isinstance(s, SubspaceBasis) else SubspaceBasis(s) for s in subspaces]
     value, _ = min_subspace_fidelity(
-        ch, graph, [b.vectors for b in bases], rng, restarts=restarts, max_iters=max_iters
+        ch, graph, bases, rng, restarts=restarts, max_iters=max_iters
     )
     eta = max(0.0, 1.0 - value)
     uniform = [b.uniform_state() for b in bases]

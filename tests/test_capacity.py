@@ -297,11 +297,13 @@ class TestBatchedObjective:
         "multiple_access": ConnectionGraph([(0, 0, 2), (1, 0, 2)]),
         "broadcast": ConnectionGraph([(0, 0, 2), (0, 1, 2)]),
         "two_plus_one": ConnectionGraph([(0, 0, 2), (0, 1, 2), (1, 1, 2)]),
+        # sender-major, connection and receiver-major orders all differ
+        "shuffled": ConnectionGraph([(1, 1, 2), (0, 0, 3), (0, 1, 2)]),
     }
 
     @pytest.mark.parametrize("name, n", [
         ("diagonal", 1), ("diagonal", 2), ("multiple_access", 1), ("multiple_access", 2),
-        ("broadcast", 1), ("broadcast", 2), ("two_plus_one", 1),
+        ("broadcast", 1), ("broadcast", 2), ("two_plus_one", 1), ("shuffled", 1),
     ])
     def test_matches_density_matrix_route(self, name, n):
         graph = self.GRAPHS[name]
@@ -340,6 +342,7 @@ class TestRegionGradient:
     @pytest.mark.parametrize("name, n", [
         ("diagonal", 1), ("diagonal", 2), ("multiple_access", 1), ("multiple_access", 2),
         ("broadcast", 1), ("broadcast", 2), ("two_plus_one", 1), ("crossed", 1), ("crossed", 2),
+        ("shuffled", 1),
     ])
     def test_matches_central_difference(self, name, n, zero_weight):
         graph = self.GRAPHS[name]
@@ -371,8 +374,8 @@ class TestRegionGradient:
         # rho_RB is rank-deficient here, so the floored eigenvalues are in play
         ch, graph = pair()
         problem = _RegionProblem(ch, graph, n)
-        states = [s / np.linalg.norm(s)
-                  for s in (problem.me_sender_state(w) for w in range(len(problem.part_dims)))]
+        # a sender's part holds its refs then its inputs: dimension D ** 2
+        states = [maximally_entangled_vector(int(np.sqrt(p))) for p in problem.part_dims]
         grad = problem.packed_gradient(states, np.array([1.0, 1.0]))
         assert all(np.all(np.isfinite(g)) for g in grad)
         assert np.linalg.norm(tangent_gradient(states, grad)) < 1e-10

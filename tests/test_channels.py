@@ -1,3 +1,5 @@
+import functools
+import itertools
 import re
 
 import numpy as np
@@ -27,7 +29,12 @@ from polychan import (
     validate,
     write_channel,
 )
-from polychan.channels import ChannelCompletenessError, check_graph_compatible
+from polychan.channels import (
+    ChannelCompletenessError,
+    block_kraus,
+    check_graph_compatible,
+    connection_kraus,
+)
 from polychan.errors import CapExceededError, ChannelFormatError
 from polychan.linalg import PAULI_X, PAULI_Y, PAULI_Z, permute_legs_matrix
 
@@ -319,3 +326,64 @@ class TestChannelIO:
         back, graph = read_channel(text)
         assert graph is None
         assert back.out_dim == 3
+
+
+class TestConnectionOrder:
+    """The block-order owner against a product channel assembled by hand."""
+
+    # sender-major input blocks (1, 2, 0), receiver-major output blocks (1, 0, 2)
+    GRAPH = ConnectionGraph([(1, 1, 2), (0, 0, 3), (0, 1, 2)])
+    IN_BLOCKS, OUT_BLOCKS = (1, 2, 0), (1, 0, 2)
+
+    def parts(self, rng):
+        return [random_channel(d, d, k, rng) for d, k in zip(self.GRAPH.dims, (2, 2, 3))]
+
+    def hand_built(self, parts):
+        """Kraus operators sum_{b, a} prod_i x_i[b_i, a_i] |b_{out blocks}><a_{in blocks}|,
+        one per combination of the parts' operators."""
+        dims = self.GRAPH.dims
+
+        def basis_ket(digits, blocks):
+            return functools.reduce(np.kron, [np.eye(dims[c])[digits[c]] for c in blocks])
+
+        ops = []
+        for combo in itertools.product(*[p.kraus_ops for p in parts]):
+            op = np.zeros((12, 12), dtype=complex)
+            for outs in itertools.product(*map(range, dims)):
+                for ins in itertools.product(*map(range, dims)):
+                    amp = combo[0][outs[0], ins[0]] * combo[1][outs[1], ins[1]]
+                    amp = amp * combo[2][outs[2], ins[2]]
+                    op += amp * np.outer(basis_ket(outs, self.OUT_BLOCKS),
+                                         basis_ket(ins, self.IN_BLOCKS))
+            ops.append(op)
+        return np.stack(ops)
+
+    def test_product_channel_matches_hand_built(self, rng):
+        parts = self.parts(rng)
+        ch = product_channel(parts, self.GRAPH)
+        assert ch.in_layout.leg_dims == (3, 2, 2)
+        assert ch.out_layout.leg_dims == (3, 2, 2)
+        assert np.max(np.abs(ch.kraus_stack() - self.hand_built(parts))) < 1e-15
+
+    def test_connection_kraus_returns_the_factors(self, rng):
+        parts = self.parts(rng)
+        ch = KrausChannel(self.hand_built(parts), [3, 2, 2], [3, 2, 2])
+        got = connection_kraus(ch, self.GRAPH)
+        assert got.shape == (12, 2, 3, 2, 2, 3, 2)
+        for k, combo in enumerate(itertools.product(*[p.kraus_ops for p in parts])):
+            want = np.einsum("ad,be,cf->abcdef", *combo)
+            assert np.max(np.abs(got[k] - want)) < 1e-15
+
+    def test_block_kraus_inverts_connection_kraus(self, rng):
+        ch = random_channel(12, 12, 3, rng)
+        back = block_kraus(connection_kraus(ch, self.GRAPH), self.GRAPH)
+        assert np.array_equal(back, ch.kraus_stack())
+
+    def test_blocklength_groups_each_connections_copies(self, rng):
+        # n = 2: leg i holds connection i's two copies, first copy most significant
+        ch = random_channel(12, 12, 2, rng)
+        one = connection_kraus(ch, self.GRAPH)
+        two = connection_kraus(ch, self.GRAPH, 2)
+        assert two.shape == (4, 4, 9, 4, 4, 9, 4)
+        want = np.einsum("kabcdef,lghijmn->klagbhcidjemfn", one, one).reshape(two.shape)
+        assert np.max(np.abs(two - want)) < 1e-15

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polychan
@@ -13,11 +14,12 @@ from polychan import (
     depolarizing,
     dephasing,
     identity_channel,
+    make_rng,
     product_channel,
     read_channel,
     write_channel,
 )
-from polychan.cli import main
+from polychan.cli import _connection_channel, _random_output_state, main
 
 
 @pytest.fixture
@@ -206,6 +208,23 @@ class TestVerifyCommand:
         assert code == 0
         twirl_row = [r for r in rows if r["check"] == "two_design_twirl"][0]
         assert twirl_row["mode"] == "statistical (sampled ensemble)"
+
+
+def test_random_output_state_is_a_product_input():
+    # connection 0 belongs to sender 1, so the input blocks run (1, 0), not in
+    # connection order; through the routing identity the output stays a pure
+    # product over connections, with Schmidt rank 1 across (R_0 B_0) | (R_1 B_1)
+    graph = ConnectionGraph([(1, 0, 2), (0, 1, 3)])
+    ch = product_channel([identity_channel([2]), identity_channel([3])], graph)
+    out = _random_output_state(_connection_channel(ch, graph), graph, make_rng(0))
+    assert out.layout.leg_dims == (6, 2, 3)
+    w, v = np.linalg.eigh(out.matrix)
+    assert abs(w[-1] - 1.0) < 1e-12
+    # legs (R_0, R_1, B_0, B_1) -> rows (R_0, B_0), columns (R_1, B_1)
+    psi = v[:, -1].reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
+    schmidt = np.linalg.svd(psi, compute_uv=False)
+    assert abs(schmidt[0] - 1.0) < 1e-12
+    assert np.all(schmidt[1:] < 1e-12)
 
 
 class TestTwirlCommand:

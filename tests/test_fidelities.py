@@ -27,8 +27,8 @@ from polychan import (
     random_channel,
     split_rng,
 )
-from polychan.channels import KrausChannel
-from polychan.fidelities import QuadraticOverlap, _conn_ordered_kraus, _purification_amp
+from polychan.channels import KrausChannel, connection_kraus
+from polychan.fidelities import QuadraticOverlap, _purification_amp
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -47,7 +47,7 @@ def trace_form_fidelity(ch, graph, inputs):
     g = graph.size
     d = int(np.prod(graph.dims))
     total = 0.0
-    for t in _conn_ordered_kraus(ch, graph):
+    for t in connection_kraus(ch, graph):
         a = t.reshape(d, d)
         total += abs(np.trace(a @ rho)) ** 2
     return total
@@ -445,34 +445,41 @@ class TestQuadraticOverlap:
 
 
 class TestCrossedGraph:
-    """Sender 0 feeds receiver 1 and vice versa: the input and output block orders
-    differ, so every ordering convention in the engine is exercised."""
+    """Graphs whose input and output block orders differ from connection order, so
+    every ordering convention in the engine is exercised.  In "crossed", sender 0
+    feeds receiver 1 and vice versa.  In "shuffled", sender-major order (1, 2, 0),
+    receiver-major order (1, 0, 2) and connection order all differ, and so do the
+    dimensions."""
+
+    GRAPHS = {
+        "crossed": ConnectionGraph([(0, 1, 2), (1, 0, 3)]),
+        "shuffled": ConnectionGraph([(1, 1, 2), (0, 0, 3), (0, 1, 2)]),
+    }
 
     def crossed(self, rng):
-        graph = ConnectionGraph([(0, 1, 2), (1, 0, 3)])
-        parts = [random_channel(2, 2, 2, rng), random_channel(3, 3, 2, rng)]
-        return product_channel(parts, graph), graph, parts
+        for graph in self.GRAPHS.values():
+            parts = [random_channel(d, d, 2, rng) for d in graph.dims]
+            yield product_channel(parts, graph), graph, parts
 
     def test_routes_agree(self, rng):
-        ch, graph, _ = self.crossed(rng)
-        a = channel_fidelity(ch, graph, "definition")
-        b = channel_fidelity(ch, graph, "kraus_trace")
-        assert abs(a - b) < 1e-10
+        for ch, graph, _ in self.crossed(rng):
+            a = channel_fidelity(ch, graph, "definition")
+            b = channel_fidelity(ch, graph, "kraus_trace")
+            assert abs(a - b) < 1e-10
 
     def test_product_factorizes(self, rng):
-        ch, graph, parts = self.crossed(rng)
-        want = channel_fidelity(parts[0], ConnectionGraph.single(2), "kraus_trace") * \
-            channel_fidelity(parts[1], ConnectionGraph.single(3), "kraus_trace")
-        assert abs(channel_fidelity(ch, graph, "kraus_trace") - want) < 1e-10
-        for i, d in enumerate((2, 3)):
-            part_fc = channel_fidelity(parts[i], ConnectionGraph.single(d), "kraus_trace")
-            assert abs(group_channel_fidelity_kraus(ch, graph, [i]) - part_fc) < 1e-10
+        for ch, graph, parts in self.crossed(rng):
+            part_fcs = [channel_fidelity(part, ConnectionGraph.single(d), "kraus_trace")
+                        for part, d in zip(parts, graph.dims)]
+            assert abs(channel_fidelity(ch, graph, "kraus_trace") - np.prod(part_fcs)) < 1e-10
+            for i, part_fc in enumerate(part_fcs):
+                assert abs(group_channel_fidelity_kraus(ch, graph, [i]) - part_fc) < 1e-10
 
     def test_mc_matches_exact(self, rng):
-        ch, graph, _ = self.crossed(rng)
-        exact = average_fidelity_exact(ch, graph)
-        mean, stderr = average_fidelity_mc(ch, graph, 50000, make_rng(12))
-        assert abs(mean - exact) <= 3 * stderr
+        for ch, graph, _ in self.crossed(rng):
+            exact = average_fidelity_exact(ch, graph)
+            mean, stderr = average_fidelity_mc(ch, graph, 50000, make_rng(12))
+            assert abs(mean - exact) <= 3 * stderr
 
 
 class TestFidelityReport:
