@@ -10,9 +10,9 @@ The objective is evaluated for a whole batch of candidate states at once
 (every line-search point of a descent step): each connection's channel
 marginal is precomputed as a superoperator, and the reduced states of all
 rows come from stacked matmuls and one batched eigenvalue call per spectrum,
-in row blocks of bounded memory.  Its exact gradient at one point pulls
-I_R (x) log2 rho_B - log2 rho_RB back through the adjoint superoperators (see
-``_RegionProblem``).
+in row blocks of bounded memory.  Its exact gradient, on the same row blocks,
+pulls I_R (x) log2 rho_B - log2 rho_RB back through the adjoint
+superoperators (see ``_RegionProblem``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import CapExceededError
 from .linalg import (
     DensityOperator,
     SystemLayout,
+    _adjoint,
     clip_spectrum,
     eigh,
     entropy,
@@ -153,8 +154,8 @@ class _RegionProblem:
     formed.  :meth:`coherent_infos` evaluates a stack of inputs at once:
     sigma_i = Tr_{R != i} |psi><psi| by a stacked matmul, then the
     superoperator, then one batched eigenvalue call per spectrum.
-    :meth:`packed_gradient` reuses the same leg view and reduced states at one
-    point, with eigenvectors.
+    :meth:`packed_gradient` reuses the same leg view and reduced states, with
+    eigenvectors.
 
     Rows are evaluated in blocks whose sigma_i stack stays under
     ``OBJECTIVE_BLOCK_BYTES`` (8 rows on a qubit pair at n = 2, about 64 KB per
@@ -257,9 +258,9 @@ class _RegionProblem:
         rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
         return rho_rb, np.trace(rho, axis1=1, axis2=2)
 
-    def packed_gradient(self, states: Sequence[np.ndarray], weights: np.ndarray
+    def packed_gradient(self, parts: Sequence[np.ndarray], weights: np.ndarray
                         ) -> list[np.ndarray]:
-        """Exact gradient of -sum_i w_i I_c(R_i > B_i) at one product point.
+        """Exact gradient of -sum_i w_i I_c(R_i > B_i) at a stack of product points.
 
         With X_i = I_R (x) log2 rho_B - log2 rho_RB, d(-I_c) = tr[X_i d rho_RB]
         (the trace terms of dS cancel between the two entropies).  The adjoint
@@ -267,11 +268,19 @@ class _RegionProblem:
         df/d conj(psi) = sum_i w_i (Y_i (x) I) psi.  Eigenvalues are floored
         inside the log: <k|d rho|k> = 0 on ker rho along every direction, so
         the floor multiplies zero and the gradient stays exact at rank-deficient
-        points.  ``states`` holds one unit vector per sender; the result is
-        df/d conj(c_w) per sender.
+        points.  ``parts[w]`` holds sender w's unit vectors, shape
+        (rows, part_dims[w]); the result is df/d conj(c_w) per sender, in the
+        same shapes.
         """
-        parts = [s[None, :] for s in states]
+        rows = parts[0].shape[0]
+        blocks = [self._block_gradient([p[lo : lo + self.block_rows] for p in parts], weights)
+                  for lo in range(0, rows, self.block_rows)]
+        return [np.concatenate(g) for g in zip(*blocks)]
+
+    def _block_gradient(self, parts: list[np.ndarray], weights: np.ndarray
+                        ) -> list[np.ndarray]:
         ket = kron_rows(parts)
+        rows = ket.shape[0]
         grad = np.zeros_like(ket)
         d_in = self.d_in
         for i, (d, adj) in enumerate(zip(self.block_dims, self.adjoints)):
@@ -280,30 +289,33 @@ class _RegionProblem:
             psi = self._connection_legs(ket, i)
             rho_rb, rho_b = self._output_states(psi, i)
             # X[(r, r'), (b, b')] = delta_rr' log2 rho_B[b, b'] - log2 rho_RB[(r, b), (r', b')]
-            log_rb = _log2m(rho_rb[0]).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-            x_rr = (np.eye(d)[:, :, None, None] * _log2m(rho_b[0]) - log_rb).reshape(d * d, -1)
+            log_rb = _log2m(rho_rb).reshape(rows, d, d, d, d).transpose(0, 1, 3, 2, 4)
+            x_rr = np.eye(d)[:, :, None, None] * _log2m(rho_b)[:, None, None] - log_rb
             # pulled back to Y[x, (r, r'), x']; every product is a stack of small matmuls
             # (a wide 2-D GEMM wakes a second BLAS thread)
-            y = (x_rr @ adj).reshape(d_in, d, d, d_in).transpose(1, 0, 2, 3)
-            # (Y (x) I_o) psi: sum over (r', x'), stacked over r -> [r, x, o]
-            y_psi = y.reshape(d, d_in, d * d_in) @ psi[0].swapaxes(1, 2).reshape(d * d_in, -1)
-            grad += weights[i] * self._connection_legs(y_psi.swapaxes(1, 2)[None], i, inverse=True)
-        grad = grad.reshape(self.part_dims)
-        senders = range(len(states))
+            y = (x_rr.reshape(rows, 1, d * d, -1) @ adj).reshape(rows, d_in, d, d, d_in)
+            y = y.transpose(0, 2, 1, 3, 4).reshape(rows, d, d_in, d * d_in)
+            # (Y (x) I_o) psi: sum over (r', x'), stacked over rows and r -> [r, x, o]
+            y_psi = y @ psi.swapaxes(2, 3).reshape(rows, 1, d * d_in, -1)
+            grad += weights[i] * self._connection_legs(y_psi.swapaxes(2, 3), i, inverse=True)
+        grad = grad.reshape(rows, *self.part_dims)
+        senders = range(len(parts))
         out = []
         for w in senders:
-            args = [grad, list(senders)]
+            args = [grad, [0, *(v + 1 for v in senders)]]
             for v in senders:
                 if v != w:
-                    args += [states[v].conj(), [v]]
-            out.append(np.einsum(*args, [w]))
+                    args += [parts[v].conj(), [0, v + 1]]
+            out.append(np.einsum(*args, [0, w + 1]))
         return out
 
+
 def _log2m(rho: np.ndarray) -> np.ndarray:
-    """log2 of a density matrix, with its zero eigenvalues floored to the smallest float."""
+    """log2 of a density matrix, or of each in a stack, with zero eigenvalues
+    floored to the smallest float."""
     w, v = eigh(rho)
     w = np.maximum(clip_spectrum(w), np.finfo(float).tiny)
-    return (v * np.log2(w)) @ v.conj().T
+    return (v * np.log2(w)[..., None, :]) @ _adjoint(v)
 
 
 def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
@@ -321,8 +333,8 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     def objective_batch(parts: list[np.ndarray]) -> np.ndarray:
         return -(problem.coherent_infos(parts) @ wvec)
 
-    def gradient(states: list[np.ndarray]) -> list[np.ndarray]:
-        return problem.packed_gradient(states, wvec)
+    def gradient(parts: list[np.ndarray]) -> list[np.ndarray]:
+        return problem.packed_gradient(parts, wvec)
 
     # the product of a sender's maximally entangled (ref, input) pairs, refs first,
     # is the maximally entangled state of its composite system

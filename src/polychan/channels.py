@@ -162,7 +162,11 @@ class KrausChannel:
             if a.shape != shape:
                 raise ValueError(f"Kraus operator shape {a.shape} does not match {shape}")
             check_finite(a, "Kraus operator")
-        object.__setattr__(self, "kraus_ops", ops)
+        # one read-only stack, with the operators as views into it
+        stack = np.stack(ops)
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus_ops", tuple(stack))
         object.__setattr__(self, "in_layout", in_layout)
         object.__setattr__(self, "out_layout", out_layout)
 
@@ -179,8 +183,8 @@ class KrausChannel:
         return len(self.kraus_ops)
 
     def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one (count, out, in) array."""
-        return np.stack(self.kraus_ops)
+        """All Kraus operators as one read-only (count, out, in) array, built once."""
+        return self._stack
 
 
 @dataclass(frozen=True)

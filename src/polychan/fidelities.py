@@ -35,6 +35,7 @@ from .linalg import (
     _adjoint,
     clip_spectrum,
     eigh,
+    gemm_block_rows,
     kron_all,
     kron_rows,
     permute_legs_vector,
@@ -227,13 +228,24 @@ def average_fidelity_exact(ch: KrausChannel, graph: ConnectionGraph) -> float:
 
 def _batch_pure_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                          states: Sequence[np.ndarray]) -> np.ndarray:
-    """Pure-state fidelities for a batch of per-connection states (rows)."""
+    """Pure-state fidelities for a batch of per-connection states (rows).
+
+    One Kraus operator at a time, the rows are sent in blocks that keep each
+    product on one BLAS thread: a stack of whole blocks, then the short tail.
+    """
     psi = kron_rows(states)
-    d = psi.shape[1]
-    stack = connection_kraus(ch, graph).reshape(-1, d, d)
-    sent = np.einsum("kij,sj->ski", stack, psi)
-    amp = np.einsum("si,ski->sk", psi.conj(), sent)
-    return np.sum(np.abs(amp) ** 2, axis=1)
+    rows, d = psi.shape
+    block = gemm_block_rows(d, d)
+    full = rows - rows % block
+    bra = psi.conj()
+    vals = np.zeros(rows)
+    amp = np.empty(rows, dtype=complex)
+    for a in connection_kraus(ch, graph).reshape(-1, d, d):
+        for part, shape in ((slice(0, full), (-1, block, d)), (slice(full, rows), (-1, d))):
+            sent = (psi[part].reshape(shape) @ a.T).reshape(-1, d)
+            amp[part] = np.einsum("si,si->s", bra[part], sent)
+        vals += np.abs(amp) ** 2
+    return vals
 
 
 def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
@@ -303,11 +315,13 @@ class QuadraticOverlap:
     ``m = phi^dag u`` and the fidelity ``sum_K |m_K|^2``.  The gradient reuses
     ``u`` and ``w = red^dag phi``: part i's derivative is
     ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where ``u_{K,i}``
-    contracts ``u_K`` with the other parts' conjugated states.
+    contracts ``u_K`` with the other parts' conjugated states.  Values and
+    gradients both take stacks of rows, one product point per row.
 
-    Products with ``red`` are stacks of K small matmuls, never one tall 2-D
-    GEMM: at these sizes a tall GEMM wakes a second BLAS thread and doubles
-    the CPU time without saving wall time.
+    Products with ``red`` are stacks of K matmuls of shape (D_var, D_var) by
+    (D_var, B), over row blocks of B rows kept under
+    ``linalg.GEMM_SINGLE_THREAD_MNK``: a larger product wakes a second BLAS
+    thread, which adds CPU time without saving wall time.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
@@ -329,6 +343,7 @@ class QuadraticOverlap:
         self.part_dims = [b.shape[1] for b in self.bases]
         self.var_dims = tuple(graph.dims[i] for i in self.varying)
         d_var = int(np.prod(self.var_dims))
+        self.block_rows = gemm_block_rows(d_var, d_var)
 
         labels = string.ascii_letters
         out, inn, kraus = labels[:g], labels[g : 2 * g], labels[2 * g]
@@ -340,14 +355,16 @@ class QuadraticOverlap:
         self.red = np.ascontiguousarray(np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var))
         self.red_adj = np.ascontiguousarray(_adjoint(self.red))
 
-        # per part i: a ket tensor, and the stack with legs split, contracted
-        # with the other parts' states (conjugated on output legs for the stack)
+        # per part i: a stack of ket tensors (one per row), and the Kraus stack with
+        # legs split, contracted with the other parts' states (conjugated on output
+        # legs for the Kraus stack)
         n = len(self.varying)
-        out, inn = labels[:n], labels[n : 2 * n]
+        out, inn, row = labels[:n], labels[n : 2 * n], labels[2 * g + 1]
         self.loo_specs, self.form_specs = [], []
         for i in range(n):
             rest = [j for j in range(n) if j != i]
-            self.loo_specs.append(",".join([out] + [out[j] for j in rest]) + "->" + out[i])
+            self.loo_specs.append(",".join([row + out] + [row + out[j] for j in rest])
+                                  + "->" + row + out[i])
             self.form_specs.append(",".join([kraus + out + inn] + [out[j] for j in rest]
                                             + [inn[j] for j in rest]) + f"->{kraus}{out[i]}{inn[i]}")
 
@@ -360,9 +377,19 @@ class QuadraticOverlap:
         psis, phi = self._kets([np.asarray(c, dtype=complex)[None, :] for c in coords])
         return [p[0] for p in psis], phi[0]
 
+    def _blocks(self, phi: np.ndarray):
+        """Per block of rows of the product kets: its slice, u = red phi and the
+        overlaps m = phi^dag u, shaped (K, D_var, B) and (K, B)."""
+        for lo in range(0, phi.shape[0], self.block_rows):
+            rows = slice(lo, lo + self.block_rows)
+            u = self.red @ phi[rows].T
+            yield rows, u, np.einsum("kdb,bd->kb", u, phi[rows].conj())
+
     def _values(self, phi: np.ndarray) -> np.ndarray:
-        m = np.einsum("kdb,bd->kb", self.red @ phi.T, phi.conj())
-        return np.sum(m.real ** 2 + m.imag ** 2, axis=0)
+        out = np.empty(phi.shape[0])
+        for rows, _, m in self._blocks(phi):
+            out[rows] = np.sum(m.real ** 2 + m.imag ** 2, axis=0)
+        return out
 
     def value(self, coords: Sequence[np.ndarray]) -> float:
         return float(self._values(self._point(coords)[1][None, :])[0])
@@ -371,14 +398,17 @@ class QuadraticOverlap:
         """Fidelities for per-part coordinate batches of shape (rows, part_dims[i])."""
         return self._values(self._kets(parts)[1])
 
-    def packed_gradient(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """dF/d conj(c_i) per part, at one point."""
-        psis, phi = self._point(coords)
-        u = self.red @ phi
-        m = u @ phi.conj()
-        v = (m.conj() @ u + m @ (self.red_adj @ phi)).reshape(self.var_dims)
+    def packed_gradient(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """dF/d conj(c_i) per part, for per-part coordinate batches of shape
+        (rows, part_dims[i]); the result has the same shapes."""
+        psis, phi = self._kets(parts)
+        v = np.empty_like(phi)
+        for rows, u, m in self._blocks(phi):
+            w = self.red_adj @ phi[rows].T
+            v[rows] = np.einsum("kb,kdb->bd", m.conj(), u) + np.einsum("kb,kdb->bd", m, w)
+        v = v.reshape(-1, *self.var_dims)
         bras = [p.conj() for p in psis]
-        return [b.conj().T @ np.einsum(spec, v, *bras[:i], *bras[i + 1 :])
+        return [np.einsum(spec, v, *bras[:i], *bras[i + 1 :]) @ b.conj()
                 for i, (spec, b) in enumerate(zip(self.loo_specs, self.bases))]
 
     def _part_models(self, coords: Sequence[np.ndarray]

@@ -354,7 +354,8 @@ class TestRegionGradient:
             weights[1] = 0.0
         dims = problem.part_dims
         states = [p[0] for p in unit_parts(rng.standard_normal(2 * sum(dims)), dims)]
-        got = tangent_gradient(states, problem.packed_gradient(states, weights))
+        got = tangent_gradient(states, [g[0] for g in problem.packed_gradient(
+            [s[None] for s in states], weights)])
         # fourth-order central difference, over the real coordinates, of the batched
         # objective at the renormalized points
         x = np.concatenate(states).view(float)
@@ -376,7 +377,8 @@ class TestRegionGradient:
         problem = _RegionProblem(ch, graph, n)
         # a sender's part holds its refs then its inputs: dimension D ** 2
         states = [maximally_entangled_vector(int(np.sqrt(p))) for p in problem.part_dims]
-        grad = problem.packed_gradient(states, np.array([1.0, 1.0]))
+        grad = [g[0] for g in problem.packed_gradient([s[None] for s in states],
+                                                       np.array([1.0, 1.0]))]
         assert all(np.all(np.isfinite(g)) for g in grad)
         assert np.linalg.norm(tangent_gradient(states, grad)) < 1e-10
 

@@ -245,6 +245,17 @@ class TestBuilders:
     def test_random_channel_is_cptp(self, rng):
         assert validate(random_channel(4, 3, 3, rng)).passed
 
+    def test_kraus_stack_is_built_once_and_read_only(self, rng):
+        ch = random_channel(4, 3, 3, rng)
+        stack = ch.kraus_stack()
+        assert np.shares_memory(stack, ch.kraus_stack())
+        assert all(np.shares_memory(op, stack) for op in ch.kraus_ops)
+        assert all(np.array_equal(op, s) for op, s in zip(ch.kraus_ops, stack))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 1.0
+
 
 class TestConnectionGraph:
     def test_orders(self):

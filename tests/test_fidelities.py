@@ -28,7 +28,8 @@ from polychan import (
     split_rng,
 )
 from polychan.channels import KrausChannel, connection_kraus
-from polychan.fidelities import QuadraticOverlap, _purification_amp
+from polychan.fidelities import QuadraticOverlap, _batch_pure_fidelity, _purification_amp
+from polychan.linalg import gemm_block_rows
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -406,7 +407,8 @@ class TestQuadraticOverlap:
         h, stencil = 2e-3, [(1, 3 / 4), (2, -3 / 20), (3, 1 / 60)]
         for _ in range(3):
             states = [p[0] for p in unit_parts(rng.standard_normal(n), dims)]
-            grad = tangent_gradient(states, problem.packed_gradient(states))
+            grad = tangent_gradient(states, [g[0] for g in problem.packed_gradient(
+                [s[None] for s in states])])
             # over the real coordinates, at the renormalized points
             x = np.concatenate(states).view(float)
             fd = np.zeros(n)
@@ -423,7 +425,7 @@ class TestQuadraticOverlap:
         dims = problem.part_dims
         coords = [c[0] for c in unit_parts(rng.standard_normal(2 * sum(dims)), dims)]
         fields, gauss = problem._part_models(coords)
-        grads = problem.packed_gradient(coords)
+        grads = [g[0] for g in problem.packed_gradient([c[None] for c in coords])]
         for h_i, m_i, c_i, g_i, d in zip(fields, gauss, coords, grads, dims):
             assert h_i.shape == m_i.shape == (d, d)
             # on the optimizer's scale 2 dF/d conj(c), as before the complex states
@@ -480,6 +482,19 @@ class TestCrossedGraph:
             exact = average_fidelity_exact(ch, graph)
             mean, stderr = average_fidelity_mc(ch, graph, 50000, make_rng(12))
             assert abs(mean - exact) <= 3 * stderr
+
+    def test_mc_batch_matches_pure_state_fidelity(self, rng):
+        # two whole row blocks and a short tail, and a batch shorter than one block
+        for ch, graph, _ in self.crossed(rng):
+            d = graph.total_dim()
+            for rows in (2 * gemm_block_rows(d, d) + 5, 3):
+                states = [np.array([haar_state(dim, rng) for _ in range(rows)])
+                          for dim in graph.dims]
+                got = _batch_pure_fidelity(ch, graph, states)
+                assert got.shape == (rows,)
+                for r in range(rows):
+                    want = pure_state_fidelity(ch, graph, [s[r] for s in states])
+                    assert abs(got[r] - want) < 1e-12
 
 
 class TestFidelityReport:

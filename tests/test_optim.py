@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from polychan import make_rng
+from polychan import (
+    ConnectionGraph,
+    KrausChannel,
+    dephasing,
+    depolarizing,
+    identity_channel,
+    make_rng,
+    maximally_entangled_vector,
+    product_channel,
+    random_channel,
+)
 from polychan._optim import minimize_product_states
+from polychan.capacity import _RegionProblem
+from polychan.fidelities import QuadraticOverlap
 
 
 def random_hermitian(d, rng):
@@ -12,7 +24,7 @@ def random_hermitian(d, rng):
 
 class ProductEnergy:
     """<psi|H|psi> over product states psi = c_0 (x) c_1 (x) ..., with its exact
-    gradient df/d conj(c_w) at one point."""
+    gradient df/d conj(c_w) on stacks of points."""
 
     def __init__(self, h, dims):
         self.h, self.dims = h, tuple(dims)
@@ -29,16 +41,16 @@ class ProductEnergy:
         ket = self.ket(parts)
         return np.einsum("ri,ij,rj->r", ket.conj(), self.h, ket).real
 
-    def gradient(self, states):
-        h_psi = (self.h @ self.ket([s[None, :] for s in states])[0]).reshape(self.dims)
-        parts = range(len(states))
+    def gradient(self, parts):
+        h_psi = (self.ket(parts) @ self.h.T).reshape(-1, *self.dims)
+        legs = [1 + w for w in range(len(parts))]
         out = []
-        for w in parts:
-            args = [h_psi, list(parts)]
-            for v in parts:
+        for w in range(len(parts)):
+            args = [h_psi, [0, *legs]]
+            for v in range(len(parts)):
                 if v != w:
-                    args += [states[v].conj(), [v]]
-            out.append(np.einsum(*args, [w]))
+                    args += [parts[v].conj(), [0, legs[v]]]
+            out.append(np.einsum(*args, [0, legs[w]]))
         return out
 
     def minimize(self, seed, **kwargs):
@@ -96,3 +108,125 @@ def test_same_seed_same_result(dims):
     assert first.restart_index == second.restart_index
     for a, b in zip(first.states, second.states):
         assert np.array_equal(a, b)
+
+
+def sequential_descend(objective_batch, gradient, x0, max_iters):
+    """One restart at a time, one point per gradient call: the descent before the
+    restarts were batched, kept as the oracle for the batched loop."""
+    x = x0
+    fx = float(objective_batch([c[None, :] for c in x])[0])
+    step = 0.5
+    for _ in range(max_iters):
+        point_grad = [g[0] for g in gradient([c[None, :] for c in x])]
+        grad = [2.0 * (g - np.vdot(c, g).real * c) for c, g in zip(x, point_grad)]
+        gnorm = np.sqrt(sum(np.vdot(g, g).real for g in grad))
+        if gnorm < 1e-12:
+            break
+        trials = step * 2.0 ** np.arange(3, -14, -1)
+        cands = [c[None, :] - trials[:, None] * g[None, :] for c, g in zip(x, grad)]
+        cands = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in cands]
+        vals = objective_batch(cands)
+        k = int(np.argmin(vals))
+        if vals[k] >= fx - 1e-16:
+            break
+        x, fx = [p[k] for p in cands], float(vals[k])
+        step = float(np.clip(trials[k], 1e-12, 1e7))
+    return fx, x
+
+
+def sequential_values(objective_batch, gradient, part_dims, rng, restarts=32, max_iters=300,
+                      warm_starts=()):
+    """Every restart's final value, with the starts drawn and descended one at a time."""
+    splits = np.cumsum(part_dims)[:-1]
+    starts = [[np.asarray(s, dtype=complex) for s in ws] for ws in warm_starts]
+    for _ in range(restarts):
+        z = rng.standard_normal(2 * int(np.sum(part_dims))).view(complex)
+        starts.append(np.split(z, splits))
+    starts = [[c / np.linalg.norm(c) for c in x] for x in starts]
+    return np.array([sequential_descend(objective_batch, gradient, x0, max_iters)[0]
+                     for x0 in starts])
+
+
+def assert_matches_oracle(objective_batch, gradient, part_dims, seed, **kwargs):
+    result = minimize_product_states(objective_batch, part_dims, make_rng(seed), gradient,
+                                     **kwargs)
+    want = sequential_values(objective_batch, gradient, part_dims, make_rng(seed), **kwargs)
+    assert result.values.shape == want.shape
+    assert np.max(np.abs(result.values - want)) < 1e-10
+    assert abs(result.value - np.min(want)) < 1e-10
+    return result
+
+
+def readme_region(n):
+    """Objective, gradient, part dims and maximally entangled warm start of the
+    README pair's region problem at weights (1, 1)."""
+    graph = ConnectionGraph.diagonal([2, 2])
+    ch = product_channel([dephasing(0.1), depolarizing(2, 0.3)], graph)
+    problem = _RegionProblem(ch, graph, n)
+    weights = np.array([1.0, 1.0])
+    warm = [[maximally_entangled_vector(int(np.sqrt(d))) for d in problem.part_dims]]
+    return (lambda parts: -(problem.coherent_infos(parts) @ weights),
+            lambda parts: problem.packed_gradient(parts, weights), problem.part_dims, warm)
+
+
+@pytest.mark.parametrize("n, restarts", [(1, 16), (2, 4)])
+def test_batched_descent_matches_sequential_on_readme_pair(n, restarts):
+    objective, gradient, dims, warm = readme_region(n)
+    assert_matches_oracle(objective, gradient, dims, 31, restarts=restarts, warm_starts=warm)
+
+
+def test_batched_descent_matches_sequential_on_cross5():
+    # near-identity correlated noise on five qubit links whose block orders differ
+    graph = ConnectionGraph([(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 2, 2), (2, 2, 2)])
+    routing = product_channel([identity_channel([2])] * graph.size, graph)
+    r = routing.kraus_ops[0]
+    ops = [np.sqrt(0.95) * r]
+    ops += [np.sqrt(0.05) * m @ r for m in random_channel(32, 32, 3, make_rng(1)).kraus_ops]
+    ch = KrausChannel(ops, routing.in_layout, routing.out_layout)
+    problem = QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims, 32)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_batched_descent_matches_sequential_near_identity(k):
+    # the phase-averaging problems: one or two qubits through the identity plus 1e-3 noise
+    rng = make_rng(330 + k)
+    graph = ConnectionGraph.single(2) if k < 5 else ConnectionGraph.diagonal([2, 2])
+    d = graph.total_dim()
+    ops = [np.sqrt(1 - 1e-3) * np.eye(d, dtype=complex)]
+    ops += [np.sqrt(1e-3) * m for m in random_channel(d, d, 3, rng).kraus_ops]
+    ch = KrausChannel(ops, graph.dims, graph.dims)
+    problem = QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims,
+                          340 + k)
+
+
+def test_row_stopped_at_iteration_zero_leaves_the_others_descending():
+    rng = make_rng(8)
+    h1, h2 = random_hermitian(2, rng), random_hermitian(3, rng)
+    h = np.kron(h1, np.eye(3)) + np.kron(np.eye(2), h2)
+    # the top eigenvector pair is a stationary point: its row stops before any step
+    top = [np.linalg.eigh(h1)[1][:, -1], np.linalg.eigh(h2)[1][:, -1]]
+    problem = ProductEnergy(h, [2, 3])
+    res = assert_matches_oracle(problem.objective_batch, problem.gradient, [2, 3], 16,
+                                restarts=4, warm_starts=[top])
+    assert res.stops[0] == "grad_norm" and res.iterations[0] == 0
+    assert all(i > 0 for i in res.iterations[1:])
+    want = np.linalg.eigvalsh(h1)[0] + np.linalg.eigvalsh(h2)[0]
+    assert abs(res.value - want) < 1e-10 and res.restart_index > 0
+    assert res.agreement == 4
+
+
+def test_max_iters_is_reported():
+    problem = ProductEnergy(random_hermitian(6, make_rng(9)), [2, 3])
+    res = problem.minimize(17, restarts=3, max_iters=1)
+    assert res.stops == ("max_iters",) * 3
+    assert list(res.iterations) == [1, 1, 1]
+
+
+def test_maximally_entangled_warm_start_is_stationary_on_readme_pair():
+    objective, gradient, dims, warm = readme_region(1)
+    res = minimize_product_states(objective, dims, make_rng(33), gradient, restarts=2,
+                                  warm_starts=warm)
+    assert res.stops[0] == "grad_norm" and res.iterations[0] == 0
+    assert set(res.stops[1:]) <= {"grad_norm", "no_decrease"}
