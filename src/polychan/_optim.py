@@ -61,8 +61,12 @@ def minimize_product_states(
     complex derivatives df/d conj(c_w); the factor 2 and the radial projection
     are applied here.  Deterministic for a fixed rng state.  The returned value
     is the best local minimum found, an upper bound on the true minimum; ties
-    within 1e-15 go to the lowest restart index.
+    within 1e-15 go to the lowest restart index.  Raises ``ValueError`` for
+    negative ``restarts`` or when there is no start at all.
     """
+    if restarts < 0 or restarts + len(warm_starts) == 0:
+        raise ValueError(f"need restarts >= 0 and at least one start, got restarts {restarts} "
+                         f"and {len(warm_starts)} warm starts")
     splits = np.cumsum([int(d) for d in part_dims])[:-1]
     starts = [[np.asarray(s, dtype=complex) for s in ws] for ws in warm_starts]
     # consecutive real draws are the (re, im) of one amplitude

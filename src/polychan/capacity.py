@@ -17,6 +17,7 @@ superoperators (see ``_RegionProblem``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,9 +30,11 @@ from .channels import (
     apply_with_reference,
     check_graph_compatible,
     connection_kraus,
+    copy_grouping,
 )
 from .errors import CapExceededError
 from .linalg import (
+    MAX_DIM,
     DensityOperator,
     SystemLayout,
     _adjoint,
@@ -147,15 +150,16 @@ class RateTuple:
 class _RegionProblem:
     """Product-input bookkeeping and the batched weighted coherent-information objective.
 
-    Each connection i has a marginal superoperator, built once from the Kraus
-    operators: the map from the joint input to output block B_i with the other
-    outputs traced out, a (d_i^2, d_in^2) matrix acting on row-major
-    vectorized operators.  The full d_out^2 x d_in^2 Liouville matrix is never
-    formed.  :meth:`coherent_infos` evaluates a stack of inputs at once:
-    sigma_i = Tr_{R != i} |psi><psi| by a stacked matmul, then the
-    superoperator, then one batched eigenvalue call per spectrum.
-    :meth:`packed_gradient` reuses the same leg view and reduced states, with
-    eigenvectors.
+    Each connection i has a marginal superoperator: the map from the joint
+    input to output block B_i with the other outputs traced out, a
+    (d_i^2, d_in^2) matrix acting on row-major vectorized operators.  At
+    blocklength n it is the n-th Kronecker power of the one-use map, which one
+    contraction builds from the K Kraus operators; neither the n-fold Kraus set
+    nor the full Liouville matrix is ever formed.  :meth:`coherent_infos`
+    evaluates a stack of inputs at once: sigma_i = Tr_{R != i} |psi><psi| by a
+    stacked matmul, then the superoperator, then one batched eigenvalue call
+    per spectrum.  :meth:`packed_gradient` reuses the same leg view and reduced
+    states, with eigenvectors.
 
     Rows are evaluated in blocks whose sigma_i stack stays under
     ``OBJECTIVE_BLOCK_BYTES`` (8 rows on a qubit pair at n = 2, about 64 KB per
@@ -168,9 +172,9 @@ class _RegionProblem:
         check_graph_compatible(ch, graph)
         if n < 1:
             raise ValueError("blocklength must be >= 1")
-        if n > BLOCKLENGTH_CAP:
-            raise CapExceededError(f"blocklength {n} exceeds the cap {BLOCKLENGTH_CAP}")
-        kraus = connection_kraus(ch, graph, n)
+        if n > BLOCKLENGTH_CAP or graph.total_dim() ** n > MAX_DIM:
+            raise CapExceededError(f"blocklength {n} exceeds the cap {BLOCKLENGTH_CAP} or takes "
+                                   f"the input dimension past {MAX_DIM}")
         self.graph = graph.powered(n)
         g = self.graph.size
         self.block_dims = self.graph.dims  # per-connection dims at blocklength n
@@ -190,19 +194,19 @@ class _RegionProblem:
             axes = [0] + [1 + p for p in refs + [pos["A", j] for j in range(g)]]
             self.leg_axes.append((axes, [leg_dims[a - 1] for a in axes[1:]], np.argsort(axes)))
         self.d_in = d_in = self.graph.total_dim()
-        kraus = kraus.reshape(-1, *self.block_dims, d_in)
-        self.superops_t = []
-        self.adjoints = []
+        kraus, dims = connection_kraus(ch, graph), graph.dims
+        # the n-use power's legs, copy after copy -> each leg's n copies together
+        axes = copy_grouping(2, n) + [2 * n + a for a in copy_grouping(2 * g, n)]
+        self.superops_t, self.adjoints = [], []
         for i in range(g):
             d = self.block_dims[i]
-            # per Kraus operator A_k[(b, c), x]: rows (b, x), columns c over the other outputs
-            ops = np.moveaxis(kraus, 1 + i, 1)
-            ops = np.moveaxis(ops.reshape(len(ops), d, -1, d_in), 3, 2).reshape(
-                len(ops), d * d_in, -1)
-            s = np.zeros((d * d_in, d * d_in), dtype=complex)
-            for a in ops:  # once per problem; small products stay single-threaded
-                s += a @ a.conj().T
-            sup = s.reshape(d, d_in, d, d_in).transpose(0, 2, 1, 3).reshape(d * d, d_in * d_in)
+            # one use: sup1[(b, b'), (x, x')] = sum over k and the other outputs c of
+            # A_k[(b, c), x] conj(A_k[(b', c), x']), x the joint input in index order
+            ops = np.moveaxis(kraus, 1 + i, 1).reshape(len(kraus), dims[i], -1, graph.total_dim())
+            sup1 = np.einsum("kbcx,kBcX->bBxX", ops, ops.conj()).reshape(dims[i] ** 2, -1)
+            power = functools.reduce(np.kron, [sup1] * n)
+            sup = power.reshape([dims[i]] * 2 * n + list(dims) * 2 * n).transpose(axes)
+            sup = sup.reshape(d * d, d_in * d_in)
             # stored transposed and contiguous: it multiplies vectorized operators from the right
             self.superops_t.append(np.ascontiguousarray(sup.T))
             # the adjoint map is sup^dag, stored as adj[x][(b, b'), x'] = conj(sup)[(b, b'), (x, x')]
@@ -318,6 +322,16 @@ def _log2m(rho: np.ndarray) -> np.ndarray:
     return (v * np.log2(w)[..., None, :]) @ _adjoint(v)
 
 
+def _lift_sender_states(states, graph: ConnectionGraph, n: int) -> list[np.ndarray]:
+    """The blocklength-n product input: n copies of each sender's one-use state."""
+    lifted = []
+    for state, grp in zip(states, (grp for grp in graph.sender_groups() if grp)):
+        dims = [graph.dims[i] for i in grp] * 2
+        lifted.append(permute_legs_vector(kron_all([state] * n), dims * n,
+                                          copy_grouping(len(dims), n)))
+    return lifted
+
+
 def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
                   weights: Sequence[float], rng: np.random.Generator,
                   restarts: int = 16, max_iters: int = 300) -> RateTuple:
@@ -343,14 +357,7 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     if n > 1:
         base = region_sample(ch, graph, 1, weights, rng.spawn(1)[0],
                              restarts=max(4, restarts // 2), max_iters=max_iters)
-        lifted = []
-        for w, grp in enumerate(problem.groups):
-            dims = [graph.dims[i] for i in grp] * 2
-            # n copies, regrouped so each leg's copies sit together
-            order = [c * len(dims) + leg for leg in range(len(dims)) for c in range(n)]
-            lifted.append(permute_legs_vector(kron_all([base.sender_states[w]] * n),
-                                              dims * n, order))
-        warm.append(lifted)
+        warm.append(_lift_sender_states(base.sender_states, graph, n))
 
     result = minimize_product_states(
         objective_batch, problem.part_dims, rng, gradient, restarts=restarts,

@@ -7,7 +7,8 @@ its own message dimension.  By convention the composite input index runs over
 per-connection blocks in sender-major order and the composite output index in
 receiver-major order.  :func:`connection_kraus` and :func:`block_kraus` are the
 only code that knows these orders; the rest of the package works on
-connections in index order.
+connections in index order.  :func:`copy_grouping` alone knows how the n copies
+of a leg sit in a tensor power.
 
 Channel files are JSON documents (see :func:`read_channel`); floats are
 written with their shortest round-trippable decimal representation, so
@@ -16,6 +17,7 @@ write/read is bit-exact on the numeric payload.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -261,14 +263,12 @@ def apply_with_reference(ch: KrausChannel, rho: DensityOperator, ref_legs: int) 
         raise ValueError(
             f"state legs after the reference have dimension {d_in}, channel expects {ch.in_dim}"
         )
-    m = rho.matrix
-    out = np.zeros((d_ref * ch.out_dim, d_ref * ch.out_dim), dtype=complex)
-    eye = np.eye(d_ref)
-    for a in ch.kraus_ops:
-        lifted = np.kron(eye, a)
-        out += lifted @ m @ lifted.conj().T
+    a = ch.kraus_stack()
+    # A_k on the input legs of the rows, then A_k^dag on those of the columns, summed over k
+    rows = np.tensordot(a, rho.matrix.reshape(d_ref, d_in, d_ref, d_in), axes=(2, 1))
+    out = np.tensordot(rows, a.conj(), axes=([0, 4], [0, 2])).swapaxes(0, 1)
     layout = SystemLayout(dims[:ref_legs] + ch.out_layout.leg_dims)
-    return DensityOperator(out, layout)
+    return DensityOperator(out.reshape(d_ref * ch.out_dim, -1), layout)
 
 
 def tensor(ch1: KrausChannel, ch2: KrausChannel, max_kraus: int = MAX_KRAUS,
@@ -282,14 +282,17 @@ def tensor(ch1: KrausChannel, ch2: KrausChannel, max_kraus: int = MAX_KRAUS,
                         ch1.out_layout.concat(ch2.out_layout))
 
 
+def copy_grouping(legs: int, n: int) -> list[int]:
+    """Axis order taking n copies of a ``legs``-leg system, laid out copy after copy,
+    to one leg after another with that leg's n copies together, first copy first."""
+    return [c * legs + s for s in range(legs) for c in range(n)]
+
+
 def _leg_grouping_index(dims_single: Sequence[int], n: int) -> np.ndarray:
     """Index map taking the copy-major power basis to the leg-major (copies adjacent) basis."""
-    legs = len(dims_single)
-    copy_major_dims = tuple(dims_single) * n
-    # new leg p = (s, c) with s the original leg and c the copy; old position c*legs+s
-    order = [c * legs + s for s in range(legs) for c in range(n)]
-    total = int(np.prod(copy_major_dims))
-    return permute_legs_vector(np.arange(total), copy_major_dims, order)
+    dims = tuple(dims_single) * n
+    order = copy_grouping(len(dims_single), n)
+    return permute_legs_vector(np.arange(int(np.prod(dims))), dims, order)
 
 
 def tensor_power(ch: KrausChannel, n: int, max_kraus: int = MAX_KRAUS,
@@ -307,12 +310,8 @@ def tensor_power(ch: KrausChannel, n: int, max_kraus: int = MAX_KRAUS,
         raise CapExceededError(f"tensor power dimension exceeds the configured maximum {max_dim}")
     row_map = _leg_grouping_index(ch.out_layout.leg_dims, n)
     col_map = _leg_grouping_index(ch.in_layout.leg_dims, n)
-    ops = []
-    for combo in itertools.product(ch.kraus_ops, repeat=n):
-        a = combo[0]
-        for b in combo[1:]:
-            a = np.kron(a, b)
-        ops.append(a[np.ix_(row_map, col_map)])
+    ops = [functools.reduce(np.kron, combo)[np.ix_(row_map, col_map)]
+           for combo in itertools.product(ch.kraus_ops, repeat=n)]
     in_dims = tuple(d for d in ch.in_layout.leg_dims for _ in range(n))
     out_dims = tuple(d for d in ch.out_layout.leg_dims for _ in range(n))
     return KrausChannel(ops, SystemLayout(in_dims), SystemLayout(out_dims))
@@ -389,28 +388,21 @@ def dephasing(p: float) -> KrausChannel:
     )
 
 
-def connection_kraus(ch: KrausChannel, graph: ConnectionGraph, n: int = 1) -> np.ndarray:
-    """Kraus stack of the n-fold channel with one output and one input leg per connection.
+def connection_kraus(ch: KrausChannel, graph: ConnectionGraph) -> np.ndarray:
+    """Kraus stack with one output and one input leg per connection.
 
-    The result has shape ``(K**n, d_0**n, ..., d_{g-1}**n, d_0**n, ..., d_{g-1}**n)``:
-    output legs, then input legs, each side in connection-index order.  Leg i
-    holds connection i's n copies, grouped as in :func:`tensor_power`.
+    The result has shape ``(K, d_0, ..., d_{g-1}, d_0, ..., d_{g-1})``: output
+    legs, then input legs, each side in connection-index order.
     """
     g = graph.size
     blocks = ch.kraus_stack().reshape(-1, *graph.out_block_dims, *graph.in_block_dims)
     axes = [1 + graph.output_order.index(c) for c in range(g)]
     axes += [1 + g + graph.input_order.index(c) for c in range(g)]
-    one = blocks.transpose([0] + axes)
-    if n == 1:
-        return one
-    d = graph.total_dim()
-    power = tensor_power(KrausChannel(one.reshape(-1, d, d), graph.dims, graph.dims), n)
-    dims = graph.powered(n).dims
-    return power.kraus_stack().reshape(-1, *dims, *dims)
+    return blocks.transpose([0] + axes)
 
 
 def block_kraus(kraus: np.ndarray, graph: ConnectionGraph) -> np.ndarray:
-    """Inverse of :func:`connection_kraus` at n = 1: a connection-ordered Kraus stack
+    """Inverse of :func:`connection_kraus`: a connection-ordered Kraus stack
     (any shape that splits into one output and one input leg per connection) as
     ``(K, d_out, d_in)`` matrices, inputs sender-major and outputs receiver-major."""
     g = graph.size

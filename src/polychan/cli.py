@@ -313,6 +313,9 @@ def _check_phase_average(ch, graph, rng, restarts, tol_exact):
 
 
 def cmd_verify(args) -> int:
+    # an empty sweep would pass its inequality checks vacuously
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.fixtures:
         cases = _verify_fixtures(args.seed)
     else:

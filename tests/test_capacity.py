@@ -26,8 +26,8 @@ from polychan import (
     simplex_weight_grid,
     split_rng,
 )
-from polychan.capacity import _RegionProblem
-from polychan.channels import KrausChannel, tensor_power
+from polychan.capacity import _lift_sender_states, _RegionProblem
+from polychan.channels import KrausChannel, connection_kraus, tensor_power
 from polychan.errors import CapExceededError
 from polychan.linalg import permute_legs_vector
 
@@ -197,6 +197,10 @@ class TestRegionSample:
         ch, graph = identity_pair()
         with pytest.raises(CapExceededError):
             region_sample(ch, graph, 5, (1.0, 1.0), make_rng(0))
+        # a blocklength-2 input of dimension 128^2 is past MAX_DIM
+        with pytest.raises(CapExceededError):
+            region_sample(identity_channel([128]), ConnectionGraph.single(128), 2, (1.0,),
+                          make_rng(0))
 
     def test_rate_tuple_invariants(self):
         with pytest.raises(ValueError):
@@ -328,6 +332,69 @@ class TestBatchedObjective:
                 assert np.max(np.abs(got[r] - want)) < 1e-12
 
 
+def tensor_power_superops(ch, graph, n):
+    """Each connection's n-use marginal superoperator, summed over all K^n Kraus
+    operators of the tensor power: sup[(b, b'), (x, x')] =
+    sum_k sum_c A_k[(b, c), x] conj(A_k[(b', c), x']), c over the other outputs."""
+    d1 = graph.total_dim()
+    one = KrausChannel(connection_kraus(ch, graph).reshape(-1, d1, d1), graph.dims, graph.dims)
+    dims = graph.powered(n).dims
+    d_in = d1**n
+    kraus = tensor_power(one, n).kraus_stack().reshape(-1, *dims, d_in)
+    sups = []
+    for i, d in enumerate(dims):
+        ops = np.moveaxis(kraus, 1 + i, 1).reshape(len(kraus), d, -1, d_in)
+        ops = ops.transpose(0, 1, 3, 2).reshape(len(kraus), d * d_in, -1)
+        s = sum(a @ a.conj().T for a in ops)
+        sups.append(s.reshape(d, d_in, d, d_in).transpose(0, 2, 1, 3).reshape(d * d, -1))
+    return sups
+
+
+class TestBlocklengthSuperoperators:
+    """The n-use problem is built from one use's marginal superoperators."""
+
+    GRAPHS = TestBatchedObjective.GRAPHS
+    CASES = [("diagonal", 2), ("diagonal", 3), ("multiple_access", 2), ("multiple_access", 3),
+             ("broadcast", 2), ("broadcast", 3), ("shuffled", 2)]
+
+    @pytest.mark.parametrize("name, n", CASES)
+    def test_match_tensor_power_oracle(self, name, n):
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        ch = random_channel(d, d, 3, make_rng(91))
+        problem = _RegionProblem(ch, graph, n)
+        for i, want in enumerate(tensor_power_superops(ch, graph, n)):
+            b = problem.block_dims[i]
+            assert np.max(np.abs(problem.superops_t[i] - want.T)) < 1e-12
+            adj = want.conj().reshape(b * b, d**n, d**n).transpose(1, 0, 2)
+            assert np.max(np.abs(problem.adjoints[i] - adj)) < 1e-12
+
+    @pytest.mark.parametrize("name, n", CASES)
+    def test_lifted_product_is_additive(self, name, n):
+        # n copies of a one-use product input give n times its coherent informations
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        rng = make_rng(93)
+        ch = random_channel(d, d, 3, rng)
+        one = _RegionProblem(ch, graph, 1)
+        parts = unit_parts(rng.standard_normal(2 * sum(one.part_dims)), one.part_dims)
+        lifted = _lift_sender_states([p[0] for p in parts], graph, n)
+        got = _RegionProblem(ch, graph, n).coherent_infos([s[None] for s in lifted])
+        want = n * one.coherent_infos(parts)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_more_kraus_operators_than_the_power_cap(self):
+        # K^2 = 4225 Kraus operators would exceed MAX_KRAUS; only K are ever formed
+        graph = ConnectionGraph.single(2)
+        rng = make_rng(95)
+        ch = random_channel(2, 2, 65, rng)
+        one = _RegionProblem(ch, graph, 1)
+        parts = unit_parts(rng.standard_normal(2 * sum(one.part_dims)), one.part_dims)
+        lifted = _lift_sender_states([p[0] for p in parts], graph, 2)
+        got = _RegionProblem(ch, graph, 2).coherent_infos([s[None] for s in lifted])
+        assert np.max(np.abs(got - 2 * one.coherent_infos(parts))) < 1e-12
+
+
 def readme_pair():
     graph = ConnectionGraph.diagonal([2, 2])
     return product_channel([dephasing(0.1), depolarizing(2, 0.3)], graph), graph
@@ -382,12 +449,13 @@ class TestRegionGradient:
         assert all(np.all(np.isfinite(g)) for g in grad)
         assert np.linalg.norm(tangent_gradient(states, grad)) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_readme_pair_closed_form(self, n):
         # dephasing(0.1) reaches 1 - h2(0.1) at every blocklength (it is degradable);
-        # depolarizing(2, 0.3) is past its hashing point, so its best rate is 0
+        # depolarizing(2, 0.3) is past its hashing point, so its best rate is 0.
+        # At n = 3 the warm starts alone descend (a random start there is slow).
         ch, graph = readme_pair()
-        rt = region_sample(ch, graph, n, (1.0, 1.0), make_rng(81), restarts=4)
+        rt = region_sample(ch, graph, n, (1.0, 1.0), make_rng(81), restarts=4 if n < 3 else 0)
         h2 = -(0.1 * np.log2(0.1) + 0.9 * np.log2(0.9))
         assert abs(rt.rates[0] - (1.0 - h2)) < 1e-9
         assert abs(rt.achievable[1]) < 1e-9

@@ -133,6 +133,19 @@ class TestApplyWithReference:
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+    @pytest.mark.parametrize("ref_legs", [0, 1, 2])
+    def test_matches_kron_lift(self, ref_legs, rng):
+        # oracle: each Kraus operator lifted to I_ref (x) A_k; input 3 -> output 2
+        ch = random_channel(3, 2, 3, rng)
+        ref_dims = [2, 3][:ref_legs]
+        rho = random_density_operator(ref_dims + [3], rng)
+        eye = np.eye(int(np.prod(ref_dims)))
+        want = sum(np.kron(eye, a) @ rho.matrix @ np.kron(eye, a).conj().T for a in ch.kraus_ops)
+        out = apply_with_reference(ch, rho, ref_legs)
+        assert out.layout.leg_dims == tuple(ref_dims) + (2,)
+        assert np.max(np.abs(out.matrix - want)) < 1e-14
+
+
 class TestTensorAndCompose:
     def test_tensor_identities(self):
         t = tensor(identity_channel([2]), identity_channel([2]))
@@ -389,12 +402,3 @@ class TestConnectionOrder:
         ch = random_channel(12, 12, 3, rng)
         back = block_kraus(connection_kraus(ch, self.GRAPH), self.GRAPH)
         assert np.array_equal(back, ch.kraus_stack())
-
-    def test_blocklength_groups_each_connections_copies(self, rng):
-        # n = 2: leg i holds connection i's two copies, first copy most significant
-        ch = random_channel(12, 12, 2, rng)
-        one = connection_kraus(ch, self.GRAPH)
-        two = connection_kraus(ch, self.GRAPH, 2)
-        assert two.shape == (4, 4, 9, 4, 4, 9, 4)
-        want = np.einsum("kabcdef,lghijmn->klagbhcidjemfn", one, one).reshape(two.shape)
-        assert np.max(np.abs(two - want)) < 1e-15

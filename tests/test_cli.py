@@ -115,6 +115,12 @@ class TestFidelityCommand:
         assert abs(by_method[("average_fidelity", "subset_decomposition")] - 0.5) < 1e-10
         assert abs(by_method[("average_fidelity", "monte_carlo")] - 0.5) < 1e-6
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_no_start_is_a_usage_error(self, dep_file, restarts, capsys):
+        code = main(["fidelity", dep_file, "--samples", "200", "--restarts", restarts])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: need restarts >= 0 and at least")
+
     def test_pair_values_and_groups(self, fully_dep_pair_file, capsys):
         code = main(["fidelity", fully_dep_pair_file, "--seed", "2", "--samples", "2000",
                      "--restarts", "4"])
@@ -164,6 +170,11 @@ class TestRegionCommand:
         assert main(["region", pair_file, "--n", "9", "--weights", "1,1",
                      "--seed", "0"]) == 3
 
+    def test_warm_starts_alone(self, dep_file, capsys):
+        code = main(["region", dep_file, "--weights", "1", "--restarts", "0"])
+        assert code == 0
+        assert rows_from_csv(capsys.readouterr().out)[0]["best_restart"] == "0"
+
 
 class TestVerifyCommand:
     def test_fixtures_pass(self, capsys):
@@ -194,6 +205,18 @@ class TestVerifyCommand:
 
     def test_needs_input(self, capsys):
         assert main(["verify", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_sweep_is_a_usage_error(self, trials, capsys):
+        # without a trial the inequality rows would read -inf and pass
+        assert main(["verify", "--fixtures", "--trials", trials]) == 2
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+
+    def test_no_restarts_is_a_usage_error(self, dep_file, capsys):
+        code = main(["verify", dep_file, "--samples", "2000", "--trials", "2",
+                     "--restarts", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: need restarts >= 0 and at least")
 
     def test_large_kraus_pair_falls_back_to_sampled(self, tmp_path, capsys):
         # 24^2 * 8 Kraus operators would blow the cap; the twirl check must

@@ -230,3 +230,16 @@ def test_maximally_entangled_warm_start_is_stationary_on_readme_pair():
                                   warm_starts=warm)
     assert res.stops[0] == "grad_norm" and res.iterations[0] == 0
     assert set(res.stops[1:]) <= {"grad_norm", "no_decrease"}
+
+
+@pytest.mark.parametrize("restarts, warm", [(-1, 0), (-1, 1), (0, 0)])
+def test_no_start_or_negative_restarts_is_rejected(restarts, warm):
+    problem = ProductEnergy(random_hermitian(2, make_rng(10)), [2])
+    with pytest.raises(ValueError):
+        problem.minimize(18, restarts=restarts, warm_starts=[[np.array([1.0, 0.0])]] * warm)
+
+
+def test_warm_starts_alone_are_enough():
+    problem = ProductEnergy(np.diag([1.0, 0.0]).astype(complex), [2])
+    res = problem.minimize(19, restarts=0, warm_starts=[[np.array([1.0, 1.0])]])
+    assert len(res.values) == 1 and abs(res.value) < 1e-10
