@@ -42,6 +42,7 @@ from .linalg import (
     eigh,
     entropy,
     entropy_of_spectrum,
+    float_or_stack,
     kron_all,
     kron_rows,
     maximally_entangled_vector,
@@ -85,8 +86,8 @@ class BipartiteSplit:
         return int(np.prod([self.layout.leg_dims[i] for i in sorted(self.b_legs)] or [1]))
 
 
-def coherent_information(rho: DensityOperator, split: BipartiteSplit) -> float:
-    """I_c(A>B) = S(rho_B) - S(rho_AB), in bits."""
+def coherent_information(rho: DensityOperator, split: BipartiteSplit) -> float | np.ndarray:
+    """I_c(A>B) = S(rho_B) - S(rho_AB), in bits; one value per member of a stack."""
     if rho.layout != split.layout:
         raise ValueError("state layout does not match the split's layout")
     s_ab = entropy(rho)
@@ -94,16 +95,19 @@ def coherent_information(rho: DensityOperator, split: BipartiteSplit) -> float:
     return entropy(rho_b) - s_ab
 
 
-def check_dpi(rho: DensityOperator, split: BipartiteSplit, post: KrausChannel) -> float:
-    """Margin I_c(before) - I_c(after postprocessing on B); nonnegative up to round-off."""
+def check_dpi(rho: DensityOperator, split: BipartiteSplit, post: KrausChannel | np.ndarray
+              ) -> float | np.ndarray:
+    """Margin I_c(before) - I_c(after postprocessing on B); nonnegative up to round-off.
+
+    ``post`` is a channel, or for a stack of T states a (T, K, out, in) array
+    of Kraus operators, one postprocessing per member.
+    """
     before = coherent_information(rho, split)
     a_sorted = sorted(split.a_legs)
     b_sorted = sorted(split.b_legs)
     perm = a_sorted + b_sorted
     moved = rho.permuted(perm)
-    b_dim = split.b_dim
-    if post.in_dim != b_dim:
-        raise ValueError(f"postprocessing input {post.in_dim} does not match B dimension {b_dim}")
+    # apply_with_reference rejects a postprocessing whose input is not the B block
     out = apply_with_reference(post, moved, ref_legs=len(a_sorted))
     na = len(a_sorted)
     split_after = BipartiteSplit(
@@ -112,15 +116,16 @@ def check_dpi(rho: DensityOperator, split: BipartiteSplit, post: KrausChannel) -
     return before - coherent_information(out, split_after)
 
 
-def continuity_gap(rho: DensityOperator, sigma: DensityOperator,
-                   split: BipartiteSplit) -> tuple[float, float]:
-    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same split."""
+def continuity_gap(rho: DensityOperator, sigma: DensityOperator, split: BipartiteSplit
+                   ) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same split,
+    or member by member for two stacks."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lhs = abs(coherent_information(rho, split) - coherent_information(sigma, split))
-    f = max(0.0, 1.0 - uhlmann_fidelity(rho, sigma))
+    lhs = np.abs(coherent_information(rho, split) - coherent_information(sigma, split))
+    f = np.maximum(0.0, 1.0 - uhlmann_fidelity(rho, sigma))
     rhs = 4.0 * np.sqrt(f) * np.log2(split.a_dim) + 2.0
-    return lhs, float(rhs)
+    return float_or_stack(lhs), float_or_stack(rhs)
 
 
 @dataclass(frozen=True)

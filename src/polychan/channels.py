@@ -252,23 +252,44 @@ def apply(ch: KrausChannel, rho) -> DensityOperator:
     return DensityOperator(out, ch.out_layout)
 
 
-def apply_with_reference(ch: KrausChannel, rho: DensityOperator, ref_legs: int) -> DensityOperator:
-    """Apply (I_ref x channel) to a state whose first ``ref_legs`` legs are untouched."""
+def apply_with_reference(ch: KrausChannel | np.ndarray, rho: DensityOperator, ref_legs: int
+                         ) -> DensityOperator:
+    """Apply (I_ref x channel) to a state whose first ``ref_legs`` legs are untouched.
+
+    ``rho`` may be a stack of T states; ``ch`` is then one channel for every
+    member, or a (T, K, out, in) array holding each member's own Kraus
+    operators, whose output is one leg.
+    """
+    lead = rho.matrix.shape[:-2]
+    if isinstance(ch, KrausChannel):
+        a, out_legs = ch.kraus_stack(), ch.out_layout.leg_dims
+    else:
+        a = np.asarray(ch, dtype=complex)
+        if a.ndim != 4 or a.shape[:1] != lead:
+            raise ValueError(f"per-member Kraus operators of shape {a.shape} do not match "
+                             f"a stack of shape {rho.matrix.shape}")
+        out_legs = a.shape[-2:-1]
     dims = rho.layout.leg_dims
     if ref_legs < 0 or ref_legs > len(dims):
         raise ValueError(f"ref_legs {ref_legs} out of range for {len(dims)} legs")
     d_ref = int(np.prod(dims[:ref_legs])) if ref_legs else 1
     d_in = int(np.prod(dims[ref_legs:])) if ref_legs < len(dims) else 1
-    if d_in != ch.in_dim:
+    num_kraus, d_out = a.shape[-3:-1]
+    if d_in != a.shape[-1]:
         raise ValueError(
-            f"state legs after the reference have dimension {d_in}, channel expects {ch.in_dim}"
+            f"state legs after the reference have dimension {d_in}, channel expects {a.shape[-1]}"
         )
-    a = ch.kraus_stack()
-    # A_k on the input legs of the rows, then A_k^dag on those of the columns, summed over k
-    rows = np.tensordot(a, rho.matrix.reshape(d_ref, d_in, d_ref, d_in), axes=(2, 1))
-    out = np.tensordot(rows, a.conj(), axes=([0, 4], [0, 2])).swapaxes(0, 1)
-    layout = SystemLayout(dims[:ref_legs] + ch.out_layout.leg_dims)
-    return DensityOperator(out.reshape(d_ref * ch.out_dim, -1), layout)
+    # A_k on the input legs of the rows: [(k, b), (r, s, y)] from rho[r, x, s, y];
+    # each step rebinds m, so a stack's K-fold intermediates are freed as soon as used
+    m = np.moveaxis(rho.matrix.reshape(lead + (d_ref, d_in, d_ref * d_in)), -2, -3)
+    m = a.reshape(a.shape[:-3] + (-1, d_in)) @ m.reshape(lead + (d_in, -1))
+    # then A_k^dag on those of the columns, summed over (k, y): [(b, r, s), c]
+    m = np.moveaxis(m.reshape(lead + (num_kraus, -1, d_in)), -3, -2)
+    m = m.reshape(lead + (-1, num_kraus * d_in)) @ (
+        a.conj().swapaxes(-1, -2).reshape(a.shape[:-3] + (-1, d_out)))
+    m = m.reshape(lead + (d_out, d_ref, d_ref * d_out)).swapaxes(-3, -2)
+    layout = SystemLayout(dims[:ref_legs] + tuple(out_legs))
+    return DensityOperator(m.reshape(lead + (d_ref * d_out, -1)), layout)
 
 
 def tensor(ch1: KrausChannel, ch2: KrausChannel, max_kraus: int = MAX_KRAUS,

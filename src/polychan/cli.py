@@ -24,8 +24,8 @@ from .errors import CapExceededError, ChannelFormatError
 from .linalg import (
     DensityOperator,
     SystemLayout,
+    check_density,
     haar_state,
-    kron_all,
     make_rng,
     maximally_entangled_vector,
     split_rng,
@@ -152,6 +152,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_region(args) -> int:
+    # the weight grid sweeps at least three points, so a nonpositive size would pass unseen
+    if args.grid < 1 and not args.weights:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     ch, graph = _load(args.channel)
     graph = _need_graph(graph)
     rng = make_rng(args.seed)
@@ -229,45 +232,54 @@ def _connection_channel(ch, graph):
     return KrausChannel(kraus, graph.dims, graph.dims)
 
 
-def _random_output_state(conn_ch, graph, rng):
-    """Output of a :func:`_connection_channel` for a random product input: a random
-    pure state on each connection's (reference, input) pair.
+def _random_output_states(conn_ch, graph, streams):
+    """Outputs of a :func:`_connection_channel` for random product inputs, one per
+    stream, as a stack: a random pure state on each connection's (reference,
+    input) pair.
 
     The legs come out as the joint reference (R_0..R_{g-1}, one leg) and then
     one output leg per connection, all in connection-index order.
     """
-    amps = []
-    for d in graph.dims:
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        amps.append(z / np.linalg.norm(z))
-    # rows run over the references, columns over the inputs
-    amp = kron_all(amps)
-    state = DensityOperator.from_vector(amp.reshape(-1), SystemLayout((len(amp),) + graph.dims))
-    return channels.apply_with_reference(conn_ch, state, ref_legs=1)
+    # each stream draws, connection after connection, the real and then the imaginary parts
+    draws = [[stream.standard_normal((2, d, d)) for d in graph.dims] for stream in streams]
+    amp = np.ones((len(streams), 1, 1))
+    for parts in zip(*draws):
+        z = np.array(parts)
+        z = z[:, 0] + 1j * z[:, 1]
+        z /= np.linalg.norm(z, axis=(1, 2), keepdims=True)
+        # rows run over the references, columns over the inputs
+        amp = np.einsum("tij,tkl->tikjl", amp, z).reshape(
+            len(z), amp.shape[1] * z.shape[1], -1)
+    count, refs = amp.shape[:2]
+    psi = amp.reshape(count, -1)
+    check_density(psi[:, :, None] * psi[:, None, :].conj())
+    # the inputs are pure, so the output is phi phi^dag with phi[t, (r, b), k] the
+    # ket (I (x) A_k) psi: no K-fold stack of mixed states is formed
+    kraus = conn_ch.kraus_stack()
+    phi = (amp @ kraus.reshape(-1, kraus.shape[-1]).T).reshape(count, refs, len(kraus), -1)
+    phi = phi.swapaxes(2, 3).reshape(count, -1, len(kraus))
+    return DensityOperator(phi @ phi.conj().swapaxes(1, 2), SystemLayout((refs,) + graph.dims))
 
 
 def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
-    conn_ch = _connection_channel(ch, graph)
-    worst = float("inf")
-    for stream in split_rng(rng, trials):
-        out = _random_output_state(conn_ch, graph, stream)
-        split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
-        post = channels.random_channel(ch.out_dim, ch.out_dim, 2, stream)
-        margin = capacity.check_dpi(out, split, post)
-        worst = min(worst, margin)
-    return -worst, tol_exact, "sweep"
+    streams = split_rng(rng, trials)
+    out = _random_output_states(_connection_channel(ch, graph), graph, streams)
+    split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
+    # each stream draws its postprocessing after its input amplitudes
+    posts = np.array([channels.random_channel(ch.out_dim, ch.out_dim, 2, stream).kraus_stack()
+                      for stream in streams])
+    return -float(np.min(capacity.check_dpi(out, split, posts))), tol_exact, "sweep"
 
 
 def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
     conn_ch = _connection_channel(ch, graph)
-    worst = -float("inf")
-    for stream in split_rng(rng, trials):
-        a = _random_output_state(conn_ch, graph, stream)
-        b = _random_output_state(conn_ch, graph, stream)
-        split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
-        lhs, rhs = capacity.continuity_gap(a, b, split)
-        worst = max(worst, lhs - rhs)
-    return worst, tol_exact, "sweep"
+    streams = split_rng(rng, trials)
+    # each stream draws state a, then state b
+    a = _random_output_states(conn_ch, graph, streams)
+    b = _random_output_states(conn_ch, graph, streams)
+    split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
+    lhs, rhs = capacity.continuity_gap(a, b, split)
+    return float(np.max(lhs - rhs)), tol_exact, "sweep"
 
 
 def _check_two_design(ch, graph, rng, ensemble_size, tol_exact, tol_stat):
@@ -316,6 +328,8 @@ def cmd_verify(args) -> int:
     # an empty sweep would pass its inequality checks vacuously
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.ensemble_size < 1:
+        raise ValueError(f"--ensemble-size must be >= 1, got {args.ensemble_size}")
     if args.fixtures:
         cases = _verify_fixtures(args.seed)
     else:

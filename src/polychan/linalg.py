@@ -10,6 +10,7 @@ All entropic quantities are in bits (log base 2).
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -64,7 +65,7 @@ class SystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.leg_dims))
+        return math.prod(self.leg_dims)
 
     @property
     def num_legs(self) -> int:
@@ -127,24 +128,29 @@ def permute_legs_vector(vec: np.ndarray, dims: Sequence[int], order: Sequence[in
 
 
 def permute_legs_matrix(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor legs of an operator (rows and columns together)."""
+    """Reorder the tensor legs of an operator (rows and columns together), or of
+    every operator in a stack (leading axes)."""
     dims = tuple(dims)
     order = tuple(order)
     n = len(dims)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of {n} legs")
     d = int(np.prod(dims))
-    t = mat.reshape(dims + dims)
-    axes = order + tuple(n + o for o in order)
-    return np.transpose(t, axes=axes).reshape(d, d)
+    lead = mat.shape[:-2]
+    k = len(lead)
+    axes = tuple(range(k)) + tuple(k + o for o in order) + tuple(k + n + o for o in order)
+    return np.transpose(mat.reshape(lead + dims + dims), axes=axes).reshape(lead + (d, d))
 
 
 def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
-    """Trace out all legs except ``keep``; kept legs stay in their original relative order."""
+    """Trace out all legs except ``keep``; kept legs stay in their original relative order.
+
+    ``m`` may be a stack of matrices (leading axes); each is traced the same way.
+    """
     dims = _as_dims(layout)
     n = len(dims)
     d = int(np.prod(dims))
-    if m.shape != (d, d):
+    if m.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match layout dimension {d}")
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -156,9 +162,10 @@ def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
         if j not in keep:
             col[j] = row[j]
     out = [row[j] for j in keep] + [col[j] for j in keep]
-    spec = "".join(row + col) + "->" + "".join(out)
+    spec = "..." + "".join(row + col) + "->..." + "".join(out)
     dk = int(np.prod([dims[j] for j in keep])) if keep else 1
-    return np.einsum(spec, m.reshape(dims + dims)).reshape(dk, dk)
+    lead = m.shape[:-2]
+    return np.einsum(spec, m.reshape(lead + dims + dims)).reshape(lead + (dk, dk))
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -201,15 +208,43 @@ def clip_spectrum(w: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Square root of a positive semidefinite matrix via eigendecomposition."""
+    """Square root of a positive semidefinite matrix, or of each in a stack, via
+    eigendecomposition."""
     w, v = eigh(m)
     w = clip_spectrum(w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+
+
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Check that a matrix, or every matrix in a stack (leading axes), is a density
+    matrix: finite, Hermitian, unit trace and positive semidefinite.
+
+    Raises ``ValueError`` naming the first failed check (over the whole stack);
+    returns ``m``.
+    """
+    check_finite(m, "density operator")
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"density operator not Hermitian (defect {defect:.3e})")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"density operator trace {complex(tr[off].flat[0])} differs from 1")
+    w = np.linalg.eigvalsh((m + _adjoint(m)) / 2.0)
+    low = float(np.min(w[..., 0])) if w.size else 0.0
+    if low < -EIGENVALUE_TOL:
+        raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
+    return m
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A positive semidefinite unit-trace matrix tagged with its leg layout."""
+    """A positive semidefinite unit-trace matrix tagged with its leg layout.
+
+    ``matrix`` may also be a (T, d, d) stack of T states on the same layout;
+    every member is validated, and the functions that take a density operator
+    then work member by member.
+    """
 
     matrix: np.ndarray
     layout: SystemLayout = field(default=None)  # type: ignore[assignment]
@@ -217,28 +252,19 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        layout = self.layout or SystemLayout([m.shape[0]])
+        layout = self.layout or SystemLayout([m.shape[-1]])
         object.__setattr__(self, "layout", layout)
-        if layout.total_dim != m.shape[0]:
+        if layout.total_dim != m.shape[-1]:
             raise ValueError(
-                f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[0]}"
+                f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[-1]}"
             )
-        check_finite(m, "density operator")
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density operator not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density operator trace {tr} differs from 1")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.size and float(w[0]) < -EIGENVALUE_TOL:
-            raise ValueError(f"density operator has negative eigenvalue {float(w[0]):.3e}")
+        check_density(m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def from_vector(cls, psi: np.ndarray, layout=None) -> "DensityOperator":
@@ -273,18 +299,22 @@ def maximally_entangled_vector(d: int) -> np.ndarray:
     return v
 
 
+def float_or_stack(x) -> float | np.ndarray:
+    """A 0-d result as a Python float; a stacked result as its array."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
 def entropy_of_spectrum(w: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in bits of a spectrum, or of each row of a stack of spectra."""
     w = clip_spectrum(np.asarray(w, dtype=float))
-    h = -np.sum(w * np.log2(np.where(w > 0, w, 1.0)), axis=-1)
-    return float(h) if h.ndim == 0 else h
+    return float_or_stack(-np.sum(w * np.log2(np.where(w > 0, w, 1.0)), axis=-1))
 
 
-def entropy(rho) -> float:
-    """Von Neumann entropy in bits, with 0*log(0) = 0."""
+def entropy(rho) -> float | np.ndarray:
+    """Von Neumann entropy in bits, with 0*log(0) = 0; one value per member of a stack."""
     m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    w, _ = eigh(m)
-    return entropy_of_spectrum(w)
+    return entropy_of_spectrum(eigh(m, vectors=False)[0])
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,16 +338,19 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """Squared Uhlmann fidelity (tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1]."""
+def uhlmann_fidelity(rho, sigma) -> float | np.ndarray:
+    """Squared Uhlmann fidelity (tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1].
+
+    Two stacks of equal shape give one fidelity per pair of members.
+    """
     a = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     b = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     ra = sqrt_psd(a)
-    w, _ = eigh(ra @ b @ ra)
-    w = clip_spectrum(w)
+    w = clip_spectrum(eigh(ra @ b @ ra, vectors=False)[0])
     # zero modes carry eigensolver noise that the square root would amplify
-    w[w < 1e-14 * max(1.0, float(w[-1]))] = 0.0
-    val = float(np.sum(np.sqrt(w)) ** 2)
-    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
+    w[w < 1e-14 * np.maximum(1.0, w[..., -1:])] = 0.0
+    val = np.sum(np.sqrt(w), axis=-1) ** 2
+    # round-off just above 1 is clipped; a larger excess is returned as it is
+    return float_or_stack(np.where(val <= 1.0 + 1e-9, np.minimum(val, 1.0), val))

@@ -25,6 +25,7 @@ from polychan import (
     region_sample,
     simplex_weight_grid,
     split_rng,
+    uhlmann_fidelity,
 )
 from polychan.capacity import _lift_sender_states, _RegionProblem
 from polychan.channels import KrausChannel, connection_kraus, tensor_power
@@ -123,6 +124,49 @@ class TestContinuity:
             sigma = DensityOperator(0.99 * m + 0.01 * np.eye(4) / 4, SystemLayout([2, 2]))
             lhs, rhs = continuity_gap(rho, sigma, SPLIT_22)
             assert lhs <= rhs + 1e-9
+
+
+class TestStacks:
+    """A stack of states gives, member by member, what single-state calls give."""
+
+    @staticmethod
+    def random_stack(d, rng, count=6):
+        # full rank, rank 2 and pure members: the fidelity's zero-mode rule is exercised
+        return np.array([random_density(d, rng, rank=[d, 2, 1][t % 3]) for t in range(count)])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("a_leg", [0, 1])
+    def test_members_match_single_calls(self, dims, a_leg, rng):
+        layout = SystemLayout(dims)
+        split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
+        d, db = layout.total_dim, dims[1 - a_leg]
+        rhos, sigmas = self.random_stack(d, rng), self.random_stack(d, rng)
+        posts = [random_channel(db, db, 2, stream) for stream in split_rng(rng, len(rhos))]
+        rho, sigma = DensityOperator(rhos, layout), DensityOperator(sigmas, layout)
+        infos = coherent_information(rho, split)
+        margins = check_dpi(rho, split, np.array([p.kraus_stack() for p in posts]))
+        shared = check_dpi(rho, split, posts[0])
+        lhs, rhs = continuity_gap(rho, sigma, split)
+        fids = uhlmann_fidelity(rhos, sigmas)
+        for values in (infos, margins, shared, lhs, rhs, fids):
+            assert values.shape == (len(rhos),)
+        for t, post in enumerate(posts):
+            one = DensityOperator(rhos[t], layout)
+            other = DensityOperator(sigmas[t], layout)
+            single = [coherent_information(one, split), check_dpi(one, split, post),
+                      check_dpi(one, split, posts[0]), *continuity_gap(one, other, split),
+                      uhlmann_fidelity(rhos[t], sigmas[t])]
+            assert all(type(v) is float for v in single)
+            stacked = [infos[t], margins[t], shared[t], lhs[t], rhs[t], fids[t]]
+            assert np.max(np.abs(np.subtract(stacked, single))) < 1e-12
+
+    def test_postprocessings_must_match_the_stack(self, rng):
+        rho = DensityOperator(self.random_stack(4, rng), SystemLayout([2, 2]))
+        kraus = random_channel(2, 2, 2, rng).kraus_stack()
+        with pytest.raises(ValueError):
+            check_dpi(rho, SPLIT_22, np.array([kraus] * 5))
+        with pytest.raises(ValueError):
+            check_dpi(rho, SPLIT_22, np.array([kraus] * 6)[..., :1])
 
 
 def identity_pair():

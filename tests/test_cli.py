@@ -9,17 +9,33 @@ import pytest
 
 import polychan
 from polychan import (
+    BipartiteSplit,
     ConnectionGraph,
+    DensityOperator,
     KrausChannel,
+    SystemLayout,
+    apply_with_reference,
+    check_dpi,
+    continuity_gap,
     depolarizing,
     dephasing,
     identity_channel,
     make_rng,
     product_channel,
+    random_channel,
     read_channel,
+    split_rng,
     write_channel,
 )
-from polychan.cli import _connection_channel, _random_output_state, main
+from polychan.cli import (
+    _check_dpi_sweep,
+    _check_lemma_sweep,
+    _connection_channel,
+    _random_output_states,
+    _verify_fixtures,
+    main,
+)
+from polychan.linalg import kron_all
 
 
 @pytest.fixture
@@ -175,6 +191,21 @@ class TestRegionCommand:
         assert code == 0
         assert rows_from_csv(capsys.readouterr().out)[0]["best_restart"] == "0"
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_empty_grid_is_a_usage_error(self, pair_file, grid, capsys):
+        assert main(["region", pair_file, "--grid", grid, "--restarts", "2"]) == 2
+        assert capsys.readouterr().err == f"error: --grid must be >= 1, got {grid}\n"
+
+    def test_weights_need_no_grid(self, pair_file, capsys):
+        code = main(["region", pair_file, "--grid", "0", "--weights", "1,1", "--restarts", "2"])
+        assert code == 0
+        assert len(rows_from_csv(capsys.readouterr().out)) == 1
+
+    @pytest.mark.parametrize("grid", ["1", "2"])
+    def test_small_grid_sweeps_three_weights(self, pair_file, grid, capsys):
+        assert main(["region", pair_file, "--grid", grid, "--restarts", "2"]) == 0
+        assert len(rows_from_csv(capsys.readouterr().out)) == 3
+
 
 class TestVerifyCommand:
     def test_fixtures_pass(self, capsys):
@@ -212,6 +243,12 @@ class TestVerifyCommand:
         assert main(["verify", "--fixtures", "--trials", trials]) == 2
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_empty_ensemble_is_a_usage_error(self, size, capsys):
+        # before: the qutrit fixture's twirl check exited 3 as a Kraus-cap overflow
+        assert main(["verify", "--fixtures", "--ensemble-size", size]) == 2
+        assert capsys.readouterr().err == f"error: --ensemble-size must be >= 1, got {size}\n"
+
     def test_no_restarts_is_a_usage_error(self, dep_file, capsys):
         code = main(["verify", dep_file, "--samples", "2000", "--trials", "2",
                      "--restarts", "0"])
@@ -233,21 +270,94 @@ class TestVerifyCommand:
         assert twirl_row["mode"] == "statistical (sampled ensemble)"
 
 
+def oracle_output_state(conn_ch, graph, rng):
+    """One trial of the sweeps, drawn and built on its own: a random pure state on
+    each connection's (reference, input) pair, through the connection channel."""
+    amps = []
+    for d in graph.dims:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        amps.append(z / np.linalg.norm(z))
+    amp = kron_all(amps)
+    state = DensityOperator.from_vector(amp.reshape(-1), SystemLayout((len(amp),) + graph.dims))
+    return apply_with_reference(conn_ch, state, ref_legs=1)
+
+
+def oracle_dpi_sweep(ch, graph, rng, trials):
+    """The data-processing sweep as a loop of single-state checks."""
+    conn_ch = _connection_channel(ch, graph)
+    worst = float("inf")
+    for stream in split_rng(rng, trials):
+        out = oracle_output_state(conn_ch, graph, stream)
+        split = BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
+        post = random_channel(ch.out_dim, ch.out_dim, 2, stream)
+        worst = min(worst, check_dpi(out, split, post))
+    return -worst
+
+
+def oracle_lemma_sweep(ch, graph, rng, trials):
+    """The continuity sweep as a loop of single-state checks."""
+    conn_ch = _connection_channel(ch, graph)
+    worst = -float("inf")
+    for stream in split_rng(rng, trials):
+        a = oracle_output_state(conn_ch, graph, stream)
+        b = oracle_output_state(conn_ch, graph, stream)
+        split = BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
+        lhs, rhs = continuity_gap(a, b, split)
+        worst = max(worst, lhs - rhs)
+    return worst
+
+
+def verify_streams(seed):
+    """Each verify fixture with its five check streams, drawn as ``cmd_verify`` draws them."""
+    rng = make_rng(seed)
+    return [(name, ch, graph, split_rng(rng, 5)) for name, ch, graph in _verify_fixtures(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_sweeps_match_per_trial_oracle(seed):
+    stacked = verify_streams(seed)
+    oracle = verify_streams(seed)
+    assert len(stacked) == 6
+    for (name, ch, graph, streams), (_, _, _, fresh) in zip(stacked, oracle):
+        dpi, _, _ = _check_dpi_sweep(ch, graph, streams[1], 200, 1e-9)
+        lemma, _, _ = _check_lemma_sweep(ch, graph, streams[2], 200, 1e-9)
+        assert abs(dpi - oracle_dpi_sweep(ch, graph, fresh[1], 200)) < 1e-12, name
+        assert abs(lemma - oracle_lemma_sweep(ch, graph, fresh[2], 200)) < 1e-12, name
+
+
+def test_random_output_states_keep_each_streams_draws():
+    graph = ConnectionGraph.diagonal([2, 3])
+    conn_ch = _connection_channel(
+        product_channel([depolarizing(2, 0.3), depolarizing(3, 0.2)], graph), graph)
+    streams = split_rng(make_rng(3), 4)
+    fresh = split_rng(make_rng(3), 4)
+    first = _random_output_states(conn_ch, graph, streams)
+    second = _random_output_states(conn_ch, graph, streams)
+    for t, stream in enumerate(fresh):
+        # a stream's second state is drawn after its first
+        for stack in (first, second):
+            want = oracle_output_state(conn_ch, graph, stream).matrix
+            assert np.max(np.abs(stack.matrix[t] - want)) < 1e-14
+
+
 def test_random_output_state_is_a_product_input():
     # connection 0 belongs to sender 1, so the input blocks run (1, 0), not in
-    # connection order; through the routing identity the output stays a pure
+    # connection order; through the routing identity each output stays a pure
     # product over connections, with Schmidt rank 1 across (R_0 B_0) | (R_1 B_1)
     graph = ConnectionGraph([(1, 0, 2), (0, 1, 3)])
     ch = product_channel([identity_channel([2]), identity_channel([3])], graph)
-    out = _random_output_state(_connection_channel(ch, graph), graph, make_rng(0))
+    out = _random_output_states(_connection_channel(ch, graph), graph,
+                                split_rng(make_rng(0), 5))
     assert out.layout.leg_dims == (6, 2, 3)
-    w, v = np.linalg.eigh(out.matrix)
-    assert abs(w[-1] - 1.0) < 1e-12
-    # legs (R_0, R_1, B_0, B_1) -> rows (R_0, B_0), columns (R_1, B_1)
-    psi = v[:, -1].reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
-    schmidt = np.linalg.svd(psi, compute_uv=False)
-    assert abs(schmidt[0] - 1.0) < 1e-12
-    assert np.all(schmidt[1:] < 1e-12)
+    assert out.matrix.shape == (5, 36, 36)
+    for member in out.matrix:
+        w, v = np.linalg.eigh(member)
+        assert abs(w[-1] - 1.0) < 1e-12
+        # legs (R_0, R_1, B_0, B_1) -> rows (R_0, B_0), columns (R_1, B_1)
+        psi = v[:, -1].reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
+        schmidt = np.linalg.svd(psi, compute_uv=False)
+        assert abs(schmidt[0] - 1.0) < 1e-12
+        assert np.all(schmidt[1:] < 1e-12)
 
 
 class TestTwirlCommand:

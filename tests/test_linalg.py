@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from polychan import (
 from polychan.errors import CapExceededError
 from polychan.linalg import (
     EIGENVALUE_TOL,
+    check_density,
     PAULI_X,
     entropy_of_spectrum,
     permute_legs_matrix,
@@ -97,6 +100,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), [2, 2], {5})
 
+    def test_stack_matches_members(self, rng):
+        stack = np.array([random_density(12, rng) for _ in range(4)])
+        for keep in ({0}, {1, 2}, set()):
+            got = partial_trace(stack, [2, 3, 2], keep)
+            for m, g in zip(stack, got):
+                assert np.array_equal(g, partial_trace(m, [2, 3, 2], keep))
+
 
 class TestPermute:
     def test_vector_roundtrip(self, rng):
@@ -111,6 +121,12 @@ class TestPermute:
         got = permute_legs_matrix(rho, [2, 3], [1, 0])
         w = permute_legs_vector(v, [2, 3], [1, 0])
         assert np.allclose(got, np.outer(w, w.conj()))
+
+    def test_matrix_stack_matches_members(self, rng):
+        stack = np.array([random_density(24, rng) for _ in range(3)])
+        got = permute_legs_matrix(stack, [2, 3, 4], [2, 0, 1])
+        for m, g in zip(stack, got):
+            assert np.array_equal(g, permute_legs_matrix(m, [2, 3, 4], [2, 0, 1]))
 
 
 class TestEigh:
@@ -292,3 +308,51 @@ class TestDensityOperator:
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             SystemLayout([2, 0])
+
+    def test_stack(self, rng):
+        rho = DensityOperator(np.array([random_density(4, rng) for _ in range(3)]),
+                              SystemLayout([2, 2]))
+        assert rho.dim == 4
+        assert rho.reduced([1]).matrix.shape == (3, 2, 2)
+
+
+def bad_density(defect: str) -> np.ndarray:
+    """A 3x3 matrix that fails exactly one density-operator check."""
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    if defect == "non_hermitian":
+        m[0, 1] = 1e-3
+    elif defect == "trace":
+        m = np.diag([0.5, 0.4, 0.0]).astype(complex)
+    elif defect == "negative":
+        m = np.diag([0.5, 0.5 + 1e-6, -1e-6]).astype(complex)
+    elif defect == "nan":
+        m[1, 2] = m[2, 1] = np.nan
+    return m
+
+
+class TestCheckDensity:
+    MESSAGES = {
+        "non_hermitian": "density operator not Hermitian (defect 1.000e-03)",
+        "trace": "density operator trace (0.9+0j) differs from 1",
+        "negative": "density operator has negative eigenvalue -1.000e-06",
+        "nan": "density operator contains non-finite entries",
+    }
+
+    def test_valid_stack_passes(self, rng):
+        stack = np.array([random_density(3, rng) for _ in range(5)] + [bad_density("none")])
+        assert check_density(stack) is stack
+
+    @pytest.mark.parametrize("defect", sorted(MESSAGES))
+    def test_one_bad_member_fails_the_stack(self, defect, rng):
+        stack = np.array([random_density(3, rng) for _ in range(5)])
+        stack[2] = bad_density(defect)
+        message = re.escape(self.MESSAGES[defect])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_density(stack)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityOperator(stack)
+
+    @pytest.mark.parametrize("defect", sorted(MESSAGES))
+    def test_single_bad_matrix_fails(self, defect):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGES[defect])}$"):
+            DensityOperator(bad_density(defect))
