@@ -36,6 +36,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
+# Byte budget for one stack of states in verify's DPI and continuity sweeps.
+# Every fixture's 200 trials fit in one block (the largest stack is 0.8 MB);
+# larger channels or more trials are taken in blocks.
+SWEEP_BLOCK_BYTES = 1 << 20
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -232,6 +237,19 @@ def _connection_channel(ch, graph):
     return KrausChannel(kraus, graph.dims, graph.dims)
 
 
+def _stream_blocks(streams, conn_ch):
+    """``streams`` in consecutive blocks whose stacks of sweep states stay under
+    ``SWEEP_BLOCK_BYTES``, so peak memory does not grow with the number of trials.
+
+    A member is one output state of ``conn_ch`` with its reference, D x D with
+    D = (product of the connection dimensions)^2, or its D x K Kraus kets if
+    larger. A member over the budget gets a block of its own.
+    """
+    d = conn_ch.in_dim * conn_ch.out_dim
+    size = max(1, SWEEP_BLOCK_BYTES // (16 * d * max(d, conn_ch.num_kraus)))
+    return [streams[i:i + size] for i in range(0, len(streams), size)]
+
+
 def _random_output_states(conn_ch, graph, streams):
     """Outputs of a :func:`_connection_channel` for random product inputs, one per
     stream, as a stack: a random pure state on each connection's (reference,
@@ -262,24 +280,29 @@ def _random_output_states(conn_ch, graph, streams):
 
 
 def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
-    streams = split_rng(rng, trials)
-    out = _random_output_states(_connection_channel(ch, graph), graph, streams)
-    split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
-    # each stream draws its postprocessing after its input amplitudes
-    posts = np.array([channels.random_channel(ch.out_dim, ch.out_dim, 2, stream).kraus_stack()
-                      for stream in streams])
-    return -float(np.min(capacity.check_dpi(out, split, posts))), tol_exact, "sweep"
+    conn_ch = _connection_channel(ch, graph)
+    worst = float("inf")
+    for block in _stream_blocks(split_rng(rng, trials), conn_ch):
+        out = _random_output_states(conn_ch, graph, block)
+        split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
+        # each stream draws its postprocessing after its input amplitudes
+        posts = np.array([channels.random_channel(ch.out_dim, ch.out_dim, 2, s).kraus_stack()
+                          for s in block])
+        worst = min(worst, float(np.min(capacity.check_dpi(out, split, posts))))
+    return -worst, tol_exact, "sweep"
 
 
 def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
     conn_ch = _connection_channel(ch, graph)
-    streams = split_rng(rng, trials)
-    # each stream draws state a, then state b
-    a = _random_output_states(conn_ch, graph, streams)
-    b = _random_output_states(conn_ch, graph, streams)
-    split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
-    lhs, rhs = capacity.continuity_gap(a, b, split)
-    return float(np.max(lhs - rhs)), tol_exact, "sweep"
+    worst = -float("inf")
+    for block in _stream_blocks(split_rng(rng, trials), conn_ch):
+        # each stream draws state a, then state b
+        a = _random_output_states(conn_ch, graph, block)
+        b = _random_output_states(conn_ch, graph, block)
+        split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
+        lhs, rhs = capacity.continuity_gap(a, b, split)
+        worst = max(worst, float(np.max(lhs - rhs)))
+    return worst, tol_exact, "sweep"
 
 
 def _check_two_design(ch, graph, rng, ensemble_size, tol_exact, tol_stat):

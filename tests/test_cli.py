@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from polychan import (
     split_rng,
     write_channel,
 )
+from polychan import cli
 from polychan.cli import (
     _check_dpi_sweep,
     _check_lemma_sweep,
@@ -323,6 +325,36 @@ def test_stacked_sweeps_match_per_trial_oracle(seed):
         lemma, _, _ = _check_lemma_sweep(ch, graph, streams[2], 200, 1e-9)
         assert abs(dpi - oracle_dpi_sweep(ch, graph, fresh[1], 200)) < 1e-12, name
         assert abs(lemma - oracle_lemma_sweep(ch, graph, fresh[2], 200)) < 1e-12, name
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocked_sweeps_match_per_trial_oracle(block, monkeypatch):
+    # blocks of 1 and of 7 streams (the last one short): the worst margin is
+    # taken across blocks, and each stream still draws in its own order
+    for name, ch, graph, streams in verify_streams(3)[3:]:
+        d = graph.total_dim() ** 2
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * d * d * block)
+        _, _, _, fresh = [case for case in verify_streams(3) if case[0] == name][0]
+        dpi, _, _ = _check_dpi_sweep(ch, graph, streams[1], 30, 1e-9)
+        lemma, _, _ = _check_lemma_sweep(ch, graph, streams[2], 30, 1e-9)
+        assert abs(dpi - oracle_dpi_sweep(ch, graph, fresh[1], 30)) < 1e-12, name
+        assert abs(lemma - oracle_lemma_sweep(ch, graph, fresh[2], 30)) < 1e-12, name
+
+
+@pytest.mark.parametrize("sweep", [_check_dpi_sweep, _check_lemma_sweep])
+def test_sweep_memory_does_not_grow_with_trials(sweep):
+    # three qubit links: each state is 64 x 64 (64 KiB), so 128 trials in one
+    # stack would be 8 MiB, several of them alive at once; in blocks under the
+    # budget the peak stays a small multiple of the budget
+    graph = ConnectionGraph.diagonal([2, 2, 2])
+    ch = product_channel([depolarizing(2, 0.3)] * 3, graph)
+    tracemalloc.start()
+    try:
+        sweep(ch, graph, make_rng(0), 128, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * cli.SWEEP_BLOCK_BYTES
 
 
 def test_random_output_states_keep_each_streams_draws():
