@@ -81,10 +81,6 @@ class BipartiteSplit:
     def a_dim(self) -> int:
         return int(np.prod([self.layout.leg_dims[i] for i in sorted(self.a_legs)] or [1]))
 
-    @property
-    def b_dim(self) -> int:
-        return int(np.prod([self.layout.leg_dims[i] for i in sorted(self.b_legs)] or [1]))
-
 
 def coherent_information(rho: DensityOperator, split: BipartiteSplit) -> float | np.ndarray:
     """I_c(A>B) = S(rho_B) - S(rho_AB), in bits; one value per member of a stack."""

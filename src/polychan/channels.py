@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -488,6 +489,15 @@ def _json_int(val, field: str) -> int:
     return val
 
 
+def _json_number(val, field: str, *index: int) -> float:
+    """A finite JSON number: booleans, strings, NaN and infinities are rejected, not coerced.
+    The error names ``field[i][j]...``, built from ``index`` only when it is raised."""
+    if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
+        where = field + "".join(f"[{i}]" for i in index)
+        raise ChannelFormatError(f"field '{where}' must be a finite number, got {json.dumps(val)}")
+    return float(val)
+
+
 def write_channel(ch: KrausChannel, graph: ConnectionGraph | None = None) -> str:
     """Serialize a channel (and its connection graph) to the JSON document format."""
     conns = []
@@ -544,7 +554,9 @@ def read_channel(text: str, check_completeness: bool = True
                     f"(the product of in_dims)"
                 )
             try:
-                rows.append([complex(float(re), float(im)) for re, im in row])
+                rows.append([complex(_json_number(re, "kraus", k, r, c),
+                                     _json_number(im, "kraus", k, r, c))
+                             for c, (re, im) in enumerate(row)])
             except (TypeError, ValueError) as exc:
                 raise ChannelFormatError(
                     f"field 'kraus[{k}][{r}]' has a malformed [re, im] entry"

@@ -306,34 +306,20 @@ def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
 
 
 def _check_two_design(ch, graph, rng, ensemble_size, tol_exact, tol_stat):
-    # exact 2-design equality needs qubit connections AND the full Clifford twirl
-    # under the Kraus cap; otherwise fall back to sampled ensembles, for which
-    # only the Haar mean over inputs is an identity
-    g = graph.size
-    exact = (all(d == 2 for d in graph.dims)
-             and (len(protocols.clifford_1q()) ** g) * ch.num_kraus <= channels.MAX_KRAUS)
+    # exact 2-design equality needs qubit connections (the Clifford twirl); other
+    # dimensions use sampled ensembles, for which only the Haar mean over inputs
+    # is an identity
     target = fidelities.average_fidelity_exact(ch, graph)
-    if exact:
-        twirled = protocols.twirl_channel(ch, graph, [protocols.clifford_1q()] * g)
-        worst = 0.0
-        for stream in split_rng(rng, 100):
-            states = [haar_state(d, stream) for d in graph.dims]
-            val = fidelities.pure_state_fidelity(twirled, graph, states)
-            worst = max(worst, abs(val - target))
-        return worst, tol_exact, "exact"
-    size = min(ensemble_size,
-               int((channels.MAX_KRAUS / ch.num_kraus) ** (1.0 / g)))
-    if size < 1:
-        raise CapExceededError(
-            f"cannot twirl a {ch.num_kraus}-operator channel under the Kraus cap"
-        )
-    ensembles = [protocols.haar_ensemble(d, size, rng) for d in graph.dims]
+    exact = all(d == 2 for d in graph.dims)
+    ensembles = ([protocols.clifford_1q()] * graph.size if exact else
+                 [protocols.haar_ensemble(d, ensemble_size, rng) for d in graph.dims])
     twirled = protocols.twirl_channel(ch, graph, ensembles)
-    vals = []
-    for stream in split_rng(rng, 50):
-        states = [haar_state(d, stream) for d in graph.dims]
-        vals.append(fidelities.pure_state_fidelity(twirled, graph, states))
-    vals = np.array(vals)
+    vals = np.array([
+        fidelities.pure_state_fidelity(twirled, graph, [haar_state(d, s) for d in graph.dims])
+        for s in split_rng(rng, 100 if exact else 50)
+    ])
+    if exact:
+        return float(np.max(np.abs(vals - target))), tol_exact, "exact"
     stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     measured = abs(float(np.mean(vals)) - target)
     return measured, tol_stat * stderr + tol_exact, "statistical (sampled ensemble)"

@@ -1,15 +1,14 @@
 """Executable protocol constructions on top of the channel/fidelity layers.
 
 Covers classically-assisted twirled channels (finite unitary ensembles stand
-in for the continuous average; the single-qubit Clifford group does so
-exactly), teleportation over a shared resource state, and the greedy
-extraction of well-transmitted subspaces together with the phase-averaging
-fidelity bound.
+in for the continuous average, the single-qubit Clifford group exactly; the
+twirl is taken on the Choi matrix), teleportation over a shared resource
+state, and the greedy extraction of well-transmitted subspaces together with
+the phase-averaging fidelity bound.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,7 +17,6 @@ import numpy as np
 
 from ._optim import minimize_product_states
 from .channels import (
-    MAX_KRAUS,
     ConnectionGraph,
     KrausChannel,
     block_kraus,
@@ -36,14 +34,18 @@ from .fidelities import (
     min_subspace_fidelity,
 )
 from .linalg import (
+    MAX_DIM,
     UNITARITY_TOL,
     DensityOperator,
     SystemLayout,
     clip_spectrum,
     eigh,
     haar_unitary,
-    kron_all,
 )
+
+
+# Eigenvalues of a Choi matrix or resource state below this carry no Kraus operator.
+SPECTRUM_FLOOR = 1e-14
 
 
 class ExtractionError(PolychanError):
@@ -122,14 +124,23 @@ def haar_ensemble(d: int, size: int, rng: np.random.Generator) -> UnitaryEnsembl
     return UnitaryEnsemble([haar_unitary(d, rng) for _ in range(size)])
 
 
+def _scaled_eigenvectors(h: np.ndarray) -> np.ndarray:
+    """Rows sqrt(w) v over the eigenpairs of a PSD matrix with w >= SPECTRUM_FLOOR."""
+    w, v = eigh(h)
+    w = clip_spectrum(w)
+    keep = w >= SPECTRUM_FLOOR
+    return (v[:, keep] * np.sqrt(w[keep])).T
+
+
 def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
-                  ensembles: Sequence[UnitaryEnsemble],
-                  max_kraus: int = MAX_KRAUS) -> KrausChannel:
+                  ensembles: Sequence[UnitaryEnsemble]) -> KrausChannel:
     """Average the channel over per-connection unitary conjugations.
 
-    The classical message (which unitary was drawn) is simulated by the uniform
-    Kraus mixture ``(1/sqrt(N)) U^dag A U``.
-    """
+    The message (which unitary was drawn) is averaged out of the Choi matrix J
+    one connection at a time; the twirls act on different legs and commute, so
+    this is the mixture ``(1/sqrt(N)) U^dag A U`` over the product ensemble.
+    At most ``d_in * d_out`` Kraus operators are read off J's spectrum; J must
+    be at most ``MAX_DIM`` on a side."""
     check_graph_compatible(ch, graph)
     if len(ensembles) != graph.size:
         raise ValueError(f"need one ensemble per connection ({graph.size})")
@@ -138,21 +149,33 @@ def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
             raise ValueError(
                 f"ensemble {i} has dimension {ens.dim}, connection needs {graph.dims[i]}"
             )
-    n_total = 1
-    for ens in ensembles:
-        n_total *= len(ens)
-    count = n_total * ch.num_kraus
-    if count > max_kraus:
-        raise CapExceededError(f"twirl would need {count} Kraus operators (cap {max_kraus})")
+    side = ch.in_dim * ch.out_dim
+    if side > MAX_DIM:
+        raise CapExceededError(f"twirl needs a {side}x{side} Choi matrix (cap {MAX_DIM})")
 
-    scale = 1.0 / np.sqrt(n_total)
-    d = graph.total_dim()
-    stack = connection_kraus(ch, graph).reshape(-1, d, d)
-    k = len(stack)
-    ops = np.empty((count, d, d), dtype=complex)
-    for j, combo in enumerate(itertools.product(*[e.elements for e in ensembles])):
-        w = kron_all(combo)
-        ops[j * k : (j + 1) * k] = scale * (w.conj().T @ stack @ w)
+    vecs = connection_kraus(ch, graph).reshape(ch.num_kraus, side)
+    # legs of J: (outputs, inputs) of the row vector, then of the column vector
+    choi = (vecs.T @ vecs.conj()).reshape(graph.dims * 4)
+    for j, ens in enumerate(ensembles):
+        legs = range(j, 4 * graph.size, graph.size)
+        u = np.stack(ens.elements)
+        factors = (u.conj(), u, u, u.conj())
+        if ens.dim ** 8 <= choi.size:
+            # one contraction with the superoperator (1/N) sum_U (conj U x U) x (U x conj U)
+            sup = np.einsum("nab,ncd,nef,ngh->bdfhaceg", *factors) / len(ens)
+            choi = np.moveaxis(np.tensordot(sup, choi, axes=(range(4, 8), legs)),
+                               range(4), legs)
+            continue
+        # a superoperator larger than J is not formed (d = 16 would need 4.3e9
+        # entries); the elements are applied one at a time instead
+        total = np.zeros_like(choi)
+        for mats in zip(*factors):
+            term = choi
+            for leg, m in zip(legs, mats):
+                term = np.moveaxis(np.tensordot(m, term, axes=(0, leg)), 0, leg)
+            total += term
+        choi = total / len(ens)
+    ops = _scaled_eigenvectors(choi.reshape(side, side))
     return KrausChannel(block_kraus(ops, graph), ch.in_layout, ch.out_layout)
 
 
@@ -167,17 +190,9 @@ def teleport_channel(resource: DensityOperator) -> KrausChannel:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"teleportation resource must live on d x d legs, got {dims}")
     d = dims[0]
-    w, v = eigh(resource.matrix)
-    w = clip_spectrum(w)
-    ops = []
-    for u in weyl_operators(d):
-        bell = u / np.sqrt(d)  # amplitude matrix of (U x I) |Phi+> over (input, resource A)
-        for r in range(len(w)):
-            if w[r] < 1e-14:
-                continue
-            chi = v[:, r].reshape(d, d)
-            m = (bell.conj() @ chi).T
-            ops.append(np.sqrt(w[r]) * (u @ m))
+    chis = _scaled_eigenvectors(resource.matrix).reshape(-1, d, d)
+    # u / sqrt(d) is the amplitude matrix of (U x I) |Phi+> over (input, resource A)
+    ops = [u @ ((u / np.sqrt(d)).conj() @ chi).T for u in weyl_operators(d) for chi in chis]
     layout = SystemLayout([d])
     return KrausChannel(ops, layout, layout)
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import re
 
 import numpy as np
@@ -338,6 +339,20 @@ class TestChannelIO:
         assert old in text
         with pytest.raises(ChannelFormatError, match=re.escape(f"'{field}'")):
             read_channel(text.replace(old, new))
+
+    @pytest.mark.parametrize("entry, field", [
+        ([True, False], "kraus[1][0][1]"),
+        (["1.0", "0"], "kraus[1][0][1]"),
+        ([float("nan"), 0.0], "kraus[1][0][1]"),
+        ([0.0, float("-inf")], "kraus[1][0][1]"),
+        ([0.5], "kraus[1][0]"),
+        (0.5, "kraus[1][0]"),
+    ], ids=["booleans", "strings", "nan", "infinity", "short_pair", "bare_number"])
+    def test_rejects_non_numeric_kraus_entries(self, entry, field):
+        doc = json.loads(write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2)))
+        doc["kraus"][1][0][1] = entry
+        with pytest.raises(ChannelFormatError, match=re.escape(f"'{field}'")):
+            read_channel(json.dumps(doc))
 
     def test_rejects_missing_connection_field(self):
         text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))

@@ -17,6 +17,7 @@ from polychan import (
     SystemLayout,
     apply_with_reference,
     check_dpi,
+    clifford_1q,
     continuity_gap,
     depolarizing,
     dephasing,
@@ -38,6 +39,7 @@ from polychan.cli import (
     main,
 )
 from polychan.linalg import kron_all
+from test_protocols import choi_matrix, mixture_twirl
 
 
 @pytest.fixture
@@ -257,9 +259,9 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: need restarts >= 0 and at least")
 
-    def test_large_kraus_pair_falls_back_to_sampled(self, tmp_path, capsys):
-        # 24^2 * 8 Kraus operators would blow the cap; the twirl check must
-        # degrade to the sampled-ensemble mode instead of dying
+    def test_large_kraus_pair_runs_exact(self, tmp_path, capsys):
+        # the Clifford twirl's mixture would have 24^2 * 8 Kraus operators; the
+        # twirl has at most 16, so the check stays exact
         graph = ConnectionGraph.diagonal([2, 2])
         ch = product_channel([dephasing(0.15), depolarizing(2, 0.4)], graph)
         path = tmp_path / "pair8.json"
@@ -269,7 +271,8 @@ class TestVerifyCommand:
         rows = rows_from_csv(capsys.readouterr().out)
         assert code == 0
         twirl_row = [r for r in rows if r["check"] == "two_design_twirl"][0]
-        assert twirl_row["mode"] == "statistical (sampled ensemble)"
+        assert twirl_row["mode"] == "exact"
+        assert twirl_row["status"] == "pass"
 
 
 def oracle_output_state(conn_ch, graph, rng):
@@ -401,15 +404,19 @@ class TestTwirlCommand:
         code = main(["twirl", str(src), "--out", str(out), "--seed", "1"])
         assert code == 0
         ch, g = read_channel(out.read_text())
-        assert ch.num_kraus == 48
+        assert ch.num_kraus <= 4
+        oracle = mixture_twirl(dephasing(0.3), graph, [clifford_1q()])
+        assert np.max(np.abs(choi_matrix(ch) - choi_matrix(oracle))) <= 1e-12
         assert g.connections == graph.connections
 
-    def test_cap_exceeded(self, tmp_path):
-        graph = ConnectionGraph.diagonal([2, 2])
-        ch = product_channel([depolarizing(2, 0.5), depolarizing(2, 0.5)], graph)
+    def test_cap_exceeded(self, tmp_path, capsys):
+        # a 65-dim connection needs a 4225 x 4225 Choi matrix, past MAX_DIM
+        graph = ConnectionGraph.single(65)
         src = tmp_path / "big.json"
-        src.write_text(write_channel(ch, graph))
-        assert main(["twirl", str(src), "--seed", "1", "--out", str(tmp_path / "o.json")]) == 3
+        src.write_text(write_channel(identity_channel([65]), graph))
+        assert main(["twirl", str(src), "--seed", "1", "--ensemble-size", "4",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "4225x4225 Choi matrix" in capsys.readouterr().err
 
 
 class TestTeleportCommand:

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,11 +34,34 @@ from polychan import (
     twirl_channel,
     validate,
 )
+from polychan.channels import block_kraus, connection_kraus
 from polychan.errors import CapExceededError
 from polychan.protocols import ExtractionError
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
+# sender-major input blocks (1, 2, 0), receiver-major output blocks (1, 0, 2)
+SHUFFLED_GRAPH = ConnectionGraph([(1, 1, 2), (0, 0, 3), (0, 1, 2)])
+CROSS5_GRAPH = ConnectionGraph([(s, r, 2) for s, r in [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)]])
+
+
+def mixture_twirl(ch, graph, ensembles):
+    """Oracle: the twirl as its full Kraus mixture, (1/sqrt(N)) W^dag A W for every
+    A and every W = U_0 x ... x U_{g-1} over the product of the ensembles."""
+    n = int(np.prod([len(e) for e in ensembles]))
+    d = graph.total_dim()
+    stack = connection_kraus(ch, graph).reshape(-1, d, d)
+    ops = []
+    for combo in itertools.product(*[e.elements for e in ensembles]):
+        w = functools.reduce(np.kron, combo)
+        ops.extend(w.conj().T @ a @ w / np.sqrt(n) for a in stack)
+    return KrausChannel(block_kraus(np.array(ops), graph), ch.in_layout, ch.out_layout)
+
+
+def choi_matrix(ch):
+    """sum_K vec(A_K) vec(A_K)^dag over the channel's own (block-ordered) Kraus operators."""
+    vecs = ch.kraus_stack().reshape(ch.num_kraus, -1)
+    return vecs.T @ vecs.conj()
 
 
 def canon_key(u):
@@ -136,10 +162,55 @@ class TestTwirl:
         assert abs(average_fidelity_exact(tw, graph)
                    - average_fidelity_exact(ch, graph)) < 1e-9
 
-    def test_kraus_cap(self, rng):
-        ch = random_channel(2, 2, 8, rng)
-        with pytest.raises(CapExceededError):
-            twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()], max_kraus=100)
+    def test_choi_cap(self, rng):
+        # a 65-dim connection needs a 4225 x 4225 Choi matrix, past MAX_DIM
+        graph = ConnectionGraph.single(65)
+        with pytest.raises(CapExceededError, match="4225x4225"):
+            twirl_channel(identity_channel([65]), graph, [haar_ensemble(65, 4, rng)])
+
+    @pytest.mark.parametrize("case", ["qubit", "dephasing_pair", "qutrit_haar", "shuffled",
+                                      "dim16_haar"])
+    def test_matches_kraus_mixture(self, case):
+        rng = make_rng(5)
+        cliff = clifford_1q()
+        if case == "qubit":
+            ch, graph, ensembles = random_channel(2, 2, 2, rng), QUBIT_GRAPH, [cliff]
+        elif case == "dephasing_pair":
+            ch = product_channel([dephasing(0.1), dephasing(0.4)], PAIR_GRAPH)
+            graph, ensembles = PAIR_GRAPH, [cliff, cliff]
+        elif case == "qutrit_haar":
+            ch, graph = random_channel(3, 3, 3, rng), ConnectionGraph.single(3)
+            ensembles = [haar_ensemble(3, 64, rng)]
+        elif case == "shuffled":
+            ch, graph = random_channel(12, 12, 2, rng), SHUFFLED_GRAPH
+            ensembles = [cliff, haar_ensemble(3, 3, rng), cliff]
+        else:
+            # its twirl superoperator would have 16^8 entries, so it is never formed
+            ch, graph = random_channel(16, 16, 2, rng), ConnectionGraph.single(16)
+            ensembles = [haar_ensemble(16, 4, rng)]
+        tw = twirl_channel(ch, graph, ensembles)
+        assert tw.num_kraus <= ch.in_dim * ch.out_dim
+        assert validate(tw).passed
+        oracle = choi_matrix(mixture_twirl(ch, graph, ensembles))
+        assert np.max(np.abs(choi_matrix(tw) - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["readme_pair", "cross5"])
+    def test_exact_twirl_past_the_old_kraus_count(self, case):
+        # 24^2 * 8 and 24^5 * 3 mixture operators; the Clifford twirl must
+        # still make every pure-state fidelity the exact average
+        rng = make_rng(9)
+        if case == "readme_pair":
+            graph = PAIR_GRAPH
+            ch = product_channel([dephasing(0.1), depolarizing(2, 0.3)], graph)
+        else:
+            graph, ch = CROSS5_GRAPH, random_channel(32, 32, 3, rng)
+        tw = twirl_channel(ch, graph, [clifford_1q()] * graph.size)
+        assert tw.num_kraus <= ch.in_dim * ch.out_dim
+        target = average_fidelity_exact(ch, graph)
+        vals = [pure_state_fidelity(tw, graph, [haar_state(d, s) for d in graph.dims])
+                for s in split_rng(rng, 10)]
+        assert max(vals) - min(vals) <= 1e-8
+        assert max(abs(v - target) for v in vals) <= 1e-8
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
