@@ -8,11 +8,14 @@ evaluated at the returned state, up to optimizer suboptimality.
 
 The objective is evaluated for a whole batch of candidate states at once
 (every line-search point of a descent step): each connection's channel
-marginal is precomputed as a superoperator, and the reduced states of all
-rows come from stacked matmuls and one batched eigenvalue call per spectrum,
-in row blocks of bounded memory.  Its exact gradient, on the same row blocks,
-pulls I_R (x) log2 rho_B - log2 rho_RB back through the adjoint
-superoperators (see ``_RegionProblem``).
+marginal is precomputed as a superoperator.  Since the input is a product
+across senders, every other sender enters a connection only through its input
+marginal, which is folded into the superoperator row by row; the folded map
+then acts on the state of the one sender that holds the connection.  Stacked
+matmuls and one batched eigenvalue call per spectrum finish the job, in row
+blocks of bounded memory.  Its exact gradient, on the same row blocks, pulls
+I_R (x) log2 rho_B - log2 rho_RB back onto each sender's own legs (see
+``_RegionProblem``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .linalg import (
 
 BLOCKLENGTH_CAP = 3
 
-# Largest sigma_i stack (bytes) one block of the batched region objective may hold.
+# Bytes of the sigma_i, folded-map and rho_RB stacks that one block of the batched
+# region objective may hold.
 OBJECTIVE_BLOCK_BYTES = 1 << 19
 
 
@@ -156,17 +160,25 @@ class _RegionProblem:
     (d_i^2, d_in^2) matrix acting on row-major vectorized operators.  At
     blocklength n it is the n-th Kronecker power of the one-use map, which one
     contraction builds from the K Kraus operators; neither the n-fold Kraus set
-    nor the full Liouville matrix is ever formed.  :meth:`coherent_infos`
-    evaluates a stack of inputs at once: sigma_i = Tr_{R != i} |psi><psi| by a
-    stacked matmul, then the superoperator, then one batched eigenvalue call
-    per spectrum.  :meth:`packed_gradient` reuses the same leg view and reduced
-    states, with eigenvectors.
+    nor the full Liouville matrix is ever formed.
 
-    Rows are evaluated in blocks whose sigma_i stack stays under
-    ``OBJECTIVE_BLOCK_BYTES`` (8 rows on a qubit pair at n = 2, about 64 KB per
-    row), so a long batch does not raise peak memory.  Every product is a stack
-    of small matmuls, never one tall 2-D GEMM, which would wake a second BLAS
-    thread.
+    The input is a product across senders, so a sender w other than s(i), the
+    one that holds connection i, enters B_i only through its input marginal
+    rho_{A_w} = Tr_{R_w} |psi_w><psi_w|.  For each row,
+    :meth:`coherent_infos` folds those marginals into the superoperator; the
+    folded map acts on sender s(i)'s inputs alone and is applied to
+    sigma_i = Tr_{refs of s(i) other than R_i} |psi_s><psi_s|.  One batched
+    eigenvalue call per spectrum follows.  A single-sender graph folds over an
+    empty product and takes the same path.  :meth:`packed_gradient` reuses the
+    folded map, sigma_i and the marginals, with eigenvectors.
+
+    The fold reads each superoperator in fold order (``fold_ops``): one
+    (other senders' input pairs, (b, b')) matrix per input pair (a, a') of
+    s(i).  Rows are evaluated in blocks whose sigma_i, folded-map and rho_RB
+    stacks stay under ``OBJECTIVE_BLOCK_BYTES`` (32 rows on a qubit pair at
+    n = 2, about 16 KB per row), so a long batch does not raise peak memory.
+    Every product is a stack of small matmuls or an einsum, never one tall 2-D
+    GEMM, which would wake a second BLAS thread.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph, n: int):
@@ -180,25 +192,25 @@ class _RegionProblem:
         g = self.graph.size
         self.block_dims = self.graph.dims  # per-connection dims at blocklength n
         self.groups = [grp for grp in self.graph.sender_groups() if grp]
-        # sender part dimensions: refs then inputs, one pair of blocks per connection
-        self.part_dims = [
-            int(np.prod([self.block_dims[i] for i in grp])) ** 2 for grp in self.groups
-        ]
-        # joint legs (sender-major): per sender, ref blocks then input blocks
-        legs = [(side, i) for grp in self.groups for side in "RA" for i in grp]
-        pos = {leg: p for p, leg in enumerate(legs)}
-        self.joint_leg_dims = leg_dims = [self.block_dims[i] for _, i in legs]
-        # per connection: joint legs -> (R_i, the other refs, the inputs in index order)
-        self.leg_axes = []
-        for i in range(g):
-            refs = [pos["R", i]] + [pos["R", j] for j in range(g) if j != i]
-            axes = [0] + [1 + p for p in refs + [pos["A", j] for j in range(g)]]
-            self.leg_axes.append((axes, [leg_dims[a - 1] for a in axes[1:]], np.argsort(axes)))
-        self.d_in = d_in = self.graph.total_dim()
+        # a sender's part holds its ref blocks, then its input blocks, in connection order
+        self.input_legs = [[self.block_dims[i] for i in grp] for grp in self.groups]
+        self.input_dims = [int(np.prod(legs)) for legs in self.input_legs]
+        self.part_dims = [d * d for d in self.input_dims]
+        self.sender = [w for i in range(g) for w, grp in enumerate(self.groups) if i in grp]
+        # per connection: its sender's part legs -> (R_i, the sender's other refs, its inputs)
+        self.ref_axes = []
+        for i, w in enumerate(self.sender):
+            grp = self.groups[w]
+            p = grp.index(i)
+            axes = [0, 1 + p] + [1 + q for q in range(len(grp)) if q != p] + [1 + len(grp)]
+            self.ref_axes.append((axes, np.argsort(axes)))
+        d_in = self.graph.total_dim()
         kraus, dims = connection_kraus(ch, graph), graph.dims
         # the n-use power's legs, copy after copy -> each leg's n copies together
         axes = copy_grouping(2, n) + [2 * n + a for a in copy_grouping(2 * g, n)]
-        self.superops_t, self.adjoints = [], []
+        # a sender's (a, a') input legs among the superoperator's (x, x', (b, b')) legs
+        in_legs = [grp + [g + j for j in grp] for grp in self.groups]
+        self.superops_t, self.adjoints, self.fold_ops = [], [], []
         for i in range(g):
             d = self.block_dims[i]
             # one use: sup1[(b, b'), (x, x')] = sum over k and the other outputs c of
@@ -213,8 +225,18 @@ class _RegionProblem:
             # the adjoint map is sup^dag, stored as adj[x][(b, b'), x'] = conj(sup)[(b, b'), (x, x')]
             self.adjoints.append(np.ascontiguousarray(
                 sup.conj().reshape(d * d, d_in, d_in).transpose(1, 0, 2)))
-        widest = max(d * d_in for d in self.block_dims)
-        self.block_rows = max(1, OBJECTIVE_BLOCK_BYTES // (16 * widest**2))
+            # fold order: [(a, a'), (o, o'), (b, b')], a over s(i)'s inputs and o over the
+            # other senders' inputs, sender after sender, each sender's (o, o') together
+            s = self.sender[i]
+            order = in_legs[s] + [a for w, ax in enumerate(in_legs) if w != s for a in ax]
+            legs = self.superops_t[i].reshape(*self.block_dims * 2, d * d)
+            legs = np.ascontiguousarray(legs.transpose(order + [2 * g]))
+            self.fold_ops.append(legs.reshape(self.part_dims[s], -1, d * d))
+        # a block row holds sigma_i and the folded map, d_i^2 D_s^2 entries each, and rho_RB
+        # with the untransposed rho it is copied from, d_i^4 entries each
+        row_bytes = max(32 * d * d * (self.part_dims[w] + d * d)
+                        for d, w in zip(self.block_dims, self.sender))
+        self.block_rows = max(1, OBJECTIVE_BLOCK_BYTES // row_bytes)
 
     def coherent_infos(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """I_c(R_i > B_i) per connection for a stack of product inputs, in bits.
@@ -230,38 +252,57 @@ class _RegionProblem:
         return out
 
     def _block_infos(self, parts: list[np.ndarray]) -> np.ndarray:
-        ket = kron_rows(parts)
-        infos = np.empty((ket.shape[0], self.graph.size))
+        marginals = self._input_marginals(parts)
+        infos = np.empty((parts[0].shape[0], self.graph.size))
         for i in range(self.graph.size):
-            rho_rb, rho_b = self._output_states(self._connection_legs(ket, i), i)
+            rho_rb, rho_b = self._folded_states(parts, marginals, i)[3:]
             s_rb = entropy_of_spectrum(eigh(rho_rb, vectors=False)[0])
             s_b = entropy_of_spectrum(eigh(rho_b, vectors=False)[0])
             infos[:, i] = s_b - s_rb
         return infos
 
-    def _connection_legs(self, ket: np.ndarray, i: int, inverse: bool = False) -> np.ndarray:
-        """Sender-major kets (rows, D) -> psi[row, r, o, x] for connection i, or back.
+    def _input_marginals(self, parts: list[np.ndarray]) -> list[np.ndarray]:
+        """Each sender's rho_{A_w}[row, (a, a')] = sum_r psi_w[r, a] conj(psi_w[r, a'])."""
+        out = []
+        for part, d in zip(parts, self.input_dims):
+            psi = part.reshape(-1, d, d)
+            out.append((psi.swapaxes(1, 2) @ psi.conj()).reshape(-1, d * d))
+        return out
 
-        r runs over R_i, o over the other refs, x over the joint input (one
-        block per connection, in index order).  With ``inverse`` an array shaped like psi
-        goes back to sender-major rows.
+    def _sender_legs(self, part: np.ndarray, i: int, inverse: bool = False) -> np.ndarray:
+        """Sender s(i)'s rows (rows, D_s^2) -> psi[row, r, o, a] for connection i, or back.
+
+        r runs over R_i, o over the sender's other refs and a over its inputs.
+        With ``inverse`` an array shaped like psi goes back to the sender's rows.
         """
-        axes, dims, back = self.leg_axes[i]
-        rows = ket.shape[0]
+        w = self.sender[i]
+        axes, back = self.ref_axes[i]
+        rows, dims = part.shape[0], [*self.input_legs[w], self.input_dims[w]]
         if inverse:
-            return ket.reshape(rows, *dims).transpose(back).reshape(rows, -1)
-        legs = ket.reshape(rows, *self.joint_leg_dims).transpose(axes)
-        return legs.reshape(rows, dims[0], -1, self.d_in)
+            return part.reshape(rows, *(dims[a - 1] for a in axes[1:])).transpose(back).reshape(
+                rows, -1)
+        legs = part.reshape(rows, *dims).transpose(axes)
+        return legs.reshape(rows, self.block_dims[i], -1, dims[-1])
 
-    def _output_states(self, psi: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """rho_RB, shape (rows, d^2, d^2), and rho_B of connection i from psi[row, r, o, x]."""
+    def _folded_states(self, parts: list[np.ndarray], marginals: list[np.ndarray], i: int
+                       ) -> tuple[np.ndarray, ...]:
+        """psi, sigma_i, the folded map, rho_RB and rho_B of connection i on a block of rows.
+
+        sigma[row, (r, r'), (a, a')] = sum_o psi[r, o, a] conj(psi[r', o, a']),
+        fold[row, (a, a'), (b, b')] and rho_RB has shape (rows, d^2, d^2).
+        """
+        s = self.sender[i]
+        psi = self._sender_legs(parts[s], i)
         rows, d = psi.shape[:2]
-        # sigma[r, r', x, x'] = sum_o psi[r, o, x] conj(psi[r', o, x']), one small
-        # matmul per (row, r, r') so the input pair lands contiguous for the superoperator
-        sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
-        rho = (sigma.reshape(rows, d * d, -1) @ self.superops_t[i]).reshape(rows, d, d, d, d)
+        # one small matmul per (row, r, r') so the input pair lands contiguous for the map
+        sigma = (psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]).reshape(rows, d * d, -1)
+        # the other senders' marginals, one Kronecker product per row (ones when there are none),
+        # folded in by one (rows, P) @ (P, d^2) product per input pair (a, a')
+        rho_o = kron_rows([np.ones((rows, 1))] + [m for w, m in enumerate(marginals) if w != s])
+        fold = (rho_o @ self.fold_ops[i]).swapaxes(0, 1)
+        rho = (sigma @ fold).reshape(rows, d, d, d, d)
         rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
-        return rho_rb, np.trace(rho, axis1=1, axis2=2)
+        return psi, sigma, fold, rho_rb, np.trace(rho, axis1=1, axis2=2)
 
     def packed_gradient(self, parts: Sequence[np.ndarray], weights: np.ndarray
                         ) -> list[np.ndarray]:
@@ -269,13 +310,16 @@ class _RegionProblem:
 
         With X_i = I_R (x) log2 rho_B - log2 rho_RB, d(-I_c) = tr[X_i d rho_RB]
         (the trace terms of dS cancel between the two entropies).  The adjoint
-        superoperator pulls X_i back to Y_i on (R_i, input), and
-        df/d conj(psi) = sum_i w_i (Y_i (x) I) psi.  Eigenvalues are floored
-        inside the log: <k|d rho|k> = 0 on ker rho along every direction, so
-        the floor multiplies zero and the gradient stays exact at rank-deficient
-        points.  ``parts[w]`` holds sender w's unit vectors, shape
-        (rows, part_dims[w]); the result is df/d conj(c_w) per sender, in the
-        same shapes.
+        of the folded map pulls X_i back to Y_i on (R_i, the inputs of s(i)),
+        and df/d conj(psi_s) gets w_i (Y_i (x) I) psi_s.  Every other sender w
+        gets Q_w on its inputs alone, with tr[X_i rho_RB] = tr[Q_w^T rho_{A_w}]:
+        the superoperator contracted with conj(X_i), sigma_i and the remaining
+        marginals.  df/d conj(psi_w) gets w_i (I_R (x) Q_w^T) psi_w.
+        Eigenvalues are floored inside the log:
+        <k|d rho|k> = 0 on ker rho along every direction, so the floor
+        multiplies zero and the gradient stays exact at rank-deficient points.
+        ``parts[w]`` holds sender w's unit vectors, shape (rows, part_dims[w]);
+        the result is df/d conj(c_w) per sender, in the same shapes.
         """
         rows = parts[0].shape[0]
         blocks = [self._block_gradient([p[lo : lo + self.block_rows] for p in parts], weights)
@@ -284,35 +328,44 @@ class _RegionProblem:
 
     def _block_gradient(self, parts: list[np.ndarray], weights: np.ndarray
                         ) -> list[np.ndarray]:
-        ket = kron_rows(parts)
-        rows = ket.shape[0]
-        grad = np.zeros_like(ket)
-        d_in = self.d_in
-        for i, (d, adj) in enumerate(zip(self.block_dims, self.adjoints)):
+        marginals = self._input_marginals(parts)
+        grads = [np.zeros_like(p) for p in parts]
+        rows = parts[0].shape[0]
+        for i, d in enumerate(self.block_dims):
             if weights[i] == 0:
                 continue
-            psi = self._connection_legs(ket, i)
-            rho_rb, rho_b = self._output_states(psi, i)
+            s = self.sender[i]
+            psi, sigma, fold, rho_rb, rho_b = self._folded_states(parts, marginals, i)
+            da = psi.shape[3]
             # X[(r, r'), (b, b')] = delta_rr' log2 rho_B[b, b'] - log2 rho_RB[(r, b), (r', b')]
             log_rb = _log2m(rho_rb).reshape(rows, d, d, d, d).transpose(0, 1, 3, 2, 4)
             x_rr = np.eye(d)[:, :, None, None] * _log2m(rho_b)[:, None, None] - log_rb
-            # pulled back to Y[x, (r, r'), x']; every product is a stack of small matmuls
-            # (a wide 2-D GEMM wakes a second BLAS thread)
-            y = (x_rr.reshape(rows, 1, d * d, -1) @ adj).reshape(rows, d_in, d, d, d_in)
-            y = y.transpose(0, 2, 1, 3, 4).reshape(rows, d, d_in, d * d_in)
-            # (Y (x) I_o) psi: sum over (r', x'), stacked over rows and r -> [r, x, o]
-            y_psi = y @ psi.swapaxes(2, 3).reshape(rows, 1, d * d_in, -1)
-            grad += weights[i] * self._connection_legs(y_psi.swapaxes(2, 3), i, inverse=True)
-        grad = grad.reshape(rows, *self.part_dims)
-        senders = range(len(parts))
-        out = []
-        for w in senders:
-            args = [grad, [0, *(v + 1 for v in senders)]]
-            for v in senders:
-                if v != w:
-                    args += [parts[v].conj(), [0, v + 1]]
-            out.append(np.einsum(*args, [0, w + 1]))
-        return out
+            x_rr = x_rr.reshape(rows, d * d, d * d)
+            # pulled back through the folded map's adjoint to Y[r, a, (r', a')]
+            y = (x_rr @ fold.conj().swapaxes(1, 2)).reshape(rows, d, d, da, da)
+            y = y.transpose(0, 1, 3, 2, 4).reshape(rows, d, da, d * da)
+            # (Y (x) I_o) psi: sum over (r', a'), stacked over rows and r -> [r, a, o]
+            y_psi = y @ psi.swapaxes(2, 3).reshape(rows, 1, d * da, -1)
+            grads[s] += weights[i] * self._sender_legs(y_psi.swapaxes(2, 3), i, inverse=True)
+            others = [w for w in range(len(parts)) if w != s]
+            if not others:
+                continue
+            # H[(a, a'), row, (b, b')] = sum_rr' sigma[(r, r'), (a, a')] conj(X)[(r, r'), (b, b')],
+            # then q[row, (o, o')] = sum over (a, a') and (b, b') of fold_ops[(a, a'), (o, o'),
+            # (b, b')] H: one (rows, d^2) @ (d^2, P) product per input pair (a, a')
+            h = (sigma.swapaxes(1, 2) @ x_rr.conj()).swapaxes(0, 1)
+            q = (h @ self.fold_ops[i].swapaxes(1, 2)).sum(axis=0)
+            q = q.reshape(rows, *(self.part_dims[w] for w in others))
+            for k, w in enumerate(others):
+                # contract the remaining marginals, leaving Q_w[row, (a, a')]
+                args = [q, list(range(len(others) + 1))]
+                for kv, v in enumerate(others):
+                    if v != w:
+                        args += [marginals[v], [0, kv + 1]]
+                dw = self.input_dims[w]
+                q_w = np.einsum(*args, [0, k + 1]).reshape(rows, dw, dw)
+                grads[w] += weights[i] * (parts[w].reshape(rows, dw, dw) @ q_w).reshape(rows, -1)
+        return grads
 
 
 def _log2m(rho: np.ndarray) -> np.ndarray:

@@ -293,13 +293,12 @@ def apply_with_reference(ch: KrausChannel | np.ndarray, rho: DensityOperator, re
     return DensityOperator(m.reshape(lead + (d_ref * d_out, -1)), layout)
 
 
-def tensor(ch1: KrausChannel, ch2: KrausChannel, max_kraus: int = MAX_KRAUS,
-           max_dim: int = MAX_DIM) -> KrausChannel:
+def tensor(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """Parallel composition; layouts concatenate, Kraus sets multiply."""
     count = ch1.num_kraus * ch2.num_kraus
-    if count > max_kraus:
-        raise CapExceededError(f"tensor would need {count} Kraus operators (cap {max_kraus})")
-    ops = [kron(a, b, max_dim=max_dim) for a in ch1.kraus_ops for b in ch2.kraus_ops]
+    if count > MAX_KRAUS:
+        raise CapExceededError(f"tensor would need {count} Kraus operators (cap {MAX_KRAUS})")
+    ops = [kron(a, b) for a in ch1.kraus_ops for b in ch2.kraus_ops]
     return KrausChannel(ops, ch1.in_layout.concat(ch2.in_layout),
                         ch1.out_layout.concat(ch2.out_layout))
 
@@ -317,19 +316,18 @@ def _leg_grouping_index(dims_single: Sequence[int], n: int) -> np.ndarray:
     return permute_legs_vector(np.arange(int(np.prod(dims))), dims, order)
 
 
-def tensor_power(ch: KrausChannel, n: int, max_kraus: int = MAX_KRAUS,
-                 max_dim: int = MAX_DIM) -> KrausChannel:
+def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
     """n-fold tensor power with legs regrouped so all copies of a leg sit together."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     if n == 1:
         return ch
-    if ch.num_kraus**n > max_kraus:
+    if ch.num_kraus**n > MAX_KRAUS:
         raise CapExceededError(
-            f"tensor power would need {ch.num_kraus ** n} Kraus operators (cap {max_kraus})"
+            f"tensor power would need {ch.num_kraus ** n} Kraus operators (cap {MAX_KRAUS})"
         )
-    if ch.in_dim**n > max_dim or ch.out_dim**n > max_dim:
-        raise CapExceededError(f"tensor power dimension exceeds the configured maximum {max_dim}")
+    if ch.in_dim**n > MAX_DIM or ch.out_dim**n > MAX_DIM:
+        raise CapExceededError(f"tensor power dimension exceeds the configured maximum {MAX_DIM}")
     row_map = _leg_grouping_index(ch.out_layout.leg_dims, n)
     col_map = _leg_grouping_index(ch.in_layout.leg_dims, n)
     ops = [functools.reduce(np.kron, combo)[np.ix_(row_map, col_map)]
@@ -339,16 +337,15 @@ def tensor_power(ch: KrausChannel, n: int, max_kraus: int = MAX_KRAUS,
     return KrausChannel(ops, SystemLayout(in_dims), SystemLayout(out_dims))
 
 
-def compose(after: KrausChannel, before: KrausChannel,
-            max_kraus: int = MAX_KRAUS) -> KrausChannel:
+def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Sequential composition: (after . before)(rho) = after(before(rho))."""
     if after.in_dim != before.out_dim:
         raise ValueError(
             f"cannot compose: after expects {after.in_dim}, before produces {before.out_dim}"
         )
     count = after.num_kraus * before.num_kraus
-    if count > max_kraus:
-        raise CapExceededError(f"compose would need {count} Kraus operators (cap {max_kraus})")
+    if count > MAX_KRAUS:
+        raise CapExceededError(f"compose would need {count} Kraus operators (cap {MAX_KRAUS})")
     ops = [b @ a for b in after.kraus_ops for a in before.kraus_ops]
     return KrausChannel(ops, before.in_layout, after.out_layout)
 
@@ -434,8 +431,7 @@ def block_kraus(kraus: np.ndarray, graph: ConnectionGraph) -> np.ndarray:
     return legs.transpose([0] + axes).reshape(-1, d, d)
 
 
-def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph,
-                    max_kraus: int = MAX_KRAUS) -> KrausChannel:
+def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph) -> KrausChannel:
     """Combine one single-connection channel per graph connection into one channel.
 
     ``parts[i]`` acts on connection i; input/output blocks are arranged in the
@@ -450,7 +446,7 @@ def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph,
             )
     combined = parts[0]
     for part in parts[1:]:
-        combined = tensor(combined, part, max_kraus=max_kraus)
+        combined = tensor(combined, part)
     # combined legs are in connection order on both sides
     ops = block_kraus(combined.kraus_stack(), graph)
     return KrausChannel(ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims))

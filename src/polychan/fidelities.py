@@ -133,10 +133,23 @@ def local_entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: Conne
     return group_fidelity(ch, inputs, graph, keep=[i])
 
 
-def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequence) -> float:
-    """Transmission fidelity of a product pure input, identified per connection."""
-    amps = [_pure_amp(psi) for psi in states]
-    return _overlap_fidelity(ch, graph, amps)
+def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequence
+                        ) -> float | np.ndarray:
+    """Transmission fidelity of a product pure input, identified per connection.
+
+    Per-connection stacks of states, shape (rows, d_i), give one fidelity per row.
+    """
+    vecs = [np.asarray(psi, dtype=complex) for psi in states]
+    if not vecs or any(v.ndim != 2 for v in vecs):
+        return _overlap_fidelity(ch, graph, [_pure_amp(v) for v in vecs])
+    check_graph_compatible(ch, graph)
+    _check_amps(graph, vecs)
+    if len({v.shape[0] for v in vecs}) != 1:
+        raise ValueError(f"state stacks differ in length: {[v.shape[0] for v in vecs]}")
+    norms = [np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
+    if any(np.any(nrm == 0) for nrm in norms):
+        raise ValueError("zero vector is not a state")
+    return _batch_pure_fidelity(ch, graph, [v / nrm for v, nrm in zip(vecs, norms)])
 
 
 def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,

@@ -27,10 +27,10 @@ from polychan import (
     split_rng,
     uhlmann_fidelity,
 )
-from polychan.capacity import _lift_sender_states, _RegionProblem
+from polychan.capacity import OBJECTIVE_BLOCK_BYTES, _lift_sender_states, _log2m, _RegionProblem
 from polychan.channels import KrausChannel, connection_kraus, tensor_power
 from polychan.errors import CapExceededError
-from polychan.linalg import permute_legs_vector
+from polychan.linalg import eigh, entropy_of_spectrum, kron_rows, permute_legs_vector
 
 
 def bell_state(d=2):
@@ -503,3 +503,153 @@ class TestRegionGradient:
         h2 = -(0.1 * np.log2(0.1) + 0.9 * np.log2(0.9))
         assert abs(rt.rates[0] - (1.0 - h2)) < 1e-9
         assert abs(rt.achievable[1]) < 1e-9
+
+
+class FullInputRoute:
+    """The full-input route that the folded objective replaced, as an oracle.
+
+    Each connection's reduced input sigma_i = Tr_{other refs} |psi><psi| is
+    taken over the *whole* joint input and pushed through the stored n-use
+    superoperator; the gradient pulls X_i back through the stored adjoint onto
+    (R_i, the joint input) and then onto each sender by the product rule.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        g = problem.graph.size
+        # joint legs (sender-major): per sender, ref blocks then input blocks
+        legs = [(side, i) for grp in problem.groups for side in "RA" for i in grp]
+        pos = {leg: p for p, leg in enumerate(legs)}
+        self.leg_dims = [problem.block_dims[i] for _, i in legs]
+        self.d_in = problem.graph.total_dim()
+        # per connection: joint legs -> (R_i, the other refs, the inputs in index order)
+        self.leg_axes = []
+        for i in range(g):
+            refs = [pos["R", i]] + [pos["R", j] for j in range(g) if j != i]
+            axes = [0] + [1 + p for p in refs + [pos["A", j] for j in range(g)]]
+            self.leg_axes.append((axes, [self.leg_dims[a - 1] for a in axes[1:]],
+                                  np.argsort(axes)))
+
+    def connection_legs(self, ket, i, inverse=False):
+        axes, dims, back = self.leg_axes[i]
+        rows = ket.shape[0]
+        if inverse:
+            return ket.reshape(rows, *dims).transpose(back).reshape(rows, -1)
+        legs = ket.reshape(rows, *self.leg_dims).transpose(axes)
+        return legs.reshape(rows, dims[0], -1, self.d_in)
+
+    def output_states(self, psi, i):
+        rows, d = psi.shape[:2]
+        sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
+        rho = (sigma.reshape(rows, d * d, -1) @ self.problem.superops_t[i]).reshape(
+            rows, d, d, d, d)
+        rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
+        return rho_rb, np.trace(rho, axis1=1, axis2=2)
+
+    def coherent_infos(self, parts):
+        rows = parts[0].shape[0]
+        out = np.empty((rows, self.problem.graph.size))
+        for r in range(rows):
+            ket = kron_rows([p[r : r + 1] for p in parts])
+            for i in range(self.problem.graph.size):
+                rho_rb, rho_b = self.output_states(self.connection_legs(ket, i), i)
+                out[r, i] = (entropy_of_spectrum(eigh(rho_b, vectors=False)[0])
+                             - entropy_of_spectrum(eigh(rho_rb, vectors=False)[0]))[0]
+        return out
+
+    def packed_gradient(self, parts, weights):
+        rows = [self.row_gradient([p[r : r + 1] for p in parts], weights)
+                for r in range(parts[0].shape[0])]
+        return [np.concatenate(g) for g in zip(*rows)]
+
+    def row_gradient(self, parts, weights):
+        problem = self.problem
+        ket = kron_rows(parts)
+        grad = np.zeros_like(ket)
+        d_in = self.d_in
+        for i, (d, adj) in enumerate(zip(problem.block_dims, problem.adjoints)):
+            if weights[i] == 0:
+                continue
+            psi = self.connection_legs(ket, i)
+            rho_rb, rho_b = self.output_states(psi, i)
+            log_rb = _log2m(rho_rb).reshape(1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+            x_rr = np.eye(d)[:, :, None, None] * _log2m(rho_b)[:, None, None] - log_rb
+            y = (x_rr.reshape(1, 1, d * d, -1) @ adj).reshape(1, d_in, d, d, d_in)
+            y = y.transpose(0, 2, 1, 3, 4).reshape(1, d, d_in, d * d_in)
+            y_psi = y @ psi.swapaxes(2, 3).reshape(1, 1, d * d_in, -1)
+            grad += weights[i] * self.connection_legs(y_psi.swapaxes(2, 3), i, inverse=True)
+        grad = grad.reshape(1, *problem.part_dims)
+        senders = range(len(parts))
+        out = []
+        for w in senders:
+            args = [grad, [0, *(v + 1 for v in senders)]]
+            for v in senders:
+                if v != w:
+                    args += [parts[v].conj(), [0, v + 1]]
+            out.append(np.einsum(*args, [0, w + 1]))
+        return out
+
+
+class TestFoldedObjective:
+    """The folded objective and its gradient against the full-input route, row by row."""
+
+    # three senders: each connection has more than one other sender's marginal to fold in
+    GRAPHS = dict(TestRegionGradient.GRAPHS,
+                  three_senders=ConnectionGraph([(0, 0, 2), (1, 0, 2), (2, 1, 2)]))
+
+    @staticmethod
+    def random_parts(problem, rows, rng):
+        parts = []
+        for p in problem.part_dims:
+            z = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+            parts.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+        return parts
+
+    def assert_matches_full_input_route(self, problem, rows, rng):
+        oracle = FullInputRoute(problem)
+        weights = rng.uniform(0.2, 1.5, problem.graph.size)
+        parts = self.random_parts(problem, rows, rng)
+        got = problem.coherent_infos(parts)
+        assert np.max(np.abs(got - oracle.coherent_infos(parts))) < 1e-12
+        for w in (weights, np.where(np.arange(len(weights)) == 1, 0.0, weights)):
+            got = problem.packed_gradient(parts, w)
+            want = oracle.packed_gradient(parts, w)
+            assert [g.shape for g in got] == [(rows, p) for p in problem.part_dims]
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_matches_full_input_route(self, name, n):
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        rng = make_rng(101)
+        problem = _RegionProblem(random_channel(d, d, 3, rng), graph, n)
+        # a batch over two evaluation blocks, the last one ragged
+        problem.block_rows = 3
+        self.assert_matches_full_input_route(problem, 4, rng)
+
+    def test_readme_pair_blocklength_three(self):
+        ch, graph = readme_pair()
+        self.assert_matches_full_input_route(_RegionProblem(ch, graph, 3), 3, make_rng(103))
+
+    @pytest.mark.parametrize("name, n", [("diagonal", 2), ("diagonal", 3), ("broadcast", 2),
+                                         ("two_plus_one", 2), ("shuffled", 1)])
+    def test_block_stacks_fit_the_budget(self, name, n):
+        # one block's sigma_i, folded-map and rho_RB stacks (with the rho that rho_RB is
+        # copied from) stay within OBJECTIVE_BLOCK_BYTES; the widest connection's would not
+        # with one more row
+        graph = self.GRAPHS[name]
+        d = graph.total_dim()
+        rng = make_rng(105)
+        problem = _RegionProblem(random_channel(d, d, 3, rng), graph, n)
+        rows = problem.block_rows
+        parts = self.random_parts(problem, rows, rng)
+        marginals = problem._input_marginals(parts)
+        per_row = []
+        for i in range(graph.size):
+            sigma, fold, rho_rb = problem._folded_states(parts, marginals, i)[1:4]
+            assert sigma.shape[0] == fold.shape[0] == rho_rb.shape[0] == rows
+            held = sigma.nbytes + fold.nbytes + 2 * rho_rb.nbytes
+            assert held <= OBJECTIVE_BLOCK_BYTES
+            per_row.append(held // rows)
+        assert (rows + 1) * max(per_row) > OBJECTIVE_BLOCK_BYTES

@@ -185,6 +185,16 @@ class TestChannelFidelityRoutes:
 
 
 class TestPureStateFidelity:
+    def test_stack_validation(self, rng):
+        states = [np.array([haar_state(2, rng) for _ in range(3)]) for _ in range(2)]
+        with pytest.raises(ValueError):
+            pure_state_fidelity(identity_channel([2, 2]), PAIR_GRAPH, [states[0], states[1][:2]])
+        states[1][1] = 0.0
+        with pytest.raises(ValueError):
+            pure_state_fidelity(identity_channel([2, 2]), PAIR_GRAPH, states)
+        with pytest.raises(ValueError):
+            pure_state_fidelity(identity_channel([2, 2]), PAIR_GRAPH, [states[0][:, :1], states[0]])
+
     def test_identity(self, rng):
         psi = haar_state(2, rng)
         assert abs(pure_state_fidelity(identity_channel([2]), QUBIT_GRAPH, [psi]) - 1) < 1e-10
@@ -492,6 +502,8 @@ class TestCrossedGraph:
                           for dim in graph.dims]
                 got = _batch_pure_fidelity(ch, graph, states)
                 assert got.shape == (rows,)
+                # the stacked public call takes the same route
+                assert np.max(np.abs(pure_state_fidelity(ch, graph, states) - got)) < 1e-12
                 for r in range(rows):
                     want = pure_state_fidelity(ch, graph, [s[r] for s in states])
                     assert abs(got[r] - want) < 1e-12
