@@ -204,13 +204,12 @@ class _RegionProblem:
             p = grp.index(i)
             axes = [0, 1 + p] + [1 + q for q in range(len(grp)) if q != p] + [1 + len(grp)]
             self.ref_axes.append((axes, np.argsort(axes)))
-        d_in = self.graph.total_dim()
         kraus, dims = connection_kraus(ch, graph), graph.dims
         # the n-use power's legs, copy after copy -> each leg's n copies together
         axes = copy_grouping(2, n) + [2 * n + a for a in copy_grouping(2 * g, n)]
         # a sender's (a, a') input legs among the superoperator's (x, x', (b, b')) legs
         in_legs = [grp + [g + j for j in grp] for grp in self.groups]
-        self.superops_t, self.adjoints, self.fold_ops = [], [], []
+        self.fold_ops = []
         for i in range(g):
             d = self.block_dims[i]
             # one use: sup1[(b, b'), (x, x')] = sum over k and the other outputs c of
@@ -219,17 +218,11 @@ class _RegionProblem:
             sup1 = np.einsum("kbcx,kBcX->bBxX", ops, ops.conj()).reshape(dims[i] ** 2, -1)
             power = functools.reduce(np.kron, [sup1] * n)
             sup = power.reshape([dims[i]] * 2 * n + list(dims) * 2 * n).transpose(axes)
-            sup = sup.reshape(d * d, d_in * d_in)
-            # stored transposed and contiguous: it multiplies vectorized operators from the right
-            self.superops_t.append(np.ascontiguousarray(sup.T))
-            # the adjoint map is sup^dag, stored as adj[x][(b, b'), x'] = conj(sup)[(b, b'), (x, x')]
-            self.adjoints.append(np.ascontiguousarray(
-                sup.conj().reshape(d * d, d_in, d_in).transpose(1, 0, 2)))
             # fold order: [(a, a'), (o, o'), (b, b')], a over s(i)'s inputs and o over the
             # other senders' inputs, sender after sender, each sender's (o, o') together
             s = self.sender[i]
             order = in_legs[s] + [a for w, ax in enumerate(in_legs) if w != s for a in ax]
-            legs = self.superops_t[i].reshape(*self.block_dims * 2, d * d)
+            legs = sup.reshape(d * d, -1).T.reshape(*self.block_dims * 2, d * d)
             legs = np.ascontiguousarray(legs.transpose(order + [2 * g]))
             self.fold_ops.append(legs.reshape(self.part_dims[s], -1, d * d))
         # a block row holds sigma_i and the folded map, d_i^2 D_s^2 entries each, and rho_RB

@@ -11,7 +11,6 @@ Exit codes: 0 ok, 1 failed check or invalid channel, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -134,16 +133,14 @@ def cmd_fidelity(args) -> int:
 
     add("channel_fidelity", fidelities.channel_fidelity(ch, graph, "definition"),
         "definition")
-    add("channel_fidelity", fidelities.channel_fidelity(ch, graph, "kraus_trace"),
-        "kraus_trace")
     report = fidelities.channel_fidelity_report(ch, graph)
+    add("channel_fidelity", report.global_value, "kraus_trace")
     for kept in sorted(report.group_values, key=lambda s: (len(s), sorted(s))):
         if len(kept) == graph.size:
             continue
         name = "group_fidelity[" + "+".join(str(i) for i in sorted(kept)) + "]"
         add(name, report.group_values[kept], "kraus_trace")
-    add("average_fidelity", fidelities.average_fidelity_exact(ch, graph),
-        "subset_decomposition")
+    add("average_fidelity", report.average, "subset_decomposition")
     mc_rng, opt_rng = split_rng(rng, 2)
     mean, stderr = fidelities.average_fidelity_mc(ch, graph, args.samples, mc_rng)
     add("average_fidelity", mean, "monte_carlo", stderr)
@@ -211,22 +208,20 @@ def _verify_fixtures(seed: int) -> list[tuple[str, KrausChannel, ConnectionGraph
     ]
 
 
-def _check_average_identity(ch, graph, rng, samples, tol_stat, tol_exact):
+def _check_average_identity(ch, graph, report, rng, samples, tol_stat, tol_exact):
     # statistical band plus the exact-identity floor; the floor covers channels
     # whose integrand is constant (stderr collapses to rounding noise)
-    exact = fidelities.average_fidelity_exact(ch, graph)
     mean, stderr = fidelities.average_fidelity_mc(ch, graph, samples, rng)
-    return abs(mean - exact), tol_stat * stderr + tol_exact, "monte_carlo"
+    return abs(mean - report.average), tol_stat * stderr + tol_exact, "monte_carlo"
 
 
-def _check_route_equality(ch, graph, tol_exact):
+def _check_route_equality(ch, graph, report, tol_exact):
+    # the definitional route against the report's Kraus-route group fidelities
     worst = 0.0
     inputs = [DensityOperator.maximally_mixed([d]) for d in graph.dims]
-    for r in range(1, graph.size + 1):
-        for kept in itertools.combinations(range(graph.size), r):
-            a = fidelities.group_fidelity(ch, inputs, graph, kept)
-            b = fidelities.group_channel_fidelity_kraus(ch, graph, kept)
-            worst = max(worst, abs(a - b))
+    for kept, kraus_value in report.group_values.items():
+        a = fidelities.group_fidelity(ch, inputs, graph, kept)
+        worst = max(worst, abs(a - kraus_value))
     return worst, tol_exact, "exact"
 
 
@@ -305,11 +300,11 @@ def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
     return worst, tol_exact, "sweep"
 
 
-def _check_two_design(ch, graph, rng, ensemble_size, tol_exact, tol_stat):
+def _check_two_design(ch, graph, report, rng, ensemble_size, tol_exact, tol_stat):
     # exact 2-design equality needs qubit connections (the Clifford twirl); other
     # dimensions use sampled ensembles, for which only the Haar mean over inputs
     # is an identity
-    target = fidelities.average_fidelity_exact(ch, graph)
+    target = report.average
     exact = all(d == 2 for d in graph.dims)
     ensembles = ([protocols.clifford_1q()] * graph.size if exact else
                  [protocols.haar_ensemble(d, ensemble_size, rng) for d in graph.dims])
@@ -350,17 +345,19 @@ def cmd_verify(args) -> int:
     all_pass = True
     for name, ch, graph in cases:
         streams = split_rng(rng, 5)
+        report = fidelities.channel_fidelity_report(ch, graph)
         checks = [
             ("average_mc_vs_exact",
-             _check_average_identity(ch, graph, streams[0], args.samples,
+             _check_average_identity(ch, graph, report, streams[0], args.samples,
                                      args.tol_stat, args.tol_exact)),
-            ("fidelity_route_equality", _check_route_equality(ch, graph, args.tol_exact)),
+            ("fidelity_route_equality",
+             _check_route_equality(ch, graph, report, args.tol_exact)),
             ("data_processing_inequality",
              _check_dpi_sweep(ch, graph, streams[1], args.trials, args.tol_exact)),
             ("coherent_info_continuity",
              _check_lemma_sweep(ch, graph, streams[2], args.trials, args.tol_exact)),
             ("two_design_twirl",
-             _check_two_design(ch, graph, streams[3], args.ensemble_size,
+             _check_two_design(ch, graph, report, streams[3], args.ensemble_size,
                                args.tol_exact, args.tol_stat)),
             ("phase_average_bound",
              _check_phase_average(ch, graph, streams[4], args.restarts, args.tol_exact)),

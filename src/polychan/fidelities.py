@@ -10,10 +10,13 @@ Per-connection references use the canonical eigen-purification
 ``sum_m sqrt(l_m) |m>|v_m>`` with reference dimension equal to the state's
 dimension.  Fidelities do not depend on the choice of purification.
 
-The worst-case pure-state fidelity over product inputs on subspaces
-(:func:`min_subspace_fidelity`) is searched through :class:`QuadraticOverlap`,
-which folds the fixed connections into the stacked Kraus tensors once and then
-evaluates values and gradients for a block of rows in one contraction.
+Every product-state fidelity on a stack of rows goes through one kernel,
+:class:`QuadraticOverlap`: the Monte Carlo average, stacked
+:func:`pure_state_fidelity` calls and both worst-case searches (over product
+states of subspaces, :func:`min_subspace_fidelity`, and over one connection's
+support with the others held fixed).  :func:`channel_fidelity_report` is the one
+place that enumerates connection subsets: it holds every group channel
+fidelity by the Kraus route and the exact Haar average built from them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .linalg import (
 )
 
 SUBSET_CAP = 16
+# Monte Carlo samples drawn per connection at a time; the draws come in this order,
+# so changing it changes every seeded estimate.
+MC_DRAW_ROWS = 20000
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -149,7 +155,8 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
     norms = [np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
     if any(np.any(nrm == 0) for nrm in norms):
         raise ValueError("zero vector is not a state")
-    return _batch_pure_fidelity(ch, graph, [v / nrm for v, nrm in zip(vecs, norms)])
+    problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
+    return problem._values(kron_rows([v / nrm for v, nrm in zip(vecs, norms)]))
 
 
 def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,
@@ -223,62 +230,25 @@ def channel_fidelity(ch: KrausChannel, graph: ConnectionGraph,
 def average_fidelity_exact(ch: KrausChannel, graph: ConnectionGraph) -> float:
     """Haar average of the pure-state fidelity, from the subset decomposition
     into group channel fidelities."""
-    g = graph.size
-    if g > SUBSET_CAP:
-        raise CapExceededError(f"subset enumeration capped at {SUBSET_CAP} connections")
-    dims = graph.dims
-    d_total = float(np.prod(dims))
-    d_plus = float(np.prod([d + 1 for d in dims]))
-    total = 0.0
-    for r in range(g + 1):
-        for removed in itertools.combinations(range(g), r):
-            coeff = d_total / float(np.prod([dims[j] for j in removed])) if removed else d_total
-            kept = frozenset(range(g)) - frozenset(removed)
-            fk = 1.0 if not kept else _kraus_group_fidelity(ch, graph, kept)
-            total += coeff * fk
-    return total / d_plus
-
-
-def _batch_pure_fidelity(ch: KrausChannel, graph: ConnectionGraph,
-                         states: Sequence[np.ndarray]) -> np.ndarray:
-    """Pure-state fidelities for a batch of per-connection states (rows).
-
-    One Kraus operator at a time, the rows are sent in blocks that keep each
-    product on one BLAS thread: a stack of whole blocks, then the short tail.
-    """
-    psi = kron_rows(states)
-    rows, d = psi.shape
-    block = gemm_block_rows(d, d)
-    full = rows - rows % block
-    bra = psi.conj()
-    vals = np.zeros(rows)
-    amp = np.empty(rows, dtype=complex)
-    for a in connection_kraus(ch, graph).reshape(-1, d, d):
-        for part, shape in ((slice(0, full), (-1, block, d)), (slice(full, rows), (-1, d))):
-            sent = (psi[part].reshape(shape) @ a.T).reshape(-1, d)
-            amp[part] = np.einsum("si,si->s", bra[part], sent)
-        vals += np.abs(amp) ** 2
-    return vals
+    return channel_fidelity_report(ch, graph).average
 
 
 def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
-                        rng: np.random.Generator, chunk: int = 20000
-                        ) -> tuple[float, float]:
+                        rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the average fidelity over independent Haar product
     states; returns (mean, standard error)."""
     check_graph_compatible(ch, graph)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
     vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
+    for lo in range(0, samples, MC_DRAW_ROWS):
+        b = min(MC_DRAW_ROWS, samples - lo)
         states = []
         for d in graph.dims:
             z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
             states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-        vals[done : done + b] = _batch_pure_fidelity(ch, graph, states)
-        done += b
+        vals[lo : lo + b] = problem._values(kron_rows(states))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
     return mean, stderr
@@ -316,7 +286,7 @@ class SubspaceBasis:
 
 
 class QuadraticOverlap:
-    """Exact value/gradient of the fidelity as a function of some connections' states.
+    """The one kernel for product-state fidelities, and its exact gradient.
 
     For fixed inputs elsewhere, each Kraus overlap is ``m_K = phi^dag R_K phi``
     with ``phi`` the product ket of the varying connections' states (in
@@ -330,6 +300,14 @@ class QuadraticOverlap:
     ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where ``u_{K,i}``
     contracts ``u_K`` with the other parts' conjugated states.  Values and
     gradients both take stacks of rows, one product point per row.
+
+    With every connection varying over its whole space (identity bases, no
+    fixed amplitudes), ``_values`` on row-wise product kets gives the
+    pure-state fidelities of :func:`average_fidelity_mc` and of stacked
+    :func:`pure_state_fidelity` calls.  :meth:`minimize` runs the worst-case
+    search over the bases' product states, used by
+    :func:`min_subspace_fidelity` and, with the other connections fixed, by
+    ``protocols.extract_subspace``.
 
     Products with ``red`` are stacks of K matmuls of shape (D_var, D_var) by
     (D_var, B), over row blocks of B rows kept under
@@ -386,10 +364,6 @@ class QuadraticOverlap:
         psis = [c @ b.T for c, b in zip(coords, self.bases)]
         return psis, kron_rows(psis)
 
-    def _point(self, coords: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-        psis, phi = self._kets([np.asarray(c, dtype=complex)[None, :] for c in coords])
-        return [p[0] for p in psis], phi[0]
-
     def _blocks(self, phi: np.ndarray):
         """Per block of rows of the product kets: its slice, u = red phi and the
         overlaps m = phi^dag u, shaped (K, D_var, B) and (K, B)."""
@@ -403,9 +377,6 @@ class QuadraticOverlap:
         for rows, _, m in self._blocks(phi):
             out[rows] = np.sum(m.real ** 2 + m.imag ** 2, axis=0)
         return out
-
-    def value(self, coords: Sequence[np.ndarray]) -> float:
-        return float(self._values(self._point(coords)[1][None, :])[0])
 
     def batch_values(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """Fidelities for per-part coordinate batches of shape (rows, part_dims[i])."""
@@ -429,7 +400,8 @@ class QuadraticOverlap:
         """Per-part local models: the field matrix H_i (grad_i F = H_i c_i) and the
         Gauss-Newton matrix M_i = sum_K (u u^dag + w w^dag), u = T c, w = T^dag c,
         where T_K = B_i^dag R_K B_i with the other parts contracted in."""
-        psis, phi = self._point(coords)
+        psis, phi = self._kets([np.asarray(c, dtype=complex)[None, :] for c in coords])
+        psis, phi = [p[0] for p in psis], phi[0]
         m = (self.red @ phi) @ phi.conj()
         legs = self.red.reshape((-1,) + self.var_dims * 2)
         bras = [p.conj() for p in psis]
@@ -453,7 +425,7 @@ class QuadraticOverlap:
         value drops.
         """
         coords = [np.asarray(c, dtype=complex).copy() for c in coords]
-        val = self.value(coords)
+        val = float(self.batch_values([c[None, :] for c in coords])[0])
         for _ in range(sweeps):
             improved = False
             for k in range(len(self.varying)):
@@ -462,13 +434,25 @@ class QuadraticOverlap:
                     _, v = np.linalg.eigh((model + model.conj().T) / 2.0)
                     cand = list(coords)
                     cand[k] = v[:, 0]
-                    cval = self.value(cand)
+                    cval = float(self.batch_values([c[None, :] for c in cand])[0])
                     if cval < val - 1e-18:
                         coords, val = cand, cval
                         improved = True
             if not improved:
                 break
         return val, coords
+
+    def minimize(self, rng: np.random.Generator, restarts: int, max_iters: int
+                 ) -> tuple[float, list[np.ndarray]]:
+        """Heuristic minimum over the varying parts' product states: a multi-restart
+        descent, then :meth:`polish`.  Returns the value and the minimizing states
+        in the ambient spaces, one per varying connection in index order."""
+        result = minimize_product_states(
+            self.batch_values, self.part_dims, rng, restarts=restarts,
+            max_iters=max_iters, gradient=self.packed_gradient,
+        )
+        value, coords = self.polish(result.states)
+        return value, [b @ c for b, c in zip(self.bases, coords)]
 
 
 def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
@@ -487,22 +471,18 @@ def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: S
     if len(bases) != graph.size:
         raise ValueError(f"need one subspace per connection ({graph.size})")
     problem = QuadraticOverlap(ch, graph, dict(enumerate(bases)), {})
-    result = minimize_product_states(
-        problem.batch_values, problem.part_dims, rng, restarts=restarts,
-        max_iters=max_iters, gradient=problem.packed_gradient,
-    )
-    value, coords = problem.polish(result.states)
-    states = [bases[i] @ c for i, c in enumerate(coords)]
-    return float(value), states
+    return problem.minimize(rng, restarts, max_iters)
 
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Channel fidelities of every connection subset, at maximally entangled inputs."""
+    """Channel fidelities of every connection subset, at maximally entangled inputs,
+    and the exact Haar average of the pure-state fidelity built from them."""
 
     global_value: float
     local_values: tuple[float, ...]
     group_values: dict
+    average: float
 
     def check(self, tol: float = 1e-9) -> None:
         vals = [self.global_value, *self.local_values, *self.group_values.values()]
@@ -517,13 +497,26 @@ class FidelityReport:
 
 
 def channel_fidelity_report(ch: KrausChannel, graph: ConnectionGraph) -> FidelityReport:
+    """Every group channel fidelity by the Kraus route, and the Haar average from the
+    subset decomposition: sum over removed subsets S of (d / prod_{j in S} d_j) times
+    the fidelity of the kept group (1 for the empty group), over prod_i (d_i + 1)."""
     g = graph.size
+    if g > SUBSET_CAP:
+        raise CapExceededError(f"subset enumeration capped at {SUBSET_CAP} connections")
     groups = {}
     for r in range(1, g + 1):
         for kept in itertools.combinations(range(g), r):
             groups[frozenset(kept)] = _kraus_group_fidelity(ch, graph, frozenset(kept))
+    dims = graph.dims
+    d_total = float(np.prod(dims))
+    total = 0.0
+    for r in range(g + 1):
+        for removed in itertools.combinations(range(g), r):
+            coeff = d_total / float(np.prod([dims[j] for j in removed])) if removed else d_total
+            total += coeff * groups.get(frozenset(range(g)) - frozenset(removed), 1.0)
     return FidelityReport(
         global_value=groups[frozenset(range(g))],
         local_values=tuple(groups[frozenset([i])] for i in range(g)),
         group_values=groups,
+        average=total / float(np.prod([d + 1 for d in dims])),
     )

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
@@ -214,12 +213,8 @@ def _min_support_fidelity(ch, graph, conn, support, entries, rng, restarts, max_
             continue
         fixed[j] = _pure_amp(val) if kind == "pure" else _purification_amp(val)
     problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
-    res = minimize_product_states(
-        problem.batch_values, problem.part_dims, rng, restarts=restarts,
-        max_iters=max_iters, gradient=problem.packed_gradient,
-    )
-    value, coords = problem.polish(res.states)
-    return float(value), support @ coords[0]
+    value, states = problem.minimize(rng, restarts, max_iters)
+    return value, states[0]
 
 
 def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray, floor: float = 1e-12) -> float:

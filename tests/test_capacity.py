@@ -394,6 +394,20 @@ def tensor_power_superops(ch, graph, n):
     return sups
 
 
+def fold_order(sup, graph, n, i):
+    """Connection i's map sup[(b, b'), (x, x')] in fold order [(a, a'), (o, o'), (b, b')]:
+    a over the inputs of the sender holding i, o over every other sender's inputs,
+    sender after sender, each sender's (o, o') together."""
+    dims = graph.powered(n).dims
+    g = len(dims)
+    senders = [grp for grp in graph.sender_groups() if grp]
+    own = next(grp for grp in senders if i in grp)
+    legs = [leg for grp in [own] + [grp for grp in senders if grp != own]
+            for leg in [1 + j for j in grp] + [1 + g + j for j in grp]]
+    folded = sup.reshape(-1, *dims, *dims).transpose(legs + [0])
+    return folded.reshape(int(np.prod([dims[j] for j in own])) ** 2, -1, sup.shape[0])
+
+
 class TestBlocklengthSuperoperators:
     """The n-use problem is built from one use's marginal superoperators."""
 
@@ -408,10 +422,7 @@ class TestBlocklengthSuperoperators:
         ch = random_channel(d, d, 3, make_rng(91))
         problem = _RegionProblem(ch, graph, n)
         for i, want in enumerate(tensor_power_superops(ch, graph, n)):
-            b = problem.block_dims[i]
-            assert np.max(np.abs(problem.superops_t[i] - want.T)) < 1e-12
-            adj = want.conj().reshape(b * b, d**n, d**n).transpose(1, 0, 2)
-            assert np.max(np.abs(problem.adjoints[i] - adj)) < 1e-12
+            assert np.max(np.abs(problem.fold_ops[i] - fold_order(want, graph, n, i))) < 1e-12
 
     @pytest.mark.parametrize("name, n", CASES)
     def test_lifted_product_is_additive(self, name, n):
@@ -509,14 +520,21 @@ class FullInputRoute:
     """The full-input route that the folded objective replaced, as an oracle.
 
     Each connection's reduced input sigma_i = Tr_{other refs} |psi><psi| is
-    taken over the *whole* joint input and pushed through the stored n-use
-    superoperator; the gradient pulls X_i back through the stored adjoint onto
-    (R_i, the joint input) and then onto each sender by the product rule.
+    taken over the *whole* joint input and pushed through the n-use
+    superoperator of the K^n-operator tensor power; the gradient pulls X_i back
+    through that map's adjoint onto (R_i, the joint input) and then onto each
+    sender by the product rule.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, ch, graph, n):
         self.problem = problem
         g = problem.graph.size
+        d_in = problem.graph.total_dim()
+        sups = tensor_power_superops(ch, graph, n)
+        # transposed: it multiplies vectorized operators from the right
+        self.superops_t = [sup.T for sup in sups]
+        # the adjoint map sup^dag as adj[x][(b, b'), x'] = conj(sup)[(b, b'), (x, x')]
+        self.adjoints = [sup.conj().reshape(-1, d_in, d_in).transpose(1, 0, 2) for sup in sups]
         # joint legs (sender-major): per sender, ref blocks then input blocks
         legs = [(side, i) for grp in problem.groups for side in "RA" for i in grp]
         pos = {leg: p for p, leg in enumerate(legs)}
@@ -541,7 +559,7 @@ class FullInputRoute:
     def output_states(self, psi, i):
         rows, d = psi.shape[:2]
         sigma = psi.swapaxes(2, 3)[:, :, None] @ psi.conj()[:, None]
-        rho = (sigma.reshape(rows, d * d, -1) @ self.problem.superops_t[i]).reshape(
+        rho = (sigma.reshape(rows, d * d, -1) @ self.superops_t[i]).reshape(
             rows, d, d, d, d)
         rho_rb = rho.transpose(0, 1, 3, 2, 4).reshape(rows, d * d, d * d)
         return rho_rb, np.trace(rho, axis1=1, axis2=2)
@@ -567,7 +585,7 @@ class FullInputRoute:
         ket = kron_rows(parts)
         grad = np.zeros_like(ket)
         d_in = self.d_in
-        for i, (d, adj) in enumerate(zip(problem.block_dims, problem.adjoints)):
+        for i, (d, adj) in enumerate(zip(problem.block_dims, self.adjoints)):
             if weights[i] == 0:
                 continue
             psi = self.connection_legs(ket, i)
@@ -605,8 +623,8 @@ class TestFoldedObjective:
             parts.append(z / np.linalg.norm(z, axis=1, keepdims=True))
         return parts
 
-    def assert_matches_full_input_route(self, problem, rows, rng):
-        oracle = FullInputRoute(problem)
+    def assert_matches_full_input_route(self, oracle, rows, rng):
+        problem = oracle.problem
         weights = rng.uniform(0.2, 1.5, problem.graph.size)
         parts = self.random_parts(problem, rows, rng)
         got = problem.coherent_infos(parts)
@@ -623,14 +641,16 @@ class TestFoldedObjective:
         graph = self.GRAPHS[name]
         d = graph.total_dim()
         rng = make_rng(101)
-        problem = _RegionProblem(random_channel(d, d, 3, rng), graph, n)
+        ch = random_channel(d, d, 3, rng)
+        problem = _RegionProblem(ch, graph, n)
         # a batch over two evaluation blocks, the last one ragged
         problem.block_rows = 3
-        self.assert_matches_full_input_route(problem, 4, rng)
+        self.assert_matches_full_input_route(FullInputRoute(problem, ch, graph, n), 4, rng)
 
     def test_readme_pair_blocklength_three(self):
         ch, graph = readme_pair()
-        self.assert_matches_full_input_route(_RegionProblem(ch, graph, 3), 3, make_rng(103))
+        oracle = FullInputRoute(_RegionProblem(ch, graph, 3), ch, graph, 3)
+        self.assert_matches_full_input_route(oracle, 3, make_rng(103))
 
     @pytest.mark.parametrize("name, n", [("diagonal", 2), ("diagonal", 3), ("broadcast", 2),
                                          ("two_plus_one", 2), ("shuffled", 1)])

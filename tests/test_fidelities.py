@@ -28,7 +28,8 @@ from polychan import (
     split_rng,
 )
 from polychan.channels import KrausChannel, connection_kraus
-from polychan.fidelities import QuadraticOverlap, _batch_pure_fidelity, _purification_amp
+from polychan.errors import CapExceededError
+from polychan.fidelities import SUBSET_CAP, QuadraticOverlap, _purification_amp
 from polychan.linalg import gemm_block_rows
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
@@ -56,6 +57,21 @@ def trace_form_fidelity(ch, graph, inputs):
 
 def random_pair_channel(rng, kraus=3):
     return random_channel(4, 4, kraus, rng), PAIR_GRAPH
+
+
+def subset_average_oracle(ch, graph):
+    """Exact average from the subset decomposition, one group channel fidelity per
+    call: removed subsets S in itertools order, each weighted by d / prod_{j in S} d_j
+    (the empty kept group counts 1), over prod_i (d_i + 1)."""
+    g, dims = graph.size, graph.dims
+    d_total = float(np.prod(dims))
+    total = 0.0
+    for r in range(g + 1):
+        for removed in itertools.combinations(range(g), r):
+            coeff = d_total / float(np.prod([dims[j] for j in removed])) if removed else d_total
+            kept = set(range(g)) - set(removed)
+            total += coeff * (group_channel_fidelity_kraus(ch, graph, kept) if kept else 1.0)
+    return total / float(np.prod([d + 1 for d in dims]))
 
 
 class TestEntanglementFidelity:
@@ -406,7 +422,6 @@ class TestQuadraticOverlap:
             else:
                 want = pure_state_fidelity(ch, graph, [states[j] for j in range(graph.size)])
             assert abs(got[r] - want) < 1e-12
-            assert abs(problem.value([c[r] for c in coords]) - want) < 1e-12
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradient_matches_central_differences(self, case, rng):
@@ -487,6 +502,12 @@ class TestCrossedGraph:
             for i, part_fc in enumerate(part_fcs):
                 assert abs(group_channel_fidelity_kraus(ch, graph, [i]) - part_fc) < 1e-10
 
+    def test_exact_average_matches_subset_oracle(self, rng):
+        # the report's one enumeration sums the same terms in the same order
+        for ch, graph, _ in self.crossed(rng):
+            for case in (ch, random_channel(graph.total_dim(), graph.total_dim(), 3, rng)):
+                assert average_fidelity_exact(case, graph) == subset_average_oracle(case, graph)
+
     def test_mc_matches_exact(self, rng):
         for ch, graph, _ in self.crossed(rng):
             exact = average_fidelity_exact(ch, graph)
@@ -494,16 +515,15 @@ class TestCrossedGraph:
             assert abs(mean - exact) <= 3 * stderr
 
     def test_mc_batch_matches_pure_state_fidelity(self, rng):
-        # two whole row blocks and a short tail, and a batch shorter than one block
+        # the stacked call runs the Monte Carlo kernel: two whole row blocks and a short
+        # tail, and a batch shorter than one block, against the single-vector route
         for ch, graph, _ in self.crossed(rng):
             d = graph.total_dim()
             for rows in (2 * gemm_block_rows(d, d) + 5, 3):
                 states = [np.array([haar_state(dim, rng) for _ in range(rows)])
                           for dim in graph.dims]
-                got = _batch_pure_fidelity(ch, graph, states)
+                got = pure_state_fidelity(ch, graph, states)
                 assert got.shape == (rows,)
-                # the stacked public call takes the same route
-                assert np.max(np.abs(pure_state_fidelity(ch, graph, states) - got)) < 1e-12
                 for r in range(rows):
                     want = pure_state_fidelity(ch, graph, [s[r] for s in states])
                     assert abs(got[r] - want) < 1e-12
@@ -521,3 +541,18 @@ class TestFidelityReport:
         for _ in range(5):
             ch, graph = random_pair_channel(rng)
             channel_fidelity_report(ch, graph).check(tol=1e-9)
+
+    def test_average_matches_subset_oracle_random(self, rng):
+        for _ in range(5):
+            ch, graph = random_pair_channel(rng)
+            report = channel_fidelity_report(ch, graph)
+            assert report.average == subset_average_oracle(ch, graph)
+            assert average_fidelity_exact(ch, graph) == report.average
+
+    def test_subset_cap_before_work(self):
+        # 17 one-dimensional connections: the cap is checked before any contraction
+        graph = ConnectionGraph.diagonal([1] * 17)
+        ch = identity_channel([1] * 17)
+        for func in (channel_fidelity_report, average_fidelity_exact):
+            with pytest.raises(CapExceededError, match=f"capped at {SUBSET_CAP} connections"):
+                func(ch, graph)
