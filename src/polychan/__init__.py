@@ -23,6 +23,7 @@ from .channels import (
     identity_channel,
     product_channel,
     random_channel,
+    random_kraus,
     read_channel,
     tensor,
     tensor_power,

@@ -452,16 +452,27 @@ def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph) -> Kr
     return KrausChannel(ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims))
 
 
+def random_kraus(in_dim: int, out_dim: int, num_kraus: int,
+                 streams: Sequence[np.random.Generator]) -> np.ndarray:
+    """Kraus stacks of random CPTP maps, one per stream, as a (T, K, out, in) array.
+
+    Each stream draws a Gaussian (out * K, in) matrix, real parts then imaginary
+    parts; the matrices are orthonormalized in one stacked QR and sliced into
+    K blocks of ``out`` rows.
+    """
+    if out_dim * num_kraus < in_dim:
+        raise ValueError("need out_dim * num_kraus >= in_dim for a trace-preserving map")
+    shape = (out_dim * num_kraus, in_dim)
+    g = np.array([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for rng in streams])
+    q, _ = np.linalg.qr(g)
+    return q.reshape(len(streams), num_kraus, out_dim, in_dim)
+
+
 def random_channel(in_dim: int, out_dim: int, num_kraus: int,
                    rng: np.random.Generator) -> KrausChannel:
     """Random CPTP map from an isometry: Gaussian matrix, orthonormalized, sliced."""
-    if out_dim * num_kraus < in_dim:
-        raise ValueError("need out_dim * num_kraus >= in_dim for a trace-preserving map")
-    g = rng.standard_normal((out_dim * num_kraus, in_dim)) + 1j * rng.standard_normal(
-        (out_dim * num_kraus, in_dim)
-    )
-    q, _ = np.linalg.qr(g)
-    ops = [q[e * out_dim : (e + 1) * out_dim, :] for e in range(num_kraus)]
+    ops = random_kraus(in_dim, out_dim, num_kraus, [rng])[0]
     return KrausChannel(ops, SystemLayout([in_dim]), SystemLayout([out_dim]))
 
 

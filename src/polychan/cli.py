@@ -281,8 +281,7 @@ def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
         out = _random_output_states(conn_ch, graph, block)
         split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
         # each stream draws its postprocessing after its input amplitudes
-        posts = np.array([channels.random_channel(ch.out_dim, ch.out_dim, 2, s).kraus_stack()
-                          for s in block])
+        posts = channels.random_kraus(ch.out_dim, ch.out_dim, 2, block)
         worst = min(worst, float(np.min(capacity.check_dpi(out, split, posts))))
     return -worst, tol_exact, "sweep"
 

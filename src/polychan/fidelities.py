@@ -1,10 +1,12 @@
 """Fidelity functionals of graph-structured channels.
 
 Two independent evaluation routes are provided for channel fidelities: the
-definitional one (purify, send through the channel with an untouched
-reference, overlap with the purification) and a closed form contracting the
-Kraus operators against per-connection swaps.  They must agree to high
-precision; the test suite leans on that.
+definitional one (purify as one Kronecker product of per-connection
+amplitudes, send through the channel with an untouched reference, overlap with
+the purification) and Schumacher's closed form ``sum_K |Tr A_K|^2``, taken as
+one partial trace of the Kraus stack over the kept connections.  They share
+only ``connection_kraus`` and must agree to high precision; the test suite
+leans on that.  Both take channels up to ``MAX_DIM`` on a side.
 
 Per-connection references use the canonical eigen-purification
 ``sum_m sqrt(l_m) |m>|v_m>`` with reference dimension equal to the state's
@@ -22,6 +24,7 @@ fidelity by the Kraus route and the exact Haar average built from them.
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -41,7 +44,6 @@ from .linalg import (
     gemm_block_rows,
     kron_all,
     kron_rows,
-    permute_legs_vector,
 )
 
 SUBSET_CAP = 16
@@ -80,24 +82,18 @@ def _check_amps(graph: ConnectionGraph, amps: Sequence[np.ndarray]) -> None:
             )
 
 
-def _paired_vector(amps: Sequence[np.ndarray], conns: Sequence[int]) -> np.ndarray:
-    """Product of per-connection purification amplitudes: the reference legs of
-    ``conns``, then their channel-side legs, each in the order given."""
-    vec = kron_all([amps[i].reshape(-1) for i in conns])
-    c = len(conns)
-    legs = [dim for i in conns for dim in amps[i].shape]
-    return permute_legs_vector(vec, legs, [*range(0, 2 * c, 2), *range(1, 2 * c, 2)])
-
-
 def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[np.ndarray],
                       keep: Iterable[int] | None = None) -> float:
     """Overlap of the channel output with the product purification, on kept connections.
 
-    The purification ``v`` is sent through ``I_R (x) A_K`` with the Kraus
-    operators in connection order, so its inputs and the outputs share one leg
-    order.  Connections outside ``keep`` are traced out: their reference and
-    output legs stay open in the overlap with the kept connections' part of
-    ``v``.
+    The purification is the Kronecker product of the per-connection amplitude
+    matrices ``M_i[r, a]``: its rows run over the references ``R_0..R_{g-1}``
+    and its columns over the inputs, both in connection order.  It is sent
+    through ``I_R (x) A_K`` with the Kraus operators in connection order, so
+    its inputs and the outputs share one leg order.  Connections outside
+    ``keep`` are traced out: their reference and output legs stay open in the
+    overlap with the product of the kept connections' amplitudes.  Each
+    product is at most ``MAX_DIM`` on a side.
     """
     check_graph_compatible(ch, graph)
     _check_amps(graph, amps)
@@ -107,7 +103,7 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
         raise ValueError(f"invalid connection subset {sorted(keep_set)}")
     kept = sorted(keep_set)
 
-    ket = _paired_vector(amps, range(g))
+    ket = kron_all(amps)
     ref_dims = [amp.shape[0] for amp in amps]
     d = graph.total_dim()
     kraus = connection_kraus(ch, graph).reshape(-1, d, d)
@@ -115,7 +111,7 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     sent = (ket.reshape(-1, d) @ kraus.swapaxes(1, 2)).reshape(-1, *ref_dims, *graph.dims)
     kept_legs = [1 + i for i in kept] + [1 + g + i for i in kept]
     open_legs = [0] + [leg for leg in range(1, 2 * g + 1) if leg not in kept_legs]
-    bra = ket if len(kept) == g else _paired_vector(amps, kept)
+    bra = ket if len(kept) == g else kron_all([amps[i] for i in kept])
     bra = bra.conj().reshape([sent.shape[leg] for leg in kept_legs])
     overlaps = np.einsum(sent, list(range(2 * g + 1)), bra, kept_legs, open_legs)
     return float(np.sum(overlaps.real ** 2 + overlaps.imag ** 2))
@@ -180,33 +176,28 @@ def _me_amps(graph: ConnectionGraph) -> list[np.ndarray]:
 
 def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                           keep_set: frozenset[int]) -> float:
-    """Swap-contraction route for channel fidelities at maximally entangled inputs."""
+    """Kraus route for channel fidelities at maximally entangled inputs.
+
+    Schumacher's ``sum_K |Tr A_K|^2 / d^2``, with the trace taken over the kept
+    connections only: one partial trace of the connection-ordered Kraus stack,
+    in which each kept connection's input leg takes the label of its output
+    leg.  The traced-out connections' legs stay open, and the value is
+    ``sum |traced|^2 / (d_kept d)``.
+    """
     check_graph_compatible(ch, graph)
     g = graph.size
-    if 2 * g > len(string.ascii_letters):
+    # labels: 0 for the Kraus index, 1..g for the outputs, then one per open input;
+    # einsum takes labels below 52, and at least one connection is kept
+    if g > 26:
         raise CapExceededError(f"too many connections for the contraction ({g})")
-    labels = string.ascii_letters
-    alpha = [labels[2 * i] for i in range(g)]
-    beta = [labels[2 * i + 1] for i in range(g)]
-    conj_out = list(alpha)
-    conj_in = [""] * g
-    a_out = [""] * g
-    a_in = list(beta)
-    for i in range(g):
-        if i in keep_set:
-            conj_in[i] = alpha[i]
-            a_out[i] = beta[i]
-        else:
-            conj_in[i] = beta[i]
-            a_out[i] = alpha[i]
-    spec = "".join(conj_out + conj_in) + "," + "".join(a_out + a_in) + "->"
-    denom = 1.0
-    for i in range(g):
-        denom *= graph.dims[i] ** 2 if i in keep_set else graph.dims[i]
-    total = 0.0
-    for t in connection_kraus(ch, graph):
-        total += float(np.real(np.einsum(spec, t.conj(), t)))
-    return total / denom
+    open_ins = [i for i in range(g) if i not in keep_set]
+    in_labels = [1 + i for i in range(g)]
+    for n, i in enumerate(open_ins):
+        in_labels[i] = 1 + g + n
+    traced = np.einsum(connection_kraus(ch, graph), [0, *range(1, g + 1), *in_labels],
+                       [0, *(1 + i for i in open_ins), *(in_labels[i] for i in open_ins)])
+    d_kept = math.prod(graph.dims[i] for i in keep_set)
+    return float(np.sum(traced.real ** 2 + traced.imag ** 2)) / (d_kept * graph.total_dim())
 
 
 def group_channel_fidelity_kraus(ch: KrausChannel, graph: ConnectionGraph,

@@ -87,21 +87,21 @@ def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Kronecker product with a desk-scale dimension cap."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, at most ``MAX_DIM`` on a side."""
     rows = a.shape[0] * b.shape[0]
     cols = (a.shape[1] if a.ndim == 2 else 1) * (b.shape[1] if b.ndim == 2 else 1)
-    if max(rows, cols) > max_dim:
+    if max(rows, cols) > MAX_DIM:
         raise CapExceededError(
-            f"kron result {rows}x{cols} exceeds the configured maximum {max_dim}"
+            f"kron result {rows}x{cols} exceeds the configured maximum {MAX_DIM}"
         )
     return np.kron(a, b)
 
 
-def kron_all(mats: Sequence[np.ndarray], max_dim: int = MAX_DIM) -> np.ndarray:
+def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = kron(out, m, max_dim=max_dim)
+        out = kron(out, m)
     return out
 
 

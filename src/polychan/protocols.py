@@ -27,7 +27,6 @@ from .errors import CapExceededError, PolychanError
 from .fidelities import (
     QuadraticOverlap,
     SubspaceBasis,
-    _pure_amp,
     _purification_amp,
     entanglement_fidelity,
     min_subspace_fidelity,
@@ -198,45 +197,29 @@ def teleport_channel(resource: DensityOperator) -> KrausChannel:
 
 def _support_basis(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     w, v = eigh(rho)
-    cols = [v[:, i] for i in range(len(w)) if w[i] > tol]
-    if not cols:
-        return np.zeros((rho.shape[0], 0), dtype=complex)
-    return np.column_stack(cols)
+    return v[:, w > tol]
 
 
-def _min_support_fidelity(ch, graph, conn, support, entries, rng, restarts, max_iters
+def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts, max_iters
                           ) -> tuple[float, np.ndarray]:
-    """Lowest mixed fidelity over pure states of a support, on one connection."""
-    fixed = {}
-    for j, (kind, val) in enumerate(entries):
-        if j == conn:
-            continue
-        fixed[j] = _pure_amp(val) if kind == "pure" else _purification_amp(val)
+    """Lowest mixed fidelity over pure states of a support, on one connection, with
+    every other connection purified from its state in ``states``."""
+    fixed = {j: _purification_amp(m) for j, m in enumerate(states) if j != conn}
     problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
-    value, states = problem.minimize(rng, restarts, max_iters)
-    return value, states[0]
+    value, worst = problem.minimize(rng, restarts, max_iters)
+    return value, worst[0]
 
 
-def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray, floor: float = 1e-12) -> float:
-    """Largest q keeping rho - q |phi><phi| positive semidefinite, by bisection."""
-    proj = np.outer(phi, phi.conj())
-    hi = float(np.real(phi.conj() @ rho @ phi))
-    if hi <= 0.0:
+def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> float:
+    """Largest q keeping rho - q |phi><phi| positive semidefinite: 1 / <phi|rho^+|phi>
+    for phi in the support of rho (the eigenvalues above ``tol``, up to a weight
+    ``tol`` outside it), else 0."""
+    w, v = eigh(rho)
+    c = v.conj().T @ phi
+    inside = w > tol
+    if np.sum(np.abs(c[~inside]) ** 2) > tol:
         return 0.0
-
-    def min_eig(q: float) -> float:
-        return float(np.linalg.eigvalsh(rho - q * proj)[0])
-
-    lo = 0.0
-    if min_eig(hi) >= -floor:
-        return hi
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if min_eig(mid) >= -floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return 1.0 / float(np.sum(np.abs(c[inside]) ** 2 / w[inside]))
 
 
 @dataclass
@@ -261,11 +244,11 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
     check_graph_compatible(ch, graph)
     if len(inputs) != graph.size:
         raise ValueError(f"need one input per connection ({graph.size})")
-    mats = [
+    # connections not yet processed enter as given, processed ones as their remainders
+    states = [
         (s.matrix if isinstance(s, DensityOperator) else np.asarray(s, dtype=complex)).copy()
         for s in inputs
     ]
-    entries: list[tuple[str, np.ndarray]] = [("mixed", m) for m in mats]
 
     subspaces: list[SubspaceBasis] = []
     alphas: list[float] = []
@@ -273,7 +256,7 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
     remainders: list[np.ndarray] = []
 
     for c in range(graph.size):
-        rho = mats[c].copy()
+        rho = states[c].copy()
         removed: list[tuple[float, np.ndarray]] = []
         removed_weight = 0.0
         while True:
@@ -282,10 +265,8 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
                 raise ExtractionError(
                     f"connection {c}: support exhausted before reaching eta={target_eta}"
                 )
-            probe = list(entries)
-            probe[c] = ("mixed", rho / np.real(np.trace(rho)))
             value, worst = _min_support_fidelity(
-                ch, graph, c, support, probe, rng, restarts, max_iters
+                ch, graph, c, support, states, rng, restarts, max_iters
             )
             if value >= 1.0 - target_eta:
                 break
@@ -304,7 +285,7 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
         peeled_all.append(removed)
         remainders.append(rho)
         # later connections see this one through its trimmed remaining state
-        entries[c] = ("mixed", rho / np.real(np.trace(rho)))
+        states[c] = rho / np.real(np.trace(rho))
     return ExtractionResult(subspaces, alphas, peeled_all, remainders)
 
 

@@ -24,6 +24,7 @@ from polychan import (
     partial_trace,
     product_channel,
     random_channel,
+    random_kraus,
     read_channel,
     tensor,
     tensor_power,
@@ -258,6 +259,19 @@ class TestBuilders:
 
     def test_random_channel_is_cptp(self, rng):
         assert validate(random_channel(4, 3, 3, rng)).passed
+
+    def test_random_kraus_matches_one_draw_per_stream(self):
+        # one stacked QR gives, bit for bit, what one Gaussian draw and one QR per stream give
+        for in_dim, out_dim, k in ((2, 2, 2), (3, 3, 2), (4, 3, 3)):
+            stack = random_kraus(in_dim, out_dim, k, [make_rng(s) for s in range(20)])
+            assert stack.shape == (20, k, out_dim, in_dim)
+            want = np.array([random_channel(in_dim, out_dim, k, make_rng(s)).kraus_stack()
+                             for s in range(20)])
+            assert np.array_equal(stack, want)
+            for s in range(20):
+                rng, shape = make_rng(s), (out_dim * k, in_dim)
+                q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                assert np.array_equal(stack[s], q.reshape(k, out_dim, in_dim))
 
     def test_kraus_stack_is_built_once_and_read_only(self, rng):
         ch = random_channel(4, 3, 3, rng)

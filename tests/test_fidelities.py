@@ -186,6 +186,27 @@ class TestChannelFidelityRoutes:
                     b = group_channel_fidelity_kraus(ch, graph, kept)
                     assert abs(a - b) < 1e-10
 
+    def test_routes_agree_on_a_128_dimensional_channel(self):
+        # seven qubit links: the purification is 128 x 128, within MAX_DIM on either side
+        graph = ConnectionGraph.diagonal([2] * 7)
+        noise = random_channel(128, 128, 2, make_rng(41))
+        ops = [np.sqrt(0.9) * np.eye(128)] + [np.sqrt(0.1) * k for k in noise.kraus_ops]
+        ch = KrausChannel(ops, [2] * 7, [2] * 7)
+        a = channel_fidelity(ch, graph, "definition")
+        b = channel_fidelity(ch, graph, "kraus_trace")
+        assert abs(a - b) < 1e-12
+        inputs = mixed_inputs(graph)
+        for kept in ([0], [1, 3, 5]):
+            a = group_fidelity(ch, inputs, graph, kept)
+            b = group_channel_fidelity_kraus(ch, graph, kept)
+            assert abs(a - b) < 1e-12
+
+    def test_kraus_route_connection_cap_before_work(self):
+        # 27 one-dimensional connections: the guard fires before any contraction
+        graph = ConnectionGraph.diagonal([1] * 27)
+        with pytest.raises(CapExceededError, match="too many connections"):
+            channel_fidelity(identity_channel([1] * 27), graph, "kraus_trace")
+
     def test_kraus_route_identity_group(self):
         ch = product_channel([identity_channel([2]), depolarizing(2, 1.0)], PAIR_GRAPH)
         assert abs(group_channel_fidelity_kraus(ch, PAIR_GRAPH, [0]) - 1.0) < 1e-12

@@ -67,7 +67,7 @@ class TestKron:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            kron(np.eye(100), np.eye(100), max_dim=4096)
+            kron(np.eye(100), np.eye(100))
 
 
 class TestPartialTrace:

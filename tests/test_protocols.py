@@ -36,7 +36,7 @@ from polychan import (
 )
 from polychan.channels import block_kraus, connection_kraus
 from polychan.errors import CapExceededError
-from polychan.protocols import ExtractionError
+from polychan.protocols import ExtractionError, _largest_removable_weight
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -269,6 +269,20 @@ def killer_qutrit():
     return KrausChannel([p01, k2], [3], [3]), ConnectionGraph.single(3)
 
 
+class TestLargestRemovableWeight:
+    def test_closed_form(self):
+        # <phi|rho^-1|phi> = (2 + 10/3) / 2, so q = 3/8; the remainder keeps a zero eigenvalue
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        phi = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+        q = _largest_removable_weight(rho, phi)
+        assert abs(q - 0.375) < 1e-15
+        assert abs(np.linalg.eigvalsh(rho - q * np.outer(phi, phi.conj()))[0]) < 1e-15
+
+    def test_outside_the_support(self):
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        assert _largest_removable_weight(rho, np.array([0.0, 0.6, 0.8], dtype=complex)) == 0.0
+
+
 class TestExtraction:
     def test_identity_returns_full_support(self):
         ch = identity_channel([3])
@@ -303,6 +317,26 @@ class TestExtraction:
         for q, phi in res.peeled[0]:
             rec += q * np.outer(phi, phi.conj())
         assert np.max(np.abs(rec - rho_in.matrix)) < 1e-8
+
+    def test_two_connections_peel_and_reconstruct(self):
+        # connection 0's worst state is not an eigenvector of its input, so the removed
+        # weight is 1 / <phi|rho^+|phi>, below <phi|rho|phi>; connection 1 then sees
+        # connection 0's remainder and peels |2>
+        ch, _ = killer_qutrit()
+        graph = ConnectionGraph.diagonal([3, 3])
+        rho0 = np.array([[0.4, 0.1, 0.05], [0.1, 0.35, 0.02], [0.05, 0.02, 0.25]], dtype=complex)
+        inputs = [rho0, np.diag([0.45, 0.45, 0.1]).astype(complex)]
+        res = extract_subspace(product_channel([ch, ch], graph), graph, inputs,
+                               target_eta=0.3, rng=make_rng(3))
+        for c, rho_in in enumerate(inputs):
+            assert len(res.peeled[c]) >= 1
+            rec = res.remainders[c].copy()
+            for q, phi in res.peeled[c]:
+                rec += q * np.outer(phi, phi.conj())
+            assert np.max(np.abs(rec - rho_in)) < 1e-12
+            assert np.linalg.eigvalsh(res.remainders[c])[0] > -1e-15
+        q, phi = res.peeled[0][0]
+        assert q < np.real(phi.conj() @ rho0 @ phi) - 1e-3
 
     def test_too_noisy_raises(self):
         res_rng = make_rng(3)
