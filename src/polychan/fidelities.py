@@ -93,11 +93,15 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     its inputs and the outputs share one leg order.  Connections outside
     ``keep`` are traced out: their reference and output legs stay open in the
     overlap with the product of the kept connections' amplitudes.  Each
-    product is at most ``MAX_DIM`` on a side.
+    product is at most ``MAX_DIM`` on a side.  Raises ``CapExceededError``
+    beyond 25 connections, before any contraction.
     """
     check_graph_compatible(ch, graph)
     _check_amps(graph, amps)
     g = graph.size
+    # the overlap einsum labels the Kraus index and 2g reference/output legs, below 52
+    if 2 * g + 1 > 52:
+        raise CapExceededError(f"too many connections for the overlap contraction ({g})")
     keep_set = set(range(g)) if keep is None else set(int(k) for k in keep)
     if not keep_set or not keep_set.issubset(range(g)):
         raise ValueError(f"invalid connection subset {sorted(keep_set)}")

@@ -124,6 +124,14 @@ class TestFidelityCommand:
         for row in rows:
             assert abs(float(row["value"]) - 1.0) < 1e-8
 
+    def test_definition_route_cap_exits_3(self, tmp_path, capsys):
+        # 26 connections: past the definitional route's einsum labels, a resource limit
+        path = tmp_path / "wide.json"
+        path.write_text(write_channel(identity_channel([1] * 26),
+                                      ConnectionGraph.diagonal([1] * 26)))
+        assert main(["fidelity", str(path), "--seed", "0"]) == 3
+        assert "too many connections" in capsys.readouterr().err
+
     def test_fully_depolarizing_values(self, dep_file, capsys):
         code = main(["fidelity", dep_file, "--seed", "5", "--samples", "2000",
                      "--restarts", "4"])

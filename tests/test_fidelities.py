@@ -27,6 +27,7 @@ from polychan import (
     random_channel,
     split_rng,
 )
+from polychan import fidelities
 from polychan.channels import KrausChannel, connection_kraus
 from polychan.errors import CapExceededError
 from polychan.fidelities import SUBSET_CAP, QuadraticOverlap, _purification_amp
@@ -206,6 +207,24 @@ class TestChannelFidelityRoutes:
         graph = ConnectionGraph.diagonal([1] * 27)
         with pytest.raises(CapExceededError, match="too many connections"):
             channel_fidelity(identity_channel([1] * 27), graph, "kraus_trace")
+
+    @pytest.mark.parametrize("g", [26, 32])
+    def test_definition_route_connection_cap_before_work(self, g, monkeypatch):
+        # the overlap einsum needs 2g + 1 labels and numpy has 52; at 32 connections
+        # the sent states would also pass numpy's 64 dimensions
+        graph = ConnectionGraph.diagonal([1] * g)
+        ch = identity_channel([1] * g)
+        if g == 26:
+            assert abs(channel_fidelity(ch, graph, "kraus_trace") - 1.0) < 1e-12
+            small = ConnectionGraph.diagonal([1] * 25)
+            assert abs(channel_fidelity(identity_channel([1] * 25), small) - 1.0) < 1e-12
+
+        def no_contraction(*args):
+            raise AssertionError("contraction started")
+
+        monkeypatch.setattr(fidelities, "kron_all", no_contraction)
+        with pytest.raises(CapExceededError, match="too many connections"):
+            channel_fidelity(ch, graph, "definition")
 
     def test_kraus_route_identity_group(self):
         ch = product_channel([identity_channel([2]), depolarizing(2, 1.0)], PAIR_GRAPH)

@@ -112,7 +112,9 @@ def test_same_seed_same_result(dims):
 
 def sequential_descend(objective_batch, gradient, x0, max_iters):
     """One restart at a time, one point per gradient call: the descent before the
-    restarts were batched, kept as the oracle for the batched loop."""
+    restarts were batched, kept as the oracle for the batched loop.  Each step tries
+    the window 2^2 ... 2^-2 of the last step, then, if none of it lowers the value,
+    the whole ladder 2^3 ... 2^-13."""
     x = x0
     fx = float(objective_batch([c[None, :] for c in x])[0])
     step = 0.5
@@ -122,12 +124,15 @@ def sequential_descend(objective_batch, gradient, x0, max_iters):
         gnorm = np.sqrt(sum(np.vdot(g, g).real for g in grad))
         if gnorm < 1e-12:
             break
-        trials = step * 2.0 ** np.arange(3, -14, -1)
-        cands = [c[None, :] - trials[:, None] * g[None, :] for c, g in zip(x, grad)]
-        cands = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in cands]
-        vals = objective_batch(cands)
-        k = int(np.argmin(vals))
-        if vals[k] >= fx - 1e-16:
+        for powers in (np.arange(2, -3, -1), np.arange(3, -14, -1)):
+            trials = step * 2.0 ** powers
+            cands = [c[None, :] - trials[:, None] * g[None, :] for c, g in zip(x, grad)]
+            cands = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in cands]
+            vals = objective_batch(cands)
+            k = int(np.argmin(vals))
+            if vals[k] < fx - 1e-16:
+                break
+        else:
             break
         x, fx = [p[k] for p in cands], float(vals[k])
         step = float(np.clip(trials[k], 1e-12, 1e7))
@@ -215,6 +220,87 @@ def test_row_stopped_at_iteration_zero_leaves_the_others_descending():
     want = np.linalg.eigvalsh(h1)[0] + np.linalg.eigvalsh(h2)[0]
     assert abs(res.value - want) < 1e-10 and res.restart_index > 0
     assert res.agreement == 4
+
+
+def ladder_points(problem, x, step, multiples):
+    """The renormalized steps ``multiples * step`` from the product point ``x`` (one
+    vector per part) against its tangent gradient, one row per multiple."""
+    g = [gw[0] for gw in problem.gradient([c[None, :] for c in x])]
+    tangent = [2.0 * (gw - np.vdot(c, gw).real * c) for c, gw in zip(x, g)]
+    pts = [c[None, :] - (step * multiples)[:, None] * t[None, :] for c, t in zip(x, tangent)]
+    return [p / np.linalg.norm(p, axis=1, keepdims=True) for p in pts]
+
+
+WINDOW_POWERS = np.arange(2, -3, -1)
+OUTSIDE_POWERS = np.array([3, *range(-3, -14, -1)])
+
+
+def test_decreasing_windows_send_five_rows_per_active_row():
+    problem = ProductEnergy(random_hermitian(6, make_rng(21)), [2, 3])
+    res = problem.minimize(22, restarts=4, max_iters=1)
+    # every window lowered its row's value, so the iteration made no second call
+    assert list(res.iterations) == [1] * 4
+    starts, window = problem.seen
+    assert window[0].shape[0] == 5 * 4
+    for r in range(4):
+        want = ladder_points(problem, [p[r] for p in starts], 0.5, 2.0 ** WINDOW_POWERS)
+        for got, w in zip(window, want):
+            assert np.max(np.abs(got[5 * r:5 * r + 5] - w)) < 1e-12
+
+
+def test_no_decrease_stop_follows_the_outside_ladder_points():
+    problem = ProductEnergy(random_hermitian(5, make_rng(23)), [5])
+    res = problem.minimize(24, restarts=1)
+    assert res.stops == ("no_decrease",)
+    sizes = [parts[0].shape[0] for parts in problem.seen]
+    assert sizes[0] == 1 and set(sizes[1:]) == {5, 12}
+    assert sizes[-2:] == [5, 12]
+    # a 12-row call only ever follows a window with no decrease
+    for i in np.flatnonzero(np.array(sizes) == 12):
+        assert sizes[i - 1] == 5
+    # the last two calls are the whole ladder at the last accepted step, split in two
+    window, outside = problem.seen[-2][0], problem.seen[-1][0]
+    matches = []
+    for m in range(-45, 25):
+        step = 0.5 * 2.0 ** m
+        want_w = ladder_points(problem, res.states, step, 2.0 ** WINDOW_POWERS)[0]
+        want_o = ladder_points(problem, res.states, step, 2.0 ** OUTSIDE_POWERS)[0]
+        if (np.max(np.abs(window - want_w)) < 1e-12
+                and np.max(np.abs(outside - want_o)) < 1e-12):
+            matches.append(m)
+    assert len(matches) == 1
+
+
+def test_row_whose_only_decrease_is_two_to_the_minus_six_still_moves():
+    problem = ProductEnergy(random_hermitian(3, make_rng(25)), [3])
+    start = np.array([1.0, 0.5j, -0.25])
+    start = start / np.linalg.norm(start)
+    target = ladder_points(problem, [start], 0.5, np.array([2.0 ** -6]))[0][0]
+
+    def objective(parts):
+        # 0 at the start, -1 at 2^-6 of the start's step 1/2 and +1 anywhere else
+        problem.seen.append([p.copy() for p in parts])
+        at_start = np.max(np.abs(parts[0] - start), axis=1) < 1e-12
+        at_target = np.max(np.abs(parts[0] - target), axis=1) < 1e-12
+        return np.where(at_target, -1.0, np.where(at_start, 0.0, 1.0))
+
+    res = minimize_product_states(objective, [3], make_rng(26), problem.gradient, restarts=0,
+                                  max_iters=1, warm_starts=[[start]])
+    assert res.value == -1.0 and res.stops == ("max_iters",) and list(res.iterations) == [1]
+    assert np.max(np.abs(res.states[0] - target)) < 1e-12
+    assert [parts[0].shape[0] for parts in problem.seen] == [1, 5, 12]
+
+
+@pytest.mark.parametrize("offsets, best", [([0.0, 1e-13], 0), ([0.0, 1e-11], 1),
+                                           ([0.0, 0.9e-12, 1.8e-12], 1)])
+def test_restarts_within_1e12_of_the_lowest_go_to_the_lowest_index(offsets, best):
+    # with no iterations each restart keeps its start's value, 1 - offsets[r]
+    d = len(offsets)
+    problem = ProductEnergy(np.diag(1.0 - np.array(offsets)).astype(complex), [d])
+    res = problem.minimize(27, restarts=0, max_iters=0, warm_starts=[[e] for e in np.eye(d)])
+    assert res.restart_index == best
+    assert res.value == res.values[best]
+    assert np.array_equal(res.states[0], np.eye(d)[best])
 
 
 def test_max_iters_is_reported():
