@@ -255,7 +255,7 @@ def test_no_decrease_stop_follows_the_outside_ladder_points():
     sizes = [parts[0].shape[0] for parts in problem.seen]
     assert sizes[0] == 1 and set(sizes[1:]) == {5, 12}
     assert sizes[-2:] == [5, 12]
-    # a 12-row call only ever follows a window with no decrease
+    # a 12-row call only ever follows the 5-row window call of the same iteration
     for i in np.flatnonzero(np.array(sizes) == 12):
         assert sizes[i - 1] == 5
     # the last two calls are the whole ladder at the last accepted step, split in two
