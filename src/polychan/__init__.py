@@ -7,8 +7,9 @@ from .capacity import (
     check_dpi,
     coherent_information,
     continuity_gap,
-    region_pareto,
+    pareto_frontier,
     region_sample,
+    region_sweep,
     simplex_weight_grid,
 )
 from .channels import (

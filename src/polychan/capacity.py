@@ -427,30 +427,27 @@ def _dominates(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> boo
     return all(x >= y - tol for x, y in zip(a, b)) and any(x > y + tol for x, y in zip(a, b))
 
 
-def region_pareto(ch: KrausChannel, graph: ConnectionGraph, n: int,
-                  weight_grid: Sequence[Sequence[float]], rng: np.random.Generator,
-                  restarts: int = 16, max_iters: int = 300) -> list[RateTuple]:
-    """Scalarize over a grid of weight vectors; deduplicated, Pareto-filtered."""
+def region_sweep(ch: KrausChannel, graph: ConnectionGraph, n: int,
+                 weight_grid: Sequence[Sequence[float]], rng: np.random.Generator,
+                 restarts: int = 16, max_iters: int = 300) -> list[RateTuple]:
+    """One :func:`region_sample` per weight vector, in grid order, each on its own
+    stream of ``rng.spawn(len(weight_grid))``."""
     grid = [tuple(float(x) for x in w) for w in weight_grid]
     if not grid:
         raise ValueError("weight grid is empty")
-    streams = rng.spawn(len(grid))
-    points = [
-        region_sample(ch, graph, n, w, s, restarts=restarts, max_iters=max_iters)
-        for w, s in zip(grid, streams)
-    ]
-    seen = set()
-    unique = []
+    return [region_sample(ch, graph, n, w, s, restarts=restarts, max_iters=max_iters)
+            for w, s in zip(grid, rng.spawn(len(grid)))]
+
+
+def pareto_frontier(points: Sequence[RateTuple]) -> list[RateTuple]:
+    """The points whose achievable rates no other point dominates, first of each
+    rate tuple (rounded to 1e-9) only."""
+    first: dict = {}
     for p in points:
-        key = tuple(round(r, 9) for r in p.achievable)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    frontier = [
-        p for p in unique
-        if not any(_dominates(q.achievable, p.achievable) for q in unique if q is not p)
-    ]
-    return frontier
+        first.setdefault(tuple(round(r, 9) for r in p.achievable), p)
+    unique = list(first.values())
+    return [p for p in unique
+            if not any(_dominates(q.achievable, p.achievable) for q in unique if q is not p)]
 
 
 def simplex_weight_grid(size: int, count: int, rng: np.random.Generator

@@ -164,10 +164,7 @@ def cmd_region(args) -> int:
         grid = [_parse_weights(args.weights, graph.size)]
     else:
         grid = capacity.simplex_weight_grid(graph.size, args.grid, rng.spawn(1)[0])
-    points = [
-        capacity.region_sample(ch, graph, args.n, w, stream, restarts=args.restarts)
-        for w, stream in zip(grid, rng.spawn(len(grid)))
-    ]
+    points = capacity.region_sweep(ch, graph, args.n, grid, rng, restarts=args.restarts)
     header = (
         [f"weight_{i}" for i in range(graph.size)]
         + [f"rate_{i}" for i in range(graph.size)]

@@ -19,10 +19,11 @@ from polychan import (
     identity_channel,
     make_rng,
     maximally_entangled_vector,
+    pareto_frontier,
     product_channel,
     random_channel,
-    region_pareto,
     region_sample,
+    region_sweep,
     simplex_weight_grid,
     split_rng,
     uhlmann_fidelity,
@@ -256,7 +257,7 @@ class TestRegionPareto:
     def test_identity_pair_frontier(self):
         ch, graph = identity_pair()
         grid = [(1.0, 1.0), (1.0, 0.2), (0.2, 1.0)]
-        points = region_pareto(ch, graph, 1, grid, make_rng(31), restarts=4)
+        points = pareto_frontier(region_sweep(ch, graph, 1, grid, make_rng(31), restarts=4))
         assert any(p.achievable[0] >= 0.99 and p.achievable[1] >= 0.99 for p in points)
         for p in points:
             for r, d in zip(p.rates, p.dims):
@@ -269,12 +270,34 @@ class TestRegionPareto:
         graph = ConnectionGraph.diagonal([2, 2])
         ch = product_channel([dep, dep], graph)
         want = isotropic_scan_best_rate(dep)
-        points = region_pareto(ch, graph, 1, [(1.0, 0.0), (0.0, 1.0)], make_rng(41),
-                               restarts=8)
+        points = pareto_frontier(region_sweep(ch, graph, 1, [(1.0, 0.0), (0.0, 1.0)],
+                                              make_rng(41), restarts=8))
         best0 = max(p.achievable[0] for p in points)
         best1 = max(p.achievable[1] for p in points)
         assert abs(best0 - want) < 1e-3
         assert abs(best1 - want) < 1e-3
+
+    def test_frontier_keeps_the_first_of_each_undominated_rate_pair(self):
+        def point(rates, restart):
+            return RateTuple(rates=rates, dims=(2, 2), blocklength=1, weights=(1.0, 1.0),
+                             objective=sum(rates), sender_states=(), restart_index=restart)
+
+        points = [point((0.5, 0.5), 0), point((0.2, 0.9), 1), point((0.4, 0.4), 2),
+                  point((0.5, 0.5 + 1e-12), 3), point((0.6, -0.1), 4), point((0.6, 0.0), 5)]
+        # (0.4, 0.4) is dominated, index 3 repeats index 0 and index 5 repeats the
+        # clamped rates of index 4
+        assert [p.restart_index for p in pareto_frontier(points)] == [0, 1, 4]
+
+    def test_sweep_runs_one_sample_per_weight_on_spawned_streams(self):
+        ch, graph = identity_pair()
+        grid = [(1.0, 0.0), (0.5, 0.5)]
+        points = region_sweep(ch, graph, 1, grid, make_rng(61), restarts=2, max_iters=5)
+        streams = make_rng(61).spawn(2)
+        for p, w, s in zip(points, grid, streams):
+            want = region_sample(ch, graph, 1, w, s, restarts=2, max_iters=5)
+            assert p.weights == w and p.rates == want.rates
+        with pytest.raises(ValueError):
+            region_sweep(ch, graph, 1, [], make_rng(61))
 
     @pytest.mark.parametrize("size, counts", [(2, range(3, 11)), (3, range(4, 11))])
     def test_weight_grid_distinct(self, size, counts):
