@@ -1,4 +1,4 @@
-"""Projected gradient descent over products of unit spheres.
+"""Riemannian L-BFGS over products of unit spheres.
 
 Shared by the worst-case fidelity search and the rate-region sampler.  A batch
 of points is a list of per-part ``(rows, d_w)`` complex arrays, every row
@@ -7,14 +7,15 @@ exact gradient on such batches, as the complex derivative df/d conj(c_w) per
 part; the descent takes the real gradient (twice that derivative) and projects
 it onto each sphere's tangent space.
 
-All restarts descend together, one row each.  Every iteration makes one
-gradient call on the rows still descending and one objective call on the five
-steps of their line-search windows (4, 2, 1, 1/2 and 1/4 times each row's last
-accepted step).  Only the rows whose window finds no decrease get a second
-call, on the other 12 steps of the 17-step ladder, and take the best of all
-17; a row stops ``no_decrease`` only when no ladder step lowers its value.
-Each row keeps its own step size and stops on its own, so it follows the path
-it would follow alone.
+All restarts descend together, one row each, with one gradient call per
+iteration.  A row keeps its last ``MEMORY`` (s, y) pairs, moved onto each new
+tangent space by the same projection, and a new pair only if <s, y> > 1e-12
+|s| |y|.  Its direction is the two-loop recursion scaled by <s, y>/<y, y> of
+the newest pair, or, with no pairs or no descent, its gradient times its last
+gradient step.  One objective call tries every row's ``WINDOW`` 4 ... 1/4 times
+its direction.  A row whose window finds no decrease drops its memory and
+tries the 17-step ``LADDER`` 8 ... 2^-13 times its gradient step in one more
+call; it stops ``no_decrease`` only when that finds none either.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# line-search ladder: multiples 2^3 ... 2^-13 of a row's last accepted step; the window
-# 2^2 ... 2^-2 is tried first, the other 12 steps only where the window finds no decrease
+# pairs (s, y) each row keeps; multiples of the direction the window tries first, and of
+# the gradient step the ladder tries where the window finds no decrease
+MEMORY = 8
 LADDER = 2.0 ** np.arange(3, -14, -1)
 WINDOW = LADDER[1:6]
-OUTSIDE = np.delete(LADDER, np.s_[1:6])
 
 
 @dataclass
@@ -36,9 +37,9 @@ class SphereResult:
     """The best restart, and per-restart certificates (warm starts first).
 
     ``stops[r]`` says why restart r ended: ``grad_norm`` (tangent gradient
-    below 1e-12), ``no_decrease`` (none of the 17 ladder steps lowered the
-    value) or ``max_iters``.  ``value`` lies within 1e-12 of the lowest of
-    ``values``.  ``agreement`` counts the restarts within 1e-9 of the best
+    below 1e-12), ``no_decrease`` (neither the window along the L-BFGS direction
+    nor the 17 gradient ladder steps lowered the value) or ``max_iters``.
+    ``value`` lies within 1e-12 of the lowest of ``values``.  ``agreement`` counts the restarts within 1e-9 of the best
     value, the only evidence of how far a heuristic minimum can be trusted.
     """
 
@@ -67,7 +68,9 @@ def minimize_product_states(
     line-search candidates) is unit-norm per part, so it need not normalize.
     ``gradient`` maps such a batch to the per-part ``(B, part_dims[w])``
     complex derivatives df/d conj(c_w); the factor 2 and the radial projection
-    are applied here.  Deterministic for a fixed rng state.  The returned value
+    are applied here.  Each restart descends by L-BFGS, with the window along
+    its direction and the gradient ladder as the stop test (module docstring).
+    Deterministic for a fixed rng state.  The returned value
     is a local minimum within 1e-12 of the best found, an upper bound on the
     true minimum: among the restarts within 1e-12 of the lowest value, the
     lowest index wins, so round-off between restarts that reach the same
@@ -98,55 +101,94 @@ def _descend(objective_batch, gradient, x, max_iters):
 
     Returns each row's final value, its number of accepted steps and why it stopped.
     """
-    rows = len(x[0])
+    dims = [p.shape[1] for p in x]
+    z = np.concatenate(x, axis=1)
+    rows, size = z.shape
     fx = np.array(objective_batch(x), dtype=float)
     step = np.full(rows, 0.5)
     iterations = np.zeros(rows, dtype=int)
     stops = np.full(rows, "max_iters", dtype=object)
+    # (s, y) pairs newest first, with weights 1/<s, y> (0 in an empty slot), and the last
+    # accepted move with the gradient it started from (zero before the first move)
+    mem, last = np.zeros((2, rows, MEMORY, size), complex), np.zeros((2, rows, size), complex)
+    rho, gamma = np.zeros((rows, MEMORY)), np.zeros(rows)
     active = np.arange(rows)
     for _ in range(max_iters):
-        xa = [p[active] for p in x]
-        # real gradient 2 df/d conj(c), minus its radial part Re<c, g> c on each sphere
-        grad = [2.0 * (g - np.einsum("ri,ri->r", c.conj(), g).real[:, None] * c)
-                for c, g in zip(xa, gradient(xa))]
-        gnorm = np.sqrt(sum(np.einsum("ri,ri->r", g.conj(), g).real for g in grad))
-        flat = gnorm < 1e-12
+        za = z[active]
+        grad = _tangent(za, 2.0 * np.concatenate(gradient(_parts(za, dims)), axis=1), dims)
+        flat = np.sqrt(_dot(grad, grad)) < 1e-12
         stops[active[flat]] = "grad_norm"
-        active, xa, grad = active[~flat], [c[~flat] for c in xa], [g[~flat] for g in grad]
+        active, za, grad = active[~flat], za[~flat], grad[~flat]
         if not active.size:
             break
-        # best-of-grid line search on each row's five-step window, all rows in one
-        # batched call, so badly conditioned valleys cannot trap the step size
-        best_x, best, best_t = _best_step(objective_batch, xa, grad, step[active, None] * WINDOW)
-        # rows whose window finds no decrease try the other 12 ladder steps in one more
-        # call; any decrease there is the best of all 17, so such a row stops only when
-        # no ladder step lowers its value
+        mem[:, active] = _tangent(za[:, None], mem[:, active], dims)
+        s, y = _tangent(za, last[:, active], dims)
+        y = grad - y
+        sy = _dot(s, y)
+        keep = sy > 1e-12 * np.sqrt(_dot(s, s) * _dot(y, y))
+        new = active[keep]
+        mem[:, new] = np.concatenate([np.stack([s, y])[:, keep, None], mem[:, new, :-1]], axis=2)
+        rho[new] = np.concatenate([1.0 / sy[keep, None], rho[new, :-1]], axis=1)
+        gamma[new] = sy[keep] / _dot(y[keep], y[keep])
+        # two-loop recursion over the slots any row fills (the filled slots come first);
+        # an empty slot has weight 0 and a row without pairs gets 0
+        d, (ms, my), r = grad.copy(), mem[:, active], rho[active]
+        used = np.count_nonzero(r, axis=1).max()
+        alpha = np.zeros((active.size, used))
+        for i in range(used):
+            alpha[:, i] = r[:, i] * _dot(ms[:, i], d)
+            d -= alpha[:, i, None] * my[:, i]
+        d *= gamma[active, None]
+        for i in reversed(range(used)):
+            d += (alpha[:, i] - r[:, i] * _dot(my[:, i], d))[:, None] * ms[:, i]
+        plain = ~(_dot(d, grad) > 0)
+        d[plain] = step[active[plain], None] * grad[plain]
+        best_z, best, best_t = _best_step(objective_batch, za, d, WINDOW, dims)
+        # rows whose window finds no decrease drop their memory and try the whole ladder
+        # along the gradient in one more call
         low = np.flatnonzero(best >= fx[active] - 1e-16)
         if low.size:
-            more_x, best[low], best_t[low] = _best_step(
-                objective_batch, [c[low] for c in xa], [g[low] for g in grad],
-                step[active[low], None] * OUTSIDE)
-            for b, m in zip(best_x, more_x):
-                b[low] = m
+            rho[active[low]], gamma[active[low]], plain[low] = 0.0, 0.0, True
+            d[low] = step[active[low], None] * grad[low]
+            best_z[low], best[low], best_t[low] = _best_step(
+                objective_batch, za[low], d[low], LADDER, dims)
         done = best >= fx[active] - 1e-16
         stops[active[done]] = "no_decrease"
+        taken = active[plain & ~done]
+        step[taken] = np.clip(best_t[plain & ~done] * step[taken], 1e-12, 1e7)
         moved, active = ~done, active[~done]
-        for p, b in zip(x, best_x):
-            p[active] = b[moved]
-        fx[active] = best[moved]
-        step[active] = np.clip(best_t[moved], 1e-12, 1e7)
+        z[active], fx[active] = best_z[moved], best[moved]
+        last[:, active] = -best_t[moved, None] * d[moved], grad[moved]
         iterations[active] += 1
         if not active.size:
             break
+    for p, v in zip(x, _parts(z, dims)):
+        p[:] = v
     return fx, iterations, stops
 
 
-def _best_step(objective_batch, xa, grad, trials):
-    """Each row's best step among ``trials`` (rows, k) from ``xa`` against the tangent
-    gradient ``grad``: the renormalized point per part, its value and its step."""
-    # a tangent step only grows each part's norm, so no row is ever zero
-    cands = [c[:, None] - trials[:, :, None] * g[:, None] for c, g in zip(xa, grad)]
-    cands = [p / np.linalg.norm(p, axis=2, keepdims=True) for p in cands]
-    vals = objective_batch([p.reshape(-1, p.shape[2]) for p in cands]).reshape(trials.shape)
-    pick = np.arange(len(trials)), np.argmin(vals, axis=1)
-    return [p[pick] for p in cands], vals[pick], trials[pick]
+def _best_step(objective_batch, za, d, trials, dims):
+    """Each row's best point among ``za - t d`` over the multiples ``trials``, each
+    renormalized part by part: the points, their values and their multiples."""
+    # a tangent step only grows each part's norm, so no part is ever zero
+    cands = [p / np.linalg.norm(p, axis=2, keepdims=True)
+             for p in _parts(za[:, None] - trials[:, None] * d[:, None], dims)]
+    vals = objective_batch([p.reshape(-1, p.shape[2]) for p in cands]).reshape(len(za), -1)
+    rows, k = np.arange(len(za)), np.argmin(vals, axis=1)
+    return np.concatenate([p[rows, k] for p in cands], axis=1), vals[rows, k], trials[k]
+
+
+def _parts(v, dims):
+    return np.split(v, np.cumsum(dims)[:-1], axis=-1)
+
+
+def _dot(a, b):
+    """The real inner product Re <a, b> over the last axis."""
+    return np.einsum("...i,...i->...", a.conj(), b).real
+
+
+def _tangent(c, v, dims):
+    """``v`` minus its radial part Re <c_w, v_w> c_w on each part's unit sphere at ``c``:
+    the gradient's projection and the memory's transport."""
+    return np.concatenate([vw - _dot(cw, vw)[..., None] * cw
+                           for cw, vw in zip(_parts(c, dims), _parts(v, dims))], axis=-1)

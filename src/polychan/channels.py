@@ -17,6 +17,7 @@ write/read is bit-exact on the numeric payload.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -505,6 +506,18 @@ def _json_number(val, field: str, *index: int) -> float:
     return float(val)
 
 
+def _kraus_row(row: list, k: int, r: int) -> np.ndarray:
+    """Row r of Kraus operator k: one type check and one conversion for the whole row,
+    and number by number, to name a bad entry ``kraus[k][r][c]``, only if that fails."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if {type(v) for entry in row for v in entry} <= {int, float}:
+            pairs = np.array(row, dtype=float)
+            if pairs.shape == (len(row), 2) and np.isfinite(pairs).all():
+                return pairs.view(complex)[:, 0]
+    return np.array([complex(_json_number(re, "kraus", k, r, c),
+                             _json_number(im, "kraus", k, r, c)) for c, (re, im) in enumerate(row)])
+
+
 def write_channel(ch: KrausChannel, graph: ConnectionGraph | None = None) -> str:
     """Serialize a channel (and its connection graph) to the JSON document format."""
     conns = []
@@ -561,9 +574,7 @@ def read_channel(text: str, check_completeness: bool = True
                     f"(the product of in_dims)"
                 )
             try:
-                rows.append([complex(_json_number(re, "kraus", k, r, c),
-                                     _json_number(im, "kraus", k, r, c))
-                             for c, (re, im) in enumerate(row)])
+                rows.append(_kraus_row(row, k, r))
             except (TypeError, ValueError) as exc:
                 raise ChannelFormatError(
                     f"field 'kraus[{k}][{r}]' has a malformed [re, im] entry"

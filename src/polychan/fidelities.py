@@ -341,18 +341,15 @@ class QuadraticOverlap:
         self.red = np.ascontiguousarray(np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var))
         self.red_adj = np.ascontiguousarray(_adjoint(self.red))
 
-        # per part i: a stack of ket tensors (one per row), and the Kraus stack with
-        # legs split, contracted with the other parts' states (conjugated on output
-        # legs for the Kraus stack)
+        # per part i: a stack of ket tensors (one per row) contracted with the other
+        # parts' states
         n = len(self.varying)
-        out, inn, row = labels[:n], labels[n : 2 * n], labels[2 * g + 1]
-        self.loo_specs, self.form_specs = [], []
+        out, row = labels[:n], labels[2 * g + 1]
+        self.loo_specs = []
         for i in range(n):
             rest = [j for j in range(n) if j != i]
             self.loo_specs.append(",".join([row + out] + [row + out[j] for j in rest])
                                   + "->" + row + out[i])
-            self.form_specs.append(",".join([kraus + out + inn] + [out[j] for j in rest]
-                                            + [inn[j] for j in rest]) + f"->{kraus}{out[i]}{inn[i]}")
 
     def _kets(self, coords: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-part states (rows) in the ambient spaces, and their row-wise product kets."""
@@ -390,64 +387,16 @@ class QuadraticOverlap:
         return [np.einsum(spec, v, *bras[:i], *bras[i + 1 :]) @ b.conj()
                 for i, (spec, b) in enumerate(zip(self.loo_specs, self.bases))]
 
-    def _part_models(self, coords: Sequence[np.ndarray]
-                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-part local models: the field matrix H_i (grad_i F = H_i c_i) and the
-        Gauss-Newton matrix M_i = sum_K (u u^dag + w w^dag), u = T c, w = T^dag c,
-        where T_K = B_i^dag R_K B_i with the other parts contracted in."""
-        psis, phi = self._kets([np.asarray(c, dtype=complex)[None, :] for c in coords])
-        psis, phi = [p[0] for p in psis], phi[0]
-        m = (self.red @ phi) @ phi.conj()
-        legs = self.red.reshape((-1,) + self.var_dims * 2)
-        bras = [p.conj() for p in psis]
-        fields, gauss = [], []
-        for i, (spec, b) in enumerate(zip(self.form_specs, self.bases)):
-            t = b.conj().T @ np.einsum(spec, legs, *bras[:i], *bras[i + 1 :],
-                                       *psis[:i], *psis[i + 1 :]) @ b
-            t_adj = _adjoint(t)
-            fields.append(np.einsum("k,kij->ij", m.conj(), t) + np.einsum("k,kij->ij", m, t_adj))
-            u, w = t @ coords[i], t_adj @ coords[i]
-            gauss.append(u.T @ u.conj() + w.T @ w.conj())
-        return fields, gauss
-
-    def polish(self, coords: Sequence[np.ndarray], sweeps: int = 60
-               ) -> tuple[float, list[np.ndarray]]:
-        """Descend to the bottom of quartic-flat valleys that defeat gradient steps.
-
-        Each sweep proposes, per part, the smallest eigenvector of the local
-        field matrix and of the Gauss-Newton matrix (the latter stays
-        informative where the overlaps vanish); moves are kept only when the
-        value drops.
-        """
-        coords = [np.asarray(c, dtype=complex).copy() for c in coords]
-        val = float(self.batch_values([c[None, :] for c in coords])[0])
-        for _ in range(sweeps):
-            improved = False
-            for k in range(len(self.varying)):
-                fields, gauss = self._part_models(coords)
-                for model in (gauss[k], fields[k]):
-                    _, v = np.linalg.eigh((model + model.conj().T) / 2.0)
-                    cand = list(coords)
-                    cand[k] = v[:, 0]
-                    cval = float(self.batch_values([c[None, :] for c in cand])[0])
-                    if cval < val - 1e-18:
-                        coords, val = cand, cval
-                        improved = True
-            if not improved:
-                break
-        return val, coords
-
     def minimize(self, rng: np.random.Generator, restarts: int, max_iters: int
                  ) -> tuple[float, list[np.ndarray]]:
-        """Heuristic minimum over the varying parts' product states: a multi-restart
-        descent, then :meth:`polish`.  Returns the value and the minimizing states
-        in the ambient spaces, one per varying connection in index order."""
+        """Heuristic minimum over the varying parts' product states: the best of a
+        multi-restart descent.  Returns the value and the minimizing states in the
+        ambient spaces, one per varying connection in index order."""
         result = minimize_product_states(
             self.batch_values, self.part_dims, rng, restarts=restarts,
             max_iters=max_iters, gradient=self.packed_gradient,
         )
-        value, coords = self.polish(result.states)
-        return value, [b @ c for b, c in zip(self.bases, coords)]
+        return result.value, [b @ c for b, c in zip(self.bases, result.states)]
 
 
 def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
@@ -456,7 +405,7 @@ def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: S
     """Heuristic minimum of the pure-state fidelity over product states drawn from
     the given subspaces.
 
-    Multi-restart projected gradient descent; the returned value is an upper
+    Multi-restart L-BFGS descent on the spheres; the returned value is an upper
     bound on the true minimum (up to optimizer slack).  Also returns the
     minimizing per-connection states in the ambient spaces.  Deterministic for
     a fixed rng state.

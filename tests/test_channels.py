@@ -361,7 +361,9 @@ class TestChannelIO:
         ([0.0, float("-inf")], "kraus[1][0][1]"),
         ([0.5], "kraus[1][0]"),
         (0.5, "kraus[1][0]"),
-    ], ids=["booleans", "strings", "nan", "infinity", "short_pair", "bare_number"])
+        ([10 ** 400, 0], "kraus[1][0][1]"),
+    ], ids=["booleans", "strings", "nan", "infinity", "short_pair", "bare_number",
+            "huge_integer"])
     def test_rejects_non_numeric_kraus_entries(self, entry, field):
         doc = json.loads(write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2)))
         doc["kraus"][1][0][1] = entry

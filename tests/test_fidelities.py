@@ -483,20 +483,6 @@ class TestQuadraticOverlap:
                            - problem.batch_values(unit_parts(x - step, dims))) / h
             assert np.max(np.abs(grad - fd.view(complex))) < 1e-12
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_field_matrix_gives_gradient(self, case, rng):
-        # polish relies on grad_i F = H_i c_i
-        *_, problem = self.build(case, rng)
-        dims = problem.part_dims
-        coords = [c[0] for c in unit_parts(rng.standard_normal(2 * sum(dims)), dims)]
-        fields, gauss = problem._part_models(coords)
-        grads = [g[0] for g in problem.packed_gradient([c[None] for c in coords])]
-        for h_i, m_i, c_i, g_i, d in zip(fields, gauss, coords, grads, dims):
-            assert h_i.shape == m_i.shape == (d, d)
-            # on the optimizer's scale 2 dF/d conj(c), as before the complex states
-            assert np.max(np.abs(2.0 * (h_i @ c_i - g_i))) < 1e-12
-            assert np.max(np.abs(m_i - m_i.conj().T)) < 1e-12
-
     def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
         ch = random_channel(6, 6, 2, rng)

@@ -111,31 +111,65 @@ def test_same_seed_same_result(dims):
 
 
 def sequential_descend(objective_batch, gradient, x0, max_iters):
-    """One restart at a time, one point per gradient call: the descent before the
-    restarts were batched, kept as the oracle for the batched loop.  Each step tries
-    the window 2^2 ... 2^-2 of the last step, then, if none of it lowers the value,
-    the whole ladder 2^3 ... 2^-13."""
+    """One restart at a time, one point per gradient call: L-BFGS on the product of
+    spheres, written apart from the batched loop as its oracle.  The last 8 curvature
+    pairs are projected onto each new tangent space; a pair is kept only if
+    <s, y> > 1e-12 |s| |y|.  The two-loop direction, scaled by <s, y>/<y, y> of the
+    newest pair when it was kept, is tried at 4, 2, 1, 1/2 and 1/4 times itself; with
+    no pairs, or if it does not descend, the gradient times the last gradient step is
+    tried there instead.  If none of those points lowers the value, the pairs are
+    dropped and the gradient step is tried at 8, 4, ... 2^-13 times itself."""
+
+    def project(x, v):
+        return [vw - np.vdot(c, vw).real * c for c, vw in zip(x, v)]
+
+    def inner(a, b):
+        return sum(np.vdot(u, w).real for u, w in zip(a, b))
+
+    def search(x, direction, powers):
+        trials = 2.0 ** powers
+        cands = [c[None, :] - trials[:, None] * dw[None, :] for c, dw in zip(x, direction)]
+        cands = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in cands]
+        vals = objective_batch(cands)
+        k = int(np.argmin(vals))
+        return [p[k] for p in cands], float(vals[k]), trials[k]
+
     x = x0
     fx = float(objective_batch([c[None, :] for c in x])[0])
-    step = 0.5
+    step, pairs, scale, last = 0.5, [], 0.0, None
     for _ in range(max_iters):
-        point_grad = [g[0] for g in gradient([c[None, :] for c in x])]
-        grad = [2.0 * (g - np.vdot(c, g).real * c) for c, g in zip(x, point_grad)]
-        gnorm = np.sqrt(sum(np.vdot(g, g).real for g in grad))
-        if gnorm < 1e-12:
+        g = project(x, [2.0 * gw[0] for gw in gradient([c[None, :] for c in x])])
+        if np.sqrt(inner(g, g)) < 1e-12:
             break
-        for powers in (np.arange(2, -3, -1), np.arange(3, -14, -1)):
-            trials = step * 2.0 ** powers
-            cands = [c[None, :] - trials[:, None] * g[None, :] for c, g in zip(x, grad)]
-            cands = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in cands]
-            vals = objective_batch(cands)
-            k = int(np.argmin(vals))
-            if vals[k] < fx - 1e-16:
+        pairs = [(project(x, s), project(x, y), rho) for s, y, rho in pairs]
+        if last is not None:
+            s = project(x, last[0])
+            y = [a - b for a, b in zip(g, project(x, last[1]))]
+            sy = inner(s, y)
+            if sy > 1e-12 * np.sqrt(inner(s, s) * inner(y, y)):
+                pairs, scale = (pairs + [(s, y, 1.0 / sy)])[-8:], sy / inner(y, y)
+        q, alphas = list(g), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * inner(s, q))
+            q = [qw - alphas[-1] * yw for qw, yw in zip(q, y)]
+        direction = [scale * qw for qw in q]
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            b = rho * inner(y, direction)
+            direction = [dw + (a - b) * sw for dw, sw in zip(direction, s)]
+        along_gradient = not pairs or inner(direction, g) <= 0
+        if along_gradient:
+            direction = [step * gw for gw in g]
+        new_x, new_f, t = search(x, direction, np.arange(2, -3, -1))
+        if new_f >= fx - 1e-16:
+            pairs, scale, along_gradient = [], 0.0, True
+            direction = [step * gw for gw in g]
+            new_x, new_f, t = search(x, direction, np.arange(3, -14, -1))
+            if new_f >= fx - 1e-16:
                 break
-        else:
-            break
-        x, fx = [p[k] for p in cands], float(vals[k])
-        step = float(np.clip(trials[k], 1e-12, 1e7))
+        if along_gradient:
+            step = float(np.clip(t * step, 1e-12, 1e7))
+        last = ([-t * dw for dw in direction], g)
+        x, fx = new_x, new_f
     return fx, x
 
 
@@ -180,16 +214,29 @@ def test_batched_descent_matches_sequential_on_readme_pair(n, restarts):
     assert_matches_oracle(objective, gradient, dims, 31, restarts=restarts, warm_starts=warm)
 
 
-def test_batched_descent_matches_sequential_on_cross5():
-    # near-identity correlated noise on five qubit links whose block orders differ
+def cross5_problem():
+    """The worst-case fidelity problem of near-identity correlated noise on five qubit
+    links whose block orders differ."""
     graph = ConnectionGraph([(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 2, 2), (2, 2, 2)])
     routing = product_channel([identity_channel([2])] * graph.size, graph)
     r = routing.kraus_ops[0]
     ops = [np.sqrt(0.95) * r]
     ops += [np.sqrt(0.05) * m @ r for m in random_channel(32, 32, 3, make_rng(1)).kraus_ops]
     ch = KrausChannel(ops, routing.in_layout, routing.out_layout)
-    problem = QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+    return QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+
+
+def test_batched_descent_matches_sequential_on_cross5():
+    problem = cross5_problem()
     assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims, 32)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_no_cross5_restart_stops_at_max_iters(seed):
+    problem = cross5_problem()
+    res = minimize_product_states(problem.batch_values, problem.part_dims, make_rng(seed),
+                                  problem.packed_gradient)
+    assert len(res.stops) == 32 and "max_iters" not in res.stops
 
 
 @pytest.mark.parametrize("k", range(10))
@@ -232,7 +279,7 @@ def ladder_points(problem, x, step, multiples):
 
 
 WINDOW_POWERS = np.arange(2, -3, -1)
-OUTSIDE_POWERS = np.array([3, *range(-3, -14, -1)])
+LADDER_POWERS = np.arange(3, -14, -1)
 
 
 def test_decreasing_windows_send_five_rows_per_active_row():
@@ -253,21 +300,16 @@ def test_no_decrease_stop_follows_the_outside_ladder_points():
     res = problem.minimize(24, restarts=1)
     assert res.stops == ("no_decrease",)
     sizes = [parts[0].shape[0] for parts in problem.seen]
-    assert sizes[0] == 1 and set(sizes[1:]) == {5, 12}
-    assert sizes[-2:] == [5, 12]
-    # a 12-row call only ever follows the 5-row window call of the same iteration
-    for i in np.flatnonzero(np.array(sizes) == 12):
+    assert sizes[0] == 1 and set(sizes[1:]) == {5, 17}
+    assert sizes[-2:] == [5, 17]
+    # a 17-row call only ever follows the 5-row window call of the same iteration
+    for i in np.flatnonzero(np.array(sizes) == 17):
         assert sizes[i - 1] == 5
-    # the last two calls are the whole ladder at the last accepted step, split in two
-    window, outside = problem.seen[-2][0], problem.seen[-1][0]
-    matches = []
-    for m in range(-45, 25):
-        step = 0.5 * 2.0 ** m
-        want_w = ladder_points(problem, res.states, step, 2.0 ** WINDOW_POWERS)[0]
-        want_o = ladder_points(problem, res.states, step, 2.0 ** OUTSIDE_POWERS)[0]
-        if (np.max(np.abs(window - want_w)) < 1e-12
-                and np.max(np.abs(outside - want_o)) < 1e-12):
-            matches.append(m)
+    # the last call is the whole ladder along the gradient at the last gradient step
+    ladder = problem.seen[-1][0]
+    matches = [m for m in range(-45, 25)
+               if np.max(np.abs(ladder - ladder_points(problem, res.states, 0.5 * 2.0 ** m,
+                                                       2.0 ** LADDER_POWERS)[0])) < 1e-12]
     assert len(matches) == 1
 
 
@@ -288,7 +330,7 @@ def test_row_whose_only_decrease_is_two_to_the_minus_six_still_moves():
                                   max_iters=1, warm_starts=[[start]])
     assert res.value == -1.0 and res.stops == ("max_iters",) and list(res.iterations) == [1]
     assert np.max(np.abs(res.states[0] - target)) < 1e-12
-    assert [parts[0].shape[0] for parts in problem.seen] == [1, 5, 12]
+    assert [parts[0].shape[0] for parts in problem.seen] == [1, 5, 17]
 
 
 @pytest.mark.parametrize("offsets, best", [([0.0, 1e-13], 0), ([0.0, 1e-11], 1),
