@@ -121,6 +121,7 @@ def _descend(objective_batch, gradient, x, max_iters):
         active, za, grad = active[~flat], za[~flat], grad[~flat]
         if not active.size:
             break
+        # carry the pairs and the last move to this point; a new pair must have curvature
         mem[:, active] = _tangent(za[:, None], mem[:, active], dims)
         s, y = _tangent(za, last[:, active], dims)
         y = grad - y
