@@ -39,8 +39,9 @@ class SphereResult:
     ``stops[r]`` says why restart r ended: ``grad_norm`` (tangent gradient
     below 1e-12), ``no_decrease`` (neither the window along the L-BFGS direction
     nor the 17 gradient ladder steps lowered the value) or ``max_iters``.
-    ``value`` lies within 1e-12 of the lowest of ``values``.  ``agreement`` counts the restarts within 1e-9 of the best
-    value, the only evidence of how far a heuristic minimum can be trusted.
+    ``value`` lies within 1e-12 of the lowest of ``values``.  ``agreement``
+    counts the restarts within 1e-9 of the best value, the only evidence of how
+    far a heuristic minimum can be trusted.
     """
 
     value: float
@@ -80,11 +81,10 @@ def minimize_product_states(
     if restarts < 0 or restarts + len(warm_starts) == 0:
         raise ValueError(f"need restarts >= 0 and at least one start, got restarts {restarts} "
                          f"and {len(warm_starts)} warm starts")
-    splits = np.cumsum([int(d) for d in part_dims])[:-1]
     starts = [[np.asarray(s, dtype=complex) for s in ws] for ws in warm_starts]
     # consecutive real draws are the (re, im) of one amplitude
     draws = rng.standard_normal((restarts, 2 * int(np.sum(part_dims)))).view(complex)
-    starts += [np.split(z, splits) for z in draws]
+    starts += [_parts(z, part_dims) for z in draws]
     x = [np.array([c / np.linalg.norm(c) for c in part]) for part in zip(*starts)]
 
     values, iterations, stops = _descend(objective_batch, gradient, x, max_iters)
@@ -144,7 +144,8 @@ def _descend(objective_batch, gradient, x, max_iters):
             d += (alpha[:, i] - r[:, i] * _dot(my[:, i], d))[:, None] * ms[:, i]
         plain = ~(_dot(d, grad) > 0)
         d[plain] = step[active[plain], None] * grad[plain]
-        best_z, best, best_t = _best_step(objective_batch, za, d, WINDOW, dims)
+        best_z, best, best_t = _best_step(objective_batch, _parts(za, dims), _parts(d, dims),
+                                          WINDOW)
         # rows whose window finds no decrease drop their memory and try the whole ladder
         # along the gradient in one more call
         low = np.flatnonzero(best >= fx[active] - 1e-16)
@@ -152,7 +153,7 @@ def _descend(objective_batch, gradient, x, max_iters):
             rho[active[low]], gamma[active[low]], plain[low] = 0.0, 0.0, True
             d[low] = step[active[low], None] * grad[low]
             best_z[low], best[low], best_t[low] = _best_step(
-                objective_batch, za[low], d[low], LADDER, dims)
+                objective_batch, _parts(za[low], dims), _parts(d[low], dims), LADDER)
         done = best >= fx[active] - 1e-16
         stops[active[done]] = "no_decrease"
         taken = active[plain & ~done]
@@ -168,14 +169,14 @@ def _descend(objective_batch, gradient, x, max_iters):
     return fx, iterations, stops
 
 
-def _best_step(objective_batch, za, d, trials, dims):
-    """Each row's best point among ``za - t d`` over the multiples ``trials``, each
-    renormalized part by part: the points, their values and their multiples."""
+def _best_step(objective_batch, xa, d, trials):
+    """Each row's best point among ``xa - t d`` (per-part arrays) over the multiples
+    ``trials``, each part renormalized: the flat points, their values and multiples."""
     # a tangent step only grows each part's norm, so no part is ever zero
     cands = [p / np.linalg.norm(p, axis=2, keepdims=True)
-             for p in _parts(za[:, None] - trials[:, None] * d[:, None], dims)]
-    vals = objective_batch([p.reshape(-1, p.shape[2]) for p in cands]).reshape(len(za), -1)
-    rows, k = np.arange(len(za)), np.argmin(vals, axis=1)
+             for p in (c[:, None] - trials[:, None] * dw[:, None] for c, dw in zip(xa, d))]
+    vals = objective_batch([p.reshape(-1, p.shape[2]) for p in cands]).reshape(len(d[0]), -1)
+    rows, k = np.arange(len(d[0])), np.argmin(vals, axis=1)
     return np.concatenate([p[rows, k] for p in cands], axis=1), vals[rows, k], trials[k]
 
 

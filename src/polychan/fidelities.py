@@ -341,8 +341,7 @@ class QuadraticOverlap:
         self.red = np.ascontiguousarray(np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var))
         self.red_adj = np.ascontiguousarray(_adjoint(self.red))
 
-        # per part i: a stack of ket tensors (one per row) contracted with the other
-        # parts' states
+        # per part i: the row-wise ket tensors contracted with the other parts' states
         n = len(self.varying)
         out, row = labels[:n], labels[2 * g + 1]
         self.loo_specs = []
