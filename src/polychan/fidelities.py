@@ -16,9 +16,11 @@ Every product-state fidelity on a stack of rows goes through one kernel,
 :class:`QuadraticOverlap`: the Monte Carlo average, stacked
 :func:`pure_state_fidelity` calls and both worst-case searches (over product
 states of subspaces, :func:`min_subspace_fidelity`, and over one connection's
-support with the others held fixed).  :func:`channel_fidelity_report` is the one
-place that enumerates connection subsets: it holds every group channel
-fidelity by the Kraus route and the exact Haar average built from them.
+support with the others held fixed).  The kernel takes per-connection states and
+forms their product kets itself, for one row block at a time, so no caller holds
+the kets of a whole batch.  :func:`channel_fidelity_report` is the one place that
+enumerates connection subsets: it holds every group channel fidelity by the
+Kraus route and the exact Haar average built from them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .linalg import (
     DensityOperator,
     SystemLayout,
     _adjoint,
+    check_finite,
     clip_spectrum,
     eigh,
     gemm_block_rows,
@@ -64,8 +67,8 @@ def _purification_amp(rho) -> np.ndarray:
     return (v * np.sqrt(w)).T
 
 
-def _pure_amp(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+def _pure_amp(psi, i: int) -> np.ndarray:
+    v = check_finite(np.asarray(psi, dtype=complex).reshape(-1), f"state for connection {i}")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("zero vector is not a state")
@@ -147,16 +150,18 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
     """
     vecs = [np.asarray(psi, dtype=complex) for psi in states]
     if not vecs or any(v.ndim != 2 for v in vecs):
-        return _overlap_fidelity(ch, graph, [_pure_amp(v) for v in vecs])
+        return _overlap_fidelity(ch, graph, [_pure_amp(v, i) for i, v in enumerate(vecs)])
     check_graph_compatible(ch, graph)
     _check_amps(graph, vecs)
+    for i, v in enumerate(vecs):
+        check_finite(v, f"state stack for connection {i}")
     if len({v.shape[0] for v in vecs}) != 1:
         raise ValueError(f"state stacks differ in length: {[v.shape[0] for v in vecs]}")
     norms = [np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
     if any(np.any(nrm == 0) for nrm in norms):
         raise ValueError("zero vector is not a state")
     problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
-    return problem._values(kron_rows([v / nrm for v, nrm in zip(vecs, norms)]))
+    return problem._values([v / nrm for v, nrm in zip(vecs, norms)])
 
 
 def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,
@@ -164,9 +169,9 @@ def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     """Fidelity with a mix of per-connection roles: ('pure', vector) connections are
     sent bare, ('mixed', density) connections keep an entangled reference."""
     amps = []
-    for kind, val in entries:
+    for i, (kind, val) in enumerate(entries):
         if kind == "pure":
-            amps.append(_pure_amp(val))
+            amps.append(_pure_amp(val, i))
         elif kind == "mixed":
             amps.append(_purification_amp(val))
         else:
@@ -231,7 +236,13 @@ def average_fidelity_exact(ch: KrausChannel, graph: ConnectionGraph) -> float:
 def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
                         rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the average fidelity over independent Haar product
-    states; returns (mean, standard error)."""
+    states; returns (mean, standard error).
+
+    The states are drawn ``MC_DRAW_ROWS`` samples per connection at a time.  At
+    once it holds one such draw block of per-connection states and the
+    per-sample values; :class:`QuadraticOverlap` forms the product kets for one
+    of its row blocks at a time.
+    """
     check_graph_compatible(ch, graph)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -243,7 +254,7 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
         for d in graph.dims:
             z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
             states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-        vals[lo : lo + b] = problem._values(kron_rows(states))
+        vals[lo : lo + b] = problem._values(states)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
     return mean, stderr
@@ -297,17 +308,19 @@ class QuadraticOverlap:
     gradients both take stacks of rows, one product point per row.
 
     With every connection varying over its whole space (identity bases, no
-    fixed amplitudes), ``_values`` on row-wise product kets gives the
-    pure-state fidelities of :func:`average_fidelity_mc` and of stacked
-    :func:`pure_state_fidelity` calls.  :meth:`minimize` runs the worst-case
-    search over the bases' product states, used by
-    :func:`min_subspace_fidelity` and, with the other connections fixed, by
-    ``protocols.extract_subspace``.
+    fixed amplitudes), ``_values`` on per-connection state stacks (each
+    ``(rows, d_i)``) gives the pure-state fidelities of
+    :func:`average_fidelity_mc` and of stacked :func:`pure_state_fidelity`
+    calls.  :meth:`minimize` runs the worst-case search over the bases'
+    product states, used by :func:`min_subspace_fidelity` and, with the other
+    connections fixed, by ``protocols.extract_subspace``.
 
     Products with ``red`` are stacks of K matmuls of shape (D_var, D_var) by
     (D_var, B), over row blocks of B rows kept under
     ``linalg.GEMM_SINGLE_THREAD_MNK``: a larger product wakes a second BLAS
-    thread, which adds CPU time without saving wall time.
+    thread, which adds CPU time without saving wall time.  The product kets
+    exist for one such block at a time: :meth:`_blocks` forms them from the
+    block's rows of the per-part states.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
@@ -350,36 +363,33 @@ class QuadraticOverlap:
             self.loo_specs.append(",".join([row + out] + [row + out[j] for j in rest])
                                   + "->" + row + out[i])
 
-    def _kets(self, coords: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-part states (rows) in the ambient spaces, and their row-wise product kets."""
-        psis = [c @ b.T for c, b in zip(coords, self.bases)]
-        return psis, kron_rows(psis)
-
-    def _blocks(self, phi: np.ndarray):
-        """Per block of rows of the product kets: its slice, u = red phi and the
-        overlaps m = phi^dag u, shaped (K, D_var, B) and (K, B)."""
-        for lo in range(0, phi.shape[0], self.block_rows):
+    def _blocks(self, psis: Sequence[np.ndarray]):
+        """Per block of rows of the per-part states ``psis`` (each ``(rows, d_i)``):
+        its slice, the block's product kets phi, u = red phi and the overlaps
+        m = phi^dag u, shaped (B, D_var), (K, D_var, B) and (K, B)."""
+        for lo in range(0, psis[0].shape[0], self.block_rows):
             rows = slice(lo, lo + self.block_rows)
-            u = self.red @ phi[rows].T
-            yield rows, u, np.einsum("kdb,bd->kb", u, phi[rows].conj())
+            phi = kron_rows([p[rows] for p in psis])
+            u = self.red @ phi.T
+            yield rows, phi, u, np.einsum("kdb,bd->kb", u, phi.conj())
 
-    def _values(self, phi: np.ndarray) -> np.ndarray:
-        out = np.empty(phi.shape[0])
-        for rows, _, m in self._blocks(phi):
+    def _values(self, psis: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.empty(psis[0].shape[0])
+        for rows, _, _, m in self._blocks(psis):
             out[rows] = np.sum(m.real ** 2 + m.imag ** 2, axis=0)
         return out
 
     def batch_values(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """Fidelities for per-part coordinate batches of shape (rows, part_dims[i])."""
-        return self._values(self._kets(parts)[1])
+        return self._values([c @ b.T for c, b in zip(parts, self.bases)])
 
     def packed_gradient(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
         """dF/d conj(c_i) per part, for per-part coordinate batches of shape
         (rows, part_dims[i]); the result has the same shapes."""
-        psis, phi = self._kets(parts)
-        v = np.empty_like(phi)
-        for rows, u, m in self._blocks(phi):
-            w = self.red_adj @ phi[rows].T
+        psis = [c @ b.T for c, b in zip(parts, self.bases)]
+        v = np.empty((psis[0].shape[0], self.red.shape[1]), dtype=complex)
+        for rows, phi, u, m in self._blocks(psis):
+            w = self.red_adj @ phi.T
             v[rows] = np.einsum("kb,kdb->bd", m.conj(), u) + np.einsum("kb,kdb->bd", m, w)
         v = v.reshape(-1, *self.var_dims)
         bras = [p.conj() for p in psis]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from polychan import (
 from polychan import fidelities
 from polychan.channels import KrausChannel, connection_kraus
 from polychan.errors import CapExceededError
-from polychan.fidelities import SUBSET_CAP, QuadraticOverlap, _purification_amp
+from polychan.fidelities import MC_DRAW_ROWS, SUBSET_CAP, QuadraticOverlap, _purification_amp
 from polychan.linalg import gemm_block_rows
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
@@ -266,6 +267,21 @@ class TestPureStateFidelity:
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         assert abs(pure_state_fidelity(dephasing(p), QUBIT_GRAPH, [plus]) - (1 - p)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_states(self, bad, rng):
+        # named before any contraction, on the single path (shared with mixed_fidelity)
+        # and on the stacked path, where one bad row would otherwise give one NaN
+        ch = identity_channel([2, 2])
+        good, state = haar_state(2, rng), np.array([bad, 1], dtype=complex)
+        with pytest.raises(ValueError, match="connection 1 contains non-finite"):
+            pure_state_fidelity(ch, PAIR_GRAPH, [good, state])
+        with pytest.raises(ValueError, match="connection 1 contains non-finite"):
+            mixed_fidelity(ch, PAIR_GRAPH, [("mixed", np.eye(2) / 2), ("pure", state)])
+        stacks = [np.array([haar_state(2, rng) for _ in range(2)]) for _ in range(2)]
+        stacks[0][1] = state
+        with pytest.raises(ValueError, match="connection 0 contains non-finite"):
+            pure_state_fidelity(ch, PAIR_GRAPH, stacks)
+
 
 class TestAverageFidelity:
     def test_exact_identity_pair(self):
@@ -337,6 +353,19 @@ class TestAverageFidelity:
         vals = np.asarray(vals)
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * stderr
+
+    def test_mc_memory_stays_under_one_draw_blocks_kets(self, rng):
+        # five qubit links: one draw block's product kets would be 16 * MC_DRAW_ROWS * 32
+        # bytes; the kernel forms kets one row block at a time, so the draws, their
+        # states and the per-sample values stay well under that
+        ch = random_channel(32, 32, 3, rng)
+        tracemalloc.start()
+        try:
+            average_fidelity_mc(ch, CROSS5_GRAPH, 100000, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * MC_DRAW_ROWS * 32
 
 
 class TestMinSubspaceFidelity:
@@ -482,6 +511,20 @@ class TestQuadraticOverlap:
                 fd += c * (problem.batch_values(unit_parts(x + step, dims))
                            - problem.batch_values(unit_parts(x - step, dims))) / h
             assert np.max(np.abs(grad - fd.view(complex))) < 1e-12
+
+    @pytest.mark.parametrize("case", ["cross5_fixed", "pair_fixed_mixed", "middle_fixed"])
+    def test_ragged_blocks_match_one_block(self, case, rng):
+        # non-identity bases and a fixed amplitude, as protocols.extract_subspace builds;
+        # blocks of 3 over 7 rows leave a short last block
+        *_, problem = self.build(case, rng)
+        coords = unit_parts(rng.standard_normal((7, 2 * sum(problem.part_dims))),
+                            problem.part_dims)
+        assert problem.block_rows >= 7
+        values, grads = problem.batch_values(coords), problem.packed_gradient(coords)
+        problem.block_rows = 3
+        assert np.max(np.abs(problem.batch_values(coords) - values)) < 1e-14
+        for got, want in zip(problem.packed_gradient(coords), grads):
+            assert np.max(np.abs(got - want)) < 1e-14
 
     def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
