@@ -30,7 +30,6 @@ from ._optim import minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
-    apply_with_reference,
     check_graph_compatible,
     connection_kraus,
     copy_grouping,
@@ -38,18 +37,16 @@ from .channels import (
 from .errors import CapExceededError
 from .linalg import (
     MAX_DIM,
-    DensityOperator,
     SystemLayout,
     _adjoint,
+    check_factor,
     clip_spectrum,
     eigh,
-    entropy,
     entropy_of_spectrum,
     float_or_stack,
     kron_all,
     kron_rows,
     maximally_entangled_vector,
-    partial_trace,
     permute_legs_vector,
     uhlmann_fidelity,
 )
@@ -86,44 +83,65 @@ class BipartiteSplit:
         return int(np.prod([self.layout.leg_dims[i] for i in sorted(self.a_legs)] or [1]))
 
 
-def coherent_information(rho: DensityOperator, split: BipartiteSplit) -> float | np.ndarray:
-    """I_c(A>B) = S(rho_B) - S(rho_AB), in bits; one value per member of a stack."""
-    if rho.layout != split.layout:
-        raise ValueError("state layout does not match the split's layout")
-    s_ab = entropy(rho)
-    rho_b = partial_trace(rho.matrix, rho.layout, split.b_legs)
-    return entropy(rho_b) - s_ab
+def _b_rows(phi: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """A factor (..., D, K), rows over the split's layout, as M[..., b, (a, k)]: rho_B = M M^dag."""
+    dims, lead = split.layout.leg_dims, phi.shape[:-2]
+    if phi.ndim < 2 or phi.shape[-2] != split.layout.total_dim:
+        raise ValueError(f"factor of shape {phi.shape} does not match the split's layout {dims}")
+    k = len(lead)
+    axes = [*range(k), *(k + i for i in sorted(split.b_legs)),
+            *(k + i for i in sorted(split.a_legs)), k + len(dims)]
+    legs = phi.reshape(lead + dims + phi.shape[-1:]).transpose(axes)
+    return legs.reshape(lead + (split.layout.total_dim // split.a_dim, -1))
 
 
-def check_dpi(rho: DensityOperator, split: BipartiteSplit, post: KrausChannel | np.ndarray
+def _gram(m: np.ndarray) -> np.ndarray:
+    """The smaller of m m^dag and m^dag m, which share their nonzero spectrum."""
+    return m @ _adjoint(m) if m.shape[-2] <= m.shape[-1] else _adjoint(m) @ m
+
+
+def coherent_information(phi: np.ndarray, split: BipartiteSplit) -> float | np.ndarray:
+    """I_c(A>B) = S(rho_B) - S(rho_AB), in bits, of rho = phi phi^dag; one value per
+    factor of a stack.
+
+    ``phi`` has shape (..., D, K), its rows over the split's layout, so no D x D
+    matrix is formed: rho_AB has the nonzero spectrum of phi^dag phi, and
+    rho_B = M M^dag (see ``_b_rows``) that of M^dag M; the smaller of each pair
+    is taken.
+    """
+    phi = check_factor(np.asarray(phi, dtype=complex))
+    s_b = entropy_of_spectrum(eigh(_gram(_b_rows(phi, split)), vectors=False)[0])
+    return s_b - entropy_of_spectrum(eigh(_gram(phi), vectors=False)[0])
+
+
+def check_dpi(phi: np.ndarray, split: BipartiteSplit, post: KrausChannel | np.ndarray
               ) -> float | np.ndarray:
     """Margin I_c(before) - I_c(after postprocessing on B); nonnegative up to round-off.
 
-    ``post`` is a channel, or for a stack of T states a (T, K, out, in) array
-    of Kraus operators, one postprocessing per member.
+    ``phi`` is a factor as in :func:`coherent_information`.  ``post`` is a channel
+    on B or its (J, out, in) Kraus operators; a (..., J, out, in) array gives each
+    factor of a stack its own.  The postprocessed state has the factor
+    [(I_A (x) B_j) phi]_j, with rows (a, out) and J K columns.
     """
-    before = coherent_information(rho, split)
-    a_sorted = sorted(split.a_legs)
-    b_sorted = sorted(split.b_legs)
-    perm = a_sorted + b_sorted
-    moved = rho.permuted(perm)
-    # apply_with_reference rejects a postprocessing whose input is not the B block
-    out = apply_with_reference(post, moved, ref_legs=len(a_sorted))
-    na = len(a_sorted)
-    split_after = BipartiteSplit(
-        out.layout, range(na), range(na, out.layout.num_legs)
-    )
-    return before - coherent_information(out, split_after)
+    kraus = post.kraus_stack() if isinstance(post, KrausChannel) else np.asarray(post)
+    m = _b_rows(np.asarray(phi, dtype=complex), split)
+    if kraus.shape[-1] != m.shape[-2]:
+        raise ValueError(f"postprocessing input dimension {kraus.shape[-1]} does not match "
+                         f"the B side's {m.shape[-2]}")
+    out = kraus @ m[..., None, :, :]
+    lead, (j, d_out) = out.shape[:-3], out.shape[-3:-1]
+    out = out.reshape(lead + (j, d_out, split.a_dim, -1)).swapaxes(-4, -2)
+    after = BipartiteSplit([split.a_dim, d_out], [0], [1])
+    return coherent_information(phi, split) - coherent_information(
+        out.reshape(lead + (split.a_dim * d_out, -1)), after)
 
 
-def continuity_gap(rho: DensityOperator, sigma: DensityOperator, split: BipartiteSplit
+def continuity_gap(phi: np.ndarray, chi: np.ndarray, split: BipartiteSplit
                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same split,
-    or member by member for two stacks."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lhs = np.abs(coherent_information(rho, split) - coherent_information(sigma, split))
-    f = np.maximum(0.0, 1.0 - uhlmann_fidelity(rho, sigma))
+    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same split, given
+    by their factors, or factor by factor for two stacks."""
+    lhs = np.abs(coherent_information(phi, split) - coherent_information(chi, split))
+    f = np.maximum(0.0, 1.0 - uhlmann_fidelity(phi, chi))
     rhs = 4.0 * np.sqrt(f) * np.log2(split.a_dim) + 2.0
     return float_or_stack(lhs), float_or_stack(rhs)
 

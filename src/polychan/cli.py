@@ -23,7 +23,6 @@ from .errors import CapExceededError, ChannelFormatError
 from .linalg import (
     DensityOperator,
     SystemLayout,
-    check_density,
     haar_state,
     make_rng,
     maximally_entangled_vector,
@@ -35,9 +34,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
-# Byte budget for one stack of states in verify's DPI and continuity sweeps.
-# Every fixture's 200 trials fit in one block (the largest stack is 0.8 MB);
-# larger channels or more trials are taken in blocks.
+# Byte budget for one block of verify's DPI and continuity sweeps, counted as
+# one D x 2K factor per trial (see _stream_blocks).  Every fixture's 200 trials
+# fit in one block (the largest is 0.4 MB); larger channels or more trials are
+# taken in blocks.
 SWEEP_BLOCK_BYTES = 1 << 20
 
 
@@ -222,33 +222,28 @@ def _check_route_equality(ch, graph, report, tol_exact):
     return worst, tol_exact, "exact"
 
 
-def _connection_channel(ch, graph):
-    """The channel with one input and one output leg per connection, in index order."""
-    d = graph.total_dim()
-    kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
-    return KrausChannel(kraus, graph.dims, graph.dims)
-
-
-def _stream_blocks(streams, conn_ch):
-    """``streams`` in consecutive blocks whose stacks of sweep states stay under
+def _stream_blocks(streams, graph, num_kraus):
+    """``streams`` in consecutive blocks whose sweep factors stay under
     ``SWEEP_BLOCK_BYTES``, so peak memory does not grow with the number of trials.
 
-    A member is one output state of ``conn_ch`` with its reference, D x D with
-    D = (product of the connection dimensions)^2, or its D x K Kraus kets if
-    larger. A member over the budget gets a block of its own.
+    A trial holds D x K factors, D = (product of the connection dimensions)^2:
+    its states a and b, or its state and the 2K columns of its postprocessed
+    state, so it is counted as one D x 2K factor.  A trial over the budget gets
+    a block of its own.
     """
-    d = conn_ch.in_dim * conn_ch.out_dim
-    size = max(1, SWEEP_BLOCK_BYTES // (16 * d * max(d, conn_ch.num_kraus)))
+    size = max(1, SWEEP_BLOCK_BYTES // (32 * graph.total_dim() ** 2 * num_kraus))
     return [streams[i:i + size] for i in range(0, len(streams), size)]
 
 
-def _random_output_states(conn_ch, graph, streams):
-    """Outputs of a :func:`_connection_channel` for random product inputs, one per
-    stream, as a stack: a random pure state on each connection's (reference,
-    input) pair.
+def _random_output_states(kraus, graph, streams):
+    """Outputs of the channel for random product inputs, one per stream: a random
+    pure state on each connection's (reference, input) pair.
 
-    The legs come out as the joint reference (R_0..R_{g-1}, one leg) and then
-    one output leg per connection, all in connection-index order.
+    ``kraus`` is the channel's (K, D_B, D_B) Kraus stack with one output and one
+    input leg per connection, in index order (:func:`channels.connection_kraus`).
+    The result is a (T, D_R D_B, K) stack of factors phi with rho = phi phi^dag,
+    its rows over the joint reference (R_0..R_{g-1}) and then the outputs, each
+    in connection-index order.
     """
     # each stream draws, connection after connection, the real and then the imaginary parts
     draws = [[stream.standard_normal((2, d, d)) for d in graph.dims] for stream in streams]
@@ -261,36 +256,33 @@ def _random_output_states(conn_ch, graph, streams):
         amp = np.einsum("tij,tkl->tikjl", amp, z).reshape(
             len(z), amp.shape[1] * z.shape[1], -1)
     count, refs = amp.shape[:2]
-    psi = amp.reshape(count, -1)
-    check_density(psi[:, :, None] * psi[:, None, :].conj())
-    # the inputs are pure, so the output is phi phi^dag with phi[t, (r, b), k] the
-    # ket (I (x) A_k) psi: no K-fold stack of mixed states is formed
-    kraus = conn_ch.kraus_stack()
+    # the inputs are pure, so phi[t, (r, b), k] is the ket (I (x) A_k) psi
     phi = (amp @ kraus.reshape(-1, kraus.shape[-1]).T).reshape(count, refs, len(kraus), -1)
-    phi = phi.swapaxes(2, 3).reshape(count, -1, len(kraus))
-    return DensityOperator(phi @ phi.conj().swapaxes(1, 2), SystemLayout((refs,) + graph.dims))
+    return phi.swapaxes(2, 3).reshape(count, -1, len(kraus))
 
 
 def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
-    conn_ch = _connection_channel(ch, graph)
+    d = graph.total_dim()
+    kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
+    split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = float("inf")
-    for block in _stream_blocks(split_rng(rng, trials), conn_ch):
-        out = _random_output_states(conn_ch, graph, block)
-        split = capacity.BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
+    for block in _stream_blocks(split_rng(rng, trials), graph, len(kraus)):
+        phi = _random_output_states(kraus, graph, block)
         # each stream draws its postprocessing after its input amplitudes
         posts = channels.random_kraus(ch.out_dim, ch.out_dim, 2, block)
-        worst = min(worst, float(np.min(capacity.check_dpi(out, split, posts))))
+        worst = min(worst, float(np.min(capacity.check_dpi(phi, split, posts))))
     return -worst, tol_exact, "sweep"
 
 
 def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
-    conn_ch = _connection_channel(ch, graph)
+    d = graph.total_dim()
+    kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
+    split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = -float("inf")
-    for block in _stream_blocks(split_rng(rng, trials), conn_ch):
+    for block in _stream_blocks(split_rng(rng, trials), graph, len(kraus)):
         # each stream draws state a, then state b
-        a = _random_output_states(conn_ch, graph, block)
-        b = _random_output_states(conn_ch, graph, block)
-        split = capacity.BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
+        a = _random_output_states(kraus, graph, block)
+        b = _random_output_states(kraus, graph, block)
         lhs, rhs = capacity.continuity_gap(a, b, split)
         worst = max(worst, float(np.max(lhs - rhs)))
     return worst, tol_exact, "sweep"

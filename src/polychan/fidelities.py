@@ -59,9 +59,10 @@ def _as_matrix(state) -> np.ndarray:
     return state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
 
 
-def _purification_amp(rho) -> np.ndarray:
-    """Amplitude matrix M[r, a] of the canonical purification of a density operator."""
-    m = _as_matrix(rho)
+def _purification_amp(rho, i: int) -> np.ndarray:
+    """Amplitude matrix M[r, a] of the canonical purification of a density operator,
+    the input of connection i."""
+    m = check_finite(_as_matrix(rho), f"density for connection {i}")
     w, v = eigh(m)
     w = clip_spectrum(w)
     return (v * np.sqrt(w)).T
@@ -126,14 +127,14 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
 
 def entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph) -> float:
     """Overlap of (I x channel) applied to the purified product input with that purification."""
-    amps = [_purification_amp(rho) for rho in inputs]
+    amps = [_purification_amp(rho, i) for i, rho in enumerate(inputs)]
     return _overlap_fidelity(ch, graph, amps)
 
 
 def group_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph,
                    keep: Iterable[int]) -> float:
     """Entanglement fidelity after tracing everything outside the kept connections."""
-    amps = [_purification_amp(rho) for rho in inputs]
+    amps = [_purification_amp(rho, i) for i, rho in enumerate(inputs)]
     return _overlap_fidelity(ch, graph, amps, keep=keep)
 
 
@@ -173,7 +174,7 @@ def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,
         if kind == "pure":
             amps.append(_pure_amp(val, i))
         elif kind == "mixed":
-            amps.append(_purification_amp(val))
+            amps.append(_purification_amp(val, i))
         else:
             raise ValueError(f"unknown entry kind {kind!r}")
     return _overlap_fidelity(ch, graph, amps)
@@ -270,6 +271,7 @@ class SubspaceBasis:
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2 or v.shape[1] == 0:
             raise ValueError("subspace basis must be a nonempty matrix of column vectors")
+        check_finite(v, "subspace basis")
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(v.shape[1]))) > UNITARITY_TOL:
             raise ValueError("subspace basis columns are not orthonormal")

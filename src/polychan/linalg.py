@@ -82,7 +82,7 @@ def _as_dims(layout) -> tuple[int, ...]:
 
 
 def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(m.view(float) if m.dtype == complex else m)):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} contains non-finite entries")
     return m
 
@@ -127,30 +127,12 @@ def permute_legs_vector(vec: np.ndarray, dims: Sequence[int], order: Sequence[in
     return np.transpose(vec.reshape(dims), axes=order).reshape(-1)
 
 
-def permute_legs_matrix(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor legs of an operator (rows and columns together), or of
-    every operator in a stack (leading axes)."""
-    dims = tuple(dims)
-    order = tuple(order)
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of {n} legs")
-    d = int(np.prod(dims))
-    lead = mat.shape[:-2]
-    k = len(lead)
-    axes = tuple(range(k)) + tuple(k + o for o in order) + tuple(k + n + o for o in order)
-    return np.transpose(mat.reshape(lead + dims + dims), axes=axes).reshape(lead + (d, d))
-
-
 def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
-    """Trace out all legs except ``keep``; kept legs stay in their original relative order.
-
-    ``m`` may be a stack of matrices (leading axes); each is traced the same way.
-    """
+    """Trace out all legs except ``keep``; kept legs stay in their original relative order."""
     dims = _as_dims(layout)
     n = len(dims)
     d = int(np.prod(dims))
-    if m.shape[-2:] != (d, d):
+    if m.shape != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match layout dimension {d}")
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -162,10 +144,9 @@ def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
         if j not in keep:
             col[j] = row[j]
     out = [row[j] for j in keep] + [col[j] for j in keep]
-    spec = "..." + "".join(row + col) + "->..." + "".join(out)
+    spec = "".join(row + col) + "->" + "".join(out)
     dk = int(np.prod([dims[j] for j in keep])) if keep else 1
-    lead = m.shape[:-2]
-    return np.einsum(spec, m.reshape(lead + dims + dims)).reshape(lead + (dk, dk))
+    return np.einsum(spec, m.reshape(dims + dims)).reshape(dk, dk)
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -207,14 +188,6 @@ def clip_spectrum(w: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Square root of a positive semidefinite matrix, or of each in a stack, via
-    eigendecomposition."""
-    w, v = eigh(m)
-    w = clip_spectrum(w)
-    return (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
-
-
 def check_density(m: np.ndarray) -> np.ndarray:
     """Check that a matrix, or every matrix in a stack (leading axes), is a density
     matrix: finite, Hermitian, unit trace and positive semidefinite.
@@ -237,14 +210,24 @@ def check_density(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_factor(phi: np.ndarray) -> np.ndarray:
+    """Check that a (d, K) matrix, or every one in a stack (leading axes), is a factor of
+    a density matrix rho = phi phi^dag: finite, with tr rho = ||phi||_F^2 = 1.
+
+    rho is Hermitian and positive semidefinite by construction.  Raises
+    ``ValueError`` naming the first failed check; returns ``phi``.
+    """
+    check_finite(phi, "density factor")
+    tr = np.sum(phi.real**2 + phi.imag**2, axis=(-2, -1))
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"density factor trace {float(tr[off].flat[0]):.12g} differs from 1")
+    return phi
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """A positive semidefinite unit-trace matrix tagged with its leg layout.
-
-    ``matrix`` may also be a (T, d, d) stack of T states on the same layout;
-    every member is validated, and the functions that take a density operator
-    then work member by member.
-    """
+    """A positive semidefinite unit-trace matrix tagged with its leg layout."""
 
     matrix: np.ndarray
     layout: SystemLayout = field(default=None)  # type: ignore[assignment]
@@ -252,19 +235,19 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        layout = self.layout or SystemLayout([m.shape[-1]])
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density operator must be a square matrix, got shape {m.shape}")
+        layout = self.layout or SystemLayout([m.shape[0]])
         object.__setattr__(self, "layout", layout)
-        if layout.total_dim != m.shape[-1]:
+        if layout.total_dim != m.shape[0]:
             raise ValueError(
-                f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[-1]}"
+                f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[0]}"
             )
         check_density(m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[-1]
+        return self.matrix.shape[0]
 
     @classmethod
     def from_vector(cls, psi: np.ndarray, layout=None) -> "DensityOperator":
@@ -286,10 +269,6 @@ class DensityOperator:
         keep = sorted(set(int(k) for k in keep))
         sub = partial_trace(self.matrix, self.layout, keep)
         return DensityOperator(sub, SystemLayout([self.layout.leg_dims[k] for k in keep]))
-
-    def permuted(self, order: Sequence[int]) -> "DensityOperator":
-        m = permute_legs_matrix(self.matrix, self.layout.leg_dims, order)
-        return DensityOperator(m, SystemLayout([self.layout.leg_dims[o] for o in order]))
 
 
 def maximally_entangled_vector(d: int) -> np.ndarray:
@@ -338,17 +317,19 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def uhlmann_fidelity(rho, sigma) -> float | np.ndarray:
-    """Squared Uhlmann fidelity (tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1].
+def uhlmann_fidelity(phi, chi) -> float | np.ndarray:
+    """Squared Uhlmann fidelity (tr |sqrt(rho) sqrt(sigma)|)^2 in [0, 1] of rho = phi phi^dag
+    and sigma = chi chi^dag, from their factors: ||phi^dag chi||_1^2.
 
-    Two stacks of equal shape give one fidelity per pair of members.
+    ``phi`` (..., d, K) and ``chi`` (..., d, L) may be two stacks of equal
+    length, which give one fidelity per pair of members.
     """
-    a = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    b = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = sqrt_psd(a)
-    w = clip_spectrum(eigh(ra @ b @ ra, vectors=False)[0])
+    a, b = np.asarray(phi, dtype=complex), np.asarray(chi, dtype=complex)
+    if a.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
+        raise ValueError(f"factor shapes {a.shape} and {b.shape} do not match")
+    # the squared singular values of phi^dag chi: the spectrum of sqrt(rho) sigma sqrt(rho)
+    x = _adjoint(a) @ b
+    w = clip_spectrum(eigh(x @ _adjoint(x), vectors=False)[0])
     # zero modes carry eigensolver noise that the square root would amplify
     w[w < 1e-14 * np.maximum(1.0, w[..., -1:])] = 0.0
     val = np.sum(np.sqrt(w), axis=-1) ** 2

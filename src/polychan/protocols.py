@@ -36,6 +36,7 @@ from .linalg import (
     UNITARITY_TOL,
     DensityOperator,
     SystemLayout,
+    check_finite,
     clip_spectrum,
     eigh,
     haar_unitary,
@@ -64,6 +65,7 @@ class UnitaryEnsemble:
         for u in mats:
             if u.shape != (d, d):
                 raise ValueError("ensemble elements must share one dimension")
+            check_finite(u, "ensemble element")
             defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
             if defect > UNITARITY_TOL:
                 raise ValueError(f"ensemble element is not unitary (defect {defect:.3e})")
@@ -204,7 +206,7 @@ def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts, max_i
                           ) -> tuple[float, np.ndarray]:
     """Lowest mixed fidelity over pure states of a support, on one connection, with
     every other connection purified from its state in ``states``."""
-    fixed = {j: _purification_amp(m) for j, m in enumerate(states) if j != conn}
+    fixed = {j: _purification_amp(m, j) for j, m in enumerate(states) if j != conn}
     problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
     value, worst = problem.minimize(rng, restarts, max_iters)
     return value, worst[0]

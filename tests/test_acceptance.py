@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from conftest import random_density
+from conftest import dense_coherent_information, density_factor, random_density
 from polychan import (
     BipartiteSplit,
     ConnectionGraph,
@@ -23,7 +23,6 @@ from polychan import (
     channel_fidelity,
     check_dpi,
     clifford_1q,
-    coherent_information,
     continuity_gap,
     depolarizing,
     entanglement_fidelity,
@@ -135,21 +134,22 @@ def test_criterion_3_two_design_twirl():
 
 
 def test_criterion_4_continuity_lemma():
-    # |delta I_c| <= 4 sqrt(f) log2(d) + 2 on 1000 pairs per dimension
+    # |delta I_c| <= 4 sqrt(f) log2(d) + 2 on 1000 pairs per dimension, each state
+    # given by a factor of its density matrix
     rng = make_rng(404)
     violations = 0
     worst = -np.inf
     for d in (2, 3, 4):
         split = BipartiteSplit([d, d], [0], [1])
         for _ in range(1000):
-            rho = DensityOperator(random_density(d * d, rng), SystemLayout([d, d]))
-            sigma = DensityOperator(random_density(d * d, rng), SystemLayout([d, d]))
+            rho = density_factor(random_density(d * d, rng))
+            sigma = density_factor(random_density(d * d, rng))
             lhs, rhs = continuity_gap(rho, sigma, split)
             worst = max(worst, lhs - rhs)
             if lhs - rhs > 1e-9:
                 violations += 1
-    phi = DensityOperator.from_vector(maximally_entangled_vector(2), SystemLayout([2, 2]))
-    mixed = DensityOperator.maximally_mixed([2, 2])
+    phi = maximally_entangled_vector(2)[:, None]
+    mixed = np.eye(4) / 2
     lhs, rhs = continuity_gap(phi, mixed, BipartiteSplit([2, 2], [0], [1]))
     point_err = max(abs(lhs - 2.0), abs(rhs - (2 * np.sqrt(3.0) + 2.0)))
     report(
@@ -168,10 +168,10 @@ def test_criterion_5_data_processing():
     dims = [(2, 2), (2, 3), (3, 2)]
     for k in range(1000):
         da, db = dims[k % 3]
-        rho = DensityOperator(random_density(da * db, rng), SystemLayout([da, db]))
+        phi = density_factor(random_density(da * db, rng))
         split = BipartiteSplit([da, db], [0], [1])
         post = random_channel(db, 2 + k % 2, 2, rng)
-        margin = check_dpi(rho, split, post)
+        margin = check_dpi(phi, split, post)
         worst = min(worst, margin)
         if margin < -1e-9:
             violations += 1
@@ -187,7 +187,6 @@ def test_criterion_6_region_sampler():
 
     dep = depolarizing(2, 0.05)
     single = ConnectionGraph.single(2)
-    split = BipartiteSplit([2, 2], [0], [1])
     scan_best = -np.inf
     for t in np.linspace(0.0, np.pi / 2, 2001):
         v = np.zeros(4, dtype=complex)
@@ -195,7 +194,7 @@ def test_criterion_6_region_sampler():
         out = apply_with_reference(
             dep, DensityOperator.from_vector(v, SystemLayout([2, 2])), ref_legs=1
         )
-        scan_best = max(scan_best, coherent_information(out, split))
+        scan_best = max(scan_best, dense_coherent_information(out, [1]))
     rt_dep = region_sample(dep, single, 1, (1.0,), make_rng(607))
     dep_err = abs(rt_dep.rates[0] - scan_best)
 

@@ -3,7 +3,14 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import random_density, tangent_gradient, unit_parts
+from conftest import (
+    dense_coherent_information,
+    dense_uhlmann_fidelity,
+    density_factor,
+    random_density,
+    tangent_gradient,
+    unit_parts,
+)
 from polychan import (
     BipartiteSplit,
     ConnectionGraph,
@@ -38,6 +45,16 @@ def bell_state(d=2):
     return DensityOperator.from_vector(maximally_entangled_vector(d), SystemLayout([d, d]))
 
 
+def bell_factor(d=2):
+    """The maximally entangled state as its one-column factor."""
+    return maximally_entangled_vector(d)[:, None]
+
+
+def random_factor(d, rng):
+    """A factor of a random full(ish)-rank density matrix."""
+    return density_factor(random_density(d, rng))
+
+
 def scalar_entropy(probs):
     probs = np.asarray(probs, dtype=float)
     pos = probs[probs > 0]
@@ -51,11 +68,11 @@ class TestCoherentInformation:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_maximally_entangled(self, d):
         split = BipartiteSplit([d, d], [0], [1])
-        assert abs(coherent_information(bell_state(d), split) - np.log2(d)) < 1e-9
+        assert abs(coherent_information(bell_factor(d), split) - np.log2(d)) < 1e-9
 
     def test_maximally_mixed(self):
-        rho = DensityOperator.maximally_mixed([2, 2])
-        assert abs(coherent_information(rho, SPLIT_22) - (-1.0)) < 1e-12
+        phi = np.eye(4) / 2
+        assert abs(coherent_information(phi, SPLIT_22) - (-1.0)) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_depolarized_bell_scalar_oracle(self, p):
@@ -63,12 +80,11 @@ class TestCoherentInformation:
         # spectrum of the depolarized maximally entangled state
         eigs = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
         want = 1.0 - scalar_entropy(eigs)
-        assert abs(coherent_information(out, SPLIT_22) - want) < 1e-9
+        assert abs(coherent_information(density_factor(out), SPLIT_22) - want) < 1e-9
 
     def test_range_bound(self, rng):
         for _ in range(50):
-            rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-            ic = coherent_information(rho, SPLIT_22)
+            ic = coherent_information(random_factor(4, rng), SPLIT_22)
             assert -1.0 - 1e-9 <= ic <= 1.0 + 1e-9
 
     def test_split_validation(self):
@@ -80,60 +96,60 @@ class TestCoherentInformation:
 
 class TestDataProcessing:
     def test_identity_margin_zero(self):
-        assert abs(check_dpi(bell_state(), SPLIT_22, identity_channel([2]))) < 1e-12
+        assert abs(check_dpi(bell_factor(), SPLIT_22, identity_channel([2]))) < 1e-12
 
     def test_fully_depolarizing_margin_two(self):
-        margin = check_dpi(bell_state(), SPLIT_22, depolarizing(2, 1.0))
+        margin = check_dpi(bell_factor(), SPLIT_22, depolarizing(2, 1.0))
         assert abs(margin - 2.0) < 1e-9
 
     def test_random_sweep(self, rng):
         for stream in split_rng(rng, 200):
-            rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
+            phi = random_factor(4, rng)
             post = random_channel(2, 2, 2, stream)
-            assert check_dpi(rho, SPLIT_22, post) >= -1e-9
+            assert check_dpi(phi, SPLIT_22, post) >= -1e-9
 
     def test_leg_mismatch(self, rng):
         with pytest.raises(ValueError):
-            check_dpi(bell_state(), SPLIT_22, identity_channel([3]))
+            check_dpi(bell_factor(), SPLIT_22, identity_channel([3]))
 
 
 class TestContinuity:
     def test_equal_states(self, rng):
-        rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-        lhs, rhs = continuity_gap(rho, rho, SPLIT_22)
+        phi = random_factor(4, rng)
+        lhs, rhs = continuity_gap(phi, phi, SPLIT_22)
         assert lhs < 1e-9
         # f = 0 up to fidelity round-off; the square root amplifies that to ~1e-6
         assert abs(rhs - 2.0) < 1e-5
 
     def test_bell_vs_maximally_mixed(self):
-        lhs, rhs = continuity_gap(bell_state(), DensityOperator.maximally_mixed([2, 2]),
-                                  SPLIT_22)
+        lhs, rhs = continuity_gap(bell_factor(), np.eye(4) / 2, SPLIT_22)
         assert abs(lhs - 2.0) < 1e-9
         assert abs(rhs - 5.464101615137754) < 1e-6
 
     def test_random_sweep(self, rng):
         for _ in range(200):
-            rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-            sigma = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-            lhs, rhs = continuity_gap(rho, sigma, SPLIT_22)
+            phi, chi = random_factor(4, rng), random_factor(4, rng)
+            lhs, rhs = continuity_gap(phi, chi, SPLIT_22)
             assert lhs <= rhs + 1e-9
 
     def test_nearby_states(self, rng):
         for _ in range(200):
             m = random_density(4, rng)
-            rho = DensityOperator(m, SystemLayout([2, 2]))
-            sigma = DensityOperator(0.99 * m + 0.01 * np.eye(4) / 4, SystemLayout([2, 2]))
-            lhs, rhs = continuity_gap(rho, sigma, SPLIT_22)
+            phi = density_factor(m)
+            chi = density_factor(0.99 * m + 0.01 * np.eye(4) / 4)
+            lhs, rhs = continuity_gap(phi, chi, SPLIT_22)
             assert lhs <= rhs + 1e-9
 
 
 class TestStacks:
-    """A stack of states gives, member by member, what single-state calls give."""
+    """A stack of factors gives, member by member, what single-factor calls give."""
 
     @staticmethod
     def random_stack(d, rng, count=6):
-        # full rank, rank 2 and pure members: the fidelity's zero-mode rule is exercised
-        return np.array([random_density(d, rng, rank=[d, 2, 1][t % 3]) for t in range(count)])
+        # full rank, rank 2 and pure members, each as a d x d factor (zero columns past
+        # its rank): the fidelity's zero-mode rule is exercised
+        return np.array([density_factor(random_density(d, rng, rank=[d, 2, 1][t % 3]))
+                         for t in range(count)])
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("a_leg", [0, 1])
@@ -141,33 +157,60 @@ class TestStacks:
         layout = SystemLayout(dims)
         split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
         d, db = layout.total_dim, dims[1 - a_leg]
-        rhos, sigmas = self.random_stack(d, rng), self.random_stack(d, rng)
-        posts = [random_channel(db, db, 2, stream) for stream in split_rng(rng, len(rhos))]
-        rho, sigma = DensityOperator(rhos, layout), DensityOperator(sigmas, layout)
-        infos = coherent_information(rho, split)
-        margins = check_dpi(rho, split, np.array([p.kraus_stack() for p in posts]))
-        shared = check_dpi(rho, split, posts[0])
-        lhs, rhs = continuity_gap(rho, sigma, split)
-        fids = uhlmann_fidelity(rhos, sigmas)
+        phis, chis = self.random_stack(d, rng), self.random_stack(d, rng)
+        posts = [random_channel(db, db, 2, stream) for stream in split_rng(rng, len(phis))]
+        infos = coherent_information(phis, split)
+        margins = check_dpi(phis, split, np.array([p.kraus_stack() for p in posts]))
+        shared = check_dpi(phis, split, posts[0])
+        lhs, rhs = continuity_gap(phis, chis, split)
+        fids = uhlmann_fidelity(phis, chis)
         for values in (infos, margins, shared, lhs, rhs, fids):
-            assert values.shape == (len(rhos),)
+            assert values.shape == (len(phis),)
         for t, post in enumerate(posts):
-            one = DensityOperator(rhos[t], layout)
-            other = DensityOperator(sigmas[t], layout)
+            one, other = phis[t], chis[t]
             single = [coherent_information(one, split), check_dpi(one, split, post),
                       check_dpi(one, split, posts[0]), *continuity_gap(one, other, split),
-                      uhlmann_fidelity(rhos[t], sigmas[t])]
+                      uhlmann_fidelity(one, other)]
             assert all(type(v) is float for v in single)
             stacked = [infos[t], margins[t], shared[t], lhs[t], rhs[t], fids[t]]
             assert np.max(np.abs(np.subtract(stacked, single))) < 1e-12
 
     def test_postprocessings_must_match_the_stack(self, rng):
-        rho = DensityOperator(self.random_stack(4, rng), SystemLayout([2, 2]))
+        phis = self.random_stack(4, rng)
         kraus = random_channel(2, 2, 2, rng).kraus_stack()
         with pytest.raises(ValueError):
-            check_dpi(rho, SPLIT_22, np.array([kraus] * 5))
+            check_dpi(phis, SPLIT_22, np.array([kraus] * 5))
         with pytest.raises(ValueError):
-            check_dpi(rho, SPLIT_22, np.array([kraus] * 6)[..., :1])
+            check_dpi(phis, SPLIT_22, np.array([kraus] * 6)[..., :1])
+
+
+class TestFactorRoute:
+    """The factor functions against the density-matrix route on the same states."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("a_leg", [0, 1])
+    @pytest.mark.parametrize("rank", [1, 2, 6])
+    def test_matches_density_matrices(self, dims, a_leg, rank, rng):
+        layout = SystemLayout(dims)
+        split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
+        d, db = layout.total_dim, dims[1 - a_leg]
+        g = [rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+             for _ in range(2)]
+        phi, chi = (x / np.linalg.norm(x) for x in g)
+        post = random_channel(db, 3, 2, rng)
+        rho, sigma = (DensityOperator(x @ x.conj().T, layout) for x in (phi, chi))
+        before = dense_coherent_information(rho, [1 - a_leg])
+        # the B leg last, then (I_A (x) post) on it
+        moved = rho.matrix.reshape(dims * 2).transpose(
+            a_leg, 1 - a_leg, 2 + a_leg, 3 - a_leg).reshape(d, d)
+        a_first = DensityOperator(moved, SystemLayout([dims[a_leg], db]))
+        after = dense_coherent_information(apply_with_reference(post, a_first, 1), [1])
+        fid = dense_uhlmann_fidelity(rho.matrix, sigma.matrix)
+        gap = abs(before - dense_coherent_information(sigma, [1 - a_leg]))
+        bound = 4 * np.sqrt(max(0.0, 1 - fid)) * np.log2(dims[a_leg]) + 2
+        assert abs(coherent_information(phi, split) - before) < 1e-12
+        assert abs(check_dpi(phi, split, post) - (before - after)) < 1e-12
+        assert np.max(np.abs(np.subtract(continuity_gap(phi, chi, split), (gap, bound)))) < 1e-9
 
 
 def identity_pair():
@@ -178,14 +221,13 @@ def identity_pair():
 
 def isotropic_scan_best_rate(ch, points=2001):
     """Independent 1-parameter oracle: inputs cos(t)|00> + sin(t)|11>."""
-    split = BipartiteSplit([2, 2], [0], [1])
     best = -np.inf
     for t in np.linspace(0.0, np.pi / 2, points):
         v = np.zeros(4, dtype=complex)
         v[0], v[3] = np.cos(t), np.sin(t)
         state = DensityOperator.from_vector(v, SystemLayout([2, 2]))
         out = apply_with_reference(ch, state, ref_legs=1)
-        best = max(best, coherent_information(out, split))
+        best = max(best, dense_coherent_information(out, [1]))
     return best
 
 
@@ -220,8 +262,7 @@ class TestRegionSample:
         state = DensityOperator.from_vector(joint, SystemLayout([2, 2, 2, 2]))
         out = apply_with_reference(ch, state, ref_legs=2)
         for i in range(2):
-            marg = out.reduced([i, 2 + i])
-            ic = coherent_information(marg, BipartiteSplit(marg.layout, [0], [1]))
+            ic = dense_coherent_information(out.reduced([i, 2 + i]), [1])
             assert abs(ic - rt.rates[i]) < 1e-9
 
     def test_blocklength_two_seeded_regression(self):
@@ -355,8 +396,7 @@ def oracle_coherent_infos(ch, graph, n, sender_states):
     for i in range(g):
         first = g + n * graph.output_order.index(i)
         marg = out.reduced([i] + list(range(first, first + n)))
-        infos.append(coherent_information(
-            marg, BipartiteSplit(marg.layout, [0], range(1, n + 1))))
+        infos.append(dense_coherent_information(marg, range(1, n + 1)))
     return infos
 
 

@@ -10,15 +10,12 @@ import pytest
 
 import polychan
 from polychan import (
-    BipartiteSplit,
     ConnectionGraph,
     DensityOperator,
     KrausChannel,
     SystemLayout,
     apply_with_reference,
-    check_dpi,
     clifford_1q,
-    continuity_gap,
     depolarizing,
     dephasing,
     identity_channel,
@@ -33,12 +30,13 @@ from polychan import cli
 from polychan.cli import (
     _check_dpi_sweep,
     _check_lemma_sweep,
-    _connection_channel,
     _random_output_states,
     _verify_fixtures,
     main,
 )
+from polychan.channels import connection_kraus
 from polychan.linalg import kron_all
+from conftest import dense_coherent_information, dense_uhlmann_fidelity
 from test_protocols import choi_matrix, mixture_twirl
 
 
@@ -283,9 +281,16 @@ class TestVerifyCommand:
         assert twirl_row["status"] == "pass"
 
 
+def connection_channel(ch, graph):
+    """The channel with one input and one output leg per connection, in index order."""
+    d = graph.total_dim()
+    return KrausChannel(connection_kraus(ch, graph).reshape(-1, d, d), graph.dims, graph.dims)
+
+
 def oracle_output_state(conn_ch, graph, rng):
-    """One trial of the sweeps, drawn and built on its own: a random pure state on
-    each connection's (reference, input) pair, through the connection channel."""
+    """One trial of the sweeps, drawn and built on its own as a density matrix: a
+    random pure state on each connection's (reference, input) pair, through the
+    connection channel."""
     amps = []
     for d in graph.dims:
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -295,27 +300,33 @@ def oracle_output_state(conn_ch, graph, rng):
     return apply_with_reference(conn_ch, state, ref_legs=1)
 
 
+def dense_info(rho):
+    """I_c(R > outputs) of a sweep state, its reference being leg 0."""
+    return dense_coherent_information(rho, range(1, rho.layout.num_legs))
+
+
 def oracle_dpi_sweep(ch, graph, rng, trials):
-    """The data-processing sweep as a loop of single-state checks."""
-    conn_ch = _connection_channel(ch, graph)
+    """The data-processing sweep as a loop of single density-matrix checks."""
+    conn_ch = connection_channel(ch, graph)
     worst = float("inf")
     for stream in split_rng(rng, trials):
         out = oracle_output_state(conn_ch, graph, stream)
-        split = BipartiteSplit(out.layout, [0], range(1, out.layout.num_legs))
         post = random_channel(ch.out_dim, ch.out_dim, 2, stream)
-        worst = min(worst, check_dpi(out, split, post))
+        after = apply_with_reference(post, out, ref_legs=1)
+        worst = min(worst, dense_info(out) - dense_info(after))
     return -worst
 
 
 def oracle_lemma_sweep(ch, graph, rng, trials):
-    """The continuity sweep as a loop of single-state checks."""
-    conn_ch = _connection_channel(ch, graph)
+    """The continuity sweep as a loop of single density-matrix checks."""
+    conn_ch = connection_channel(ch, graph)
     worst = -float("inf")
     for stream in split_rng(rng, trials):
         a = oracle_output_state(conn_ch, graph, stream)
         b = oracle_output_state(conn_ch, graph, stream)
-        split = BipartiteSplit(a.layout, [0], range(1, a.layout.num_legs))
-        lhs, rhs = continuity_gap(a, b, split)
+        lhs = abs(dense_info(a) - dense_info(b))
+        f = max(0.0, 1.0 - dense_uhlmann_fidelity(a.matrix, b.matrix))
+        rhs = 4.0 * np.sqrt(f) * np.log2(a.layout.leg_dims[0]) + 2.0
         worst = max(worst, lhs - rhs)
     return worst
 
@@ -343,8 +354,9 @@ def test_blocked_sweeps_match_per_trial_oracle(block, monkeypatch):
     # blocks of 1 and of 7 streams (the last one short): the worst margin is
     # taken across blocks, and each stream still draws in its own order
     for name, ch, graph, streams in verify_streams(3)[3:]:
+        # a trial counts as one D x 2K factor, D = total_dim^2
         d = graph.total_dim() ** 2
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * d * d * block)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 32 * d * ch.num_kraus * block)
         _, _, _, fresh = [case for case in verify_streams(3) if case[0] == name][0]
         dpi, _, _ = _check_dpi_sweep(ch, graph, streams[1], 30, 1e-9)
         lemma, _, _ = _check_lemma_sweep(ch, graph, streams[2], 30, 1e-9)
@@ -354,9 +366,10 @@ def test_blocked_sweeps_match_per_trial_oracle(block, monkeypatch):
 
 @pytest.mark.parametrize("sweep", [_check_dpi_sweep, _check_lemma_sweep])
 def test_sweep_memory_does_not_grow_with_trials(sweep):
-    # three qubit links: each state is 64 x 64 (64 KiB), so 128 trials in one
-    # stack would be 8 MiB, several of them alive at once; in blocks under the
-    # budget the peak stays a small multiple of the budget
+    # three qubit links with K = 64 Kraus operators: each state's factor is 64 x 64
+    # (64 KiB) and its postprocessed factor 64 x 128, so 128 trials in one stack
+    # would be 8-16 MiB per array, several of them alive at once; in blocks under
+    # the budget the peak stays a small multiple of the budget
     graph = ConnectionGraph.diagonal([2, 2, 2])
     ch = product_channel([depolarizing(2, 0.3)] * 3, graph)
     tracemalloc.start()
@@ -370,17 +383,17 @@ def test_sweep_memory_does_not_grow_with_trials(sweep):
 
 def test_random_output_states_keep_each_streams_draws():
     graph = ConnectionGraph.diagonal([2, 3])
-    conn_ch = _connection_channel(
-        product_channel([depolarizing(2, 0.3), depolarizing(3, 0.2)], graph), graph)
+    ch = product_channel([depolarizing(2, 0.3), depolarizing(3, 0.2)], graph)
+    conn_ch = connection_channel(ch, graph)
     streams = split_rng(make_rng(3), 4)
     fresh = split_rng(make_rng(3), 4)
-    first = _random_output_states(conn_ch, graph, streams)
-    second = _random_output_states(conn_ch, graph, streams)
+    first = _random_output_states(conn_ch.kraus_stack(), graph, streams)
+    second = _random_output_states(conn_ch.kraus_stack(), graph, streams)
     for t, stream in enumerate(fresh):
         # a stream's second state is drawn after its first
         for stack in (first, second):
             want = oracle_output_state(conn_ch, graph, stream).matrix
-            assert np.max(np.abs(stack.matrix[t] - want)) < 1e-14
+            assert np.max(np.abs(stack[t] @ stack[t].conj().T - want)) < 1e-14
 
 
 def test_random_output_state_is_a_product_input():
@@ -389,15 +402,14 @@ def test_random_output_state_is_a_product_input():
     # product over connections, with Schmidt rank 1 across (R_0 B_0) | (R_1 B_1)
     graph = ConnectionGraph([(1, 0, 2), (0, 1, 3)])
     ch = product_channel([identity_channel([2]), identity_channel([3])], graph)
-    out = _random_output_states(_connection_channel(ch, graph), graph,
+    out = _random_output_states(connection_channel(ch, graph).kraus_stack(), graph,
                                 split_rng(make_rng(0), 5))
-    assert out.layout.leg_dims == (6, 2, 3)
-    assert out.matrix.shape == (5, 36, 36)
-    for member in out.matrix:
-        w, v = np.linalg.eigh(member)
-        assert abs(w[-1] - 1.0) < 1e-12
+    # rows (R_0, R_1, B_0, B_1); one column, as the channel has one Kraus operator
+    assert out.shape == (5, 36, 1)
+    for member in out:
+        assert abs(np.linalg.norm(member) - 1.0) < 1e-12
         # legs (R_0, R_1, B_0, B_1) -> rows (R_0, B_0), columns (R_1, B_1)
-        psi = v[:, -1].reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
+        psi = member.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9)
         schmidt = np.linalg.svd(psi, compute_uv=False)
         assert abs(schmidt[0] - 1.0) < 1e-12
         assert np.all(schmidt[1:] < 1e-12)

@@ -114,6 +114,18 @@ class TestEntanglementFidelity:
             ) * entanglement_fidelity(ch, [DensityOperator(b)], QUBIT_GRAPH)
             assert lhs <= rhs + 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_densities(self, bad):
+        # named before the purification's eigendecomposition, which would warn or
+        # return NaN; raw matrices, since DensityOperator rejects them itself
+        ch = identity_channel([2, 2])
+        density = np.array([[bad, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="connection 0 contains non-finite"):
+            mixed_fidelity(ch, PAIR_GRAPH, [("mixed", density), ("pure", [1, 0])])
+        with pytest.raises(ValueError, match="connection 1 contains non-finite"):
+            entanglement_fidelity(ch, [np.eye(2) / 2, density], PAIR_GRAPH)
+
 
 class TestGroupFidelities:
     def test_identity_local_values(self, rng):
@@ -469,7 +481,7 @@ class TestQuadraticOverlap:
 
     def build(self, case, rng):
         ch, graph, bases, fixed = self.problem(case, rng)
-        amps = {j: _purification_amp(rho) for j, rho in fixed.items()}
+        amps = {j: _purification_amp(rho, j) for j, rho in fixed.items()}
         return ch, graph, bases, fixed, QuadraticOverlap(ch, graph, bases, amps)
 
     CASES = ["cross5", "cross5_fixed", "pair_fixed_mixed", "middle_fixed"]
@@ -530,14 +542,14 @@ class TestQuadraticOverlap:
         graph = ConnectionGraph.diagonal([2, 3])
         ch = random_channel(6, 6, 2, rng)
         with pytest.raises(ValueError, match="connection 1"):
-            QuadraticOverlap(ch, graph, {0: np.eye(2)}, {1: _purification_amp(np.eye(2) / 2)})
+            QuadraticOverlap(ch, graph, {0: np.eye(2)}, {1: _purification_amp(np.eye(2) / 2, 1)})
 
     def test_rejects_basis_with_wrong_row_count(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
         ch = random_channel(6, 6, 2, rng)
         with pytest.raises(ValueError, match="connection 0"):
             QuadraticOverlap(ch, graph, {0: np.eye(3)[:, :2]},
-                             {1: _purification_amp(np.eye(3) / 3)})
+                             {1: _purification_amp(np.eye(3) / 3, 1)})
 
 
 class TestCrossedGraph:

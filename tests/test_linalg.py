@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import dense_uhlmann_fidelity, density_factor, random_density
 from polychan import (
     DensityOperator,
     SystemLayout,
@@ -20,9 +20,9 @@ from polychan.errors import CapExceededError
 from polychan.linalg import (
     EIGENVALUE_TOL,
     check_density,
+    check_factor,
     PAULI_X,
     entropy_of_spectrum,
-    permute_legs_matrix,
     permute_legs_vector,
 )
 
@@ -100,12 +100,9 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), [2, 2], {5})
 
-    def test_stack_matches_members(self, rng):
-        stack = np.array([random_density(12, rng) for _ in range(4)])
-        for keep in ({0}, {1, 2}, set()):
-            got = partial_trace(stack, [2, 3, 2], keep)
-            for m, g in zip(stack, got):
-                assert np.array_equal(g, partial_trace(m, [2, 3, 2], keep))
+    def test_rejects_a_stack(self, rng):
+        with pytest.raises(ValueError):
+            partial_trace(np.array([random_density(4, rng)] * 2), [2, 2], {0})
 
 
 class TestPermute:
@@ -114,19 +111,6 @@ class TestPermute:
         w = permute_legs_vector(v, [2, 3, 4], [2, 0, 1])
         back = permute_legs_vector(w, [4, 2, 3], [1, 2, 0])
         assert np.allclose(back, v)
-
-    def test_matrix_matches_vector(self, rng):
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        rho = np.outer(v, v.conj())
-        got = permute_legs_matrix(rho, [2, 3], [1, 0])
-        w = permute_legs_vector(v, [2, 3], [1, 0])
-        assert np.allclose(got, np.outer(w, w.conj()))
-
-    def test_matrix_stack_matches_members(self, rng):
-        stack = np.array([random_density(24, rng) for _ in range(3)])
-        got = permute_legs_matrix(stack, [2, 3, 4], [2, 0, 1])
-        for m, g in zip(stack, got):
-            assert np.array_equal(g, permute_legs_matrix(m, [2, 3, 4], [2, 0, 1]))
 
 
 class TestEigh:
@@ -248,39 +232,50 @@ class TestHaar:
 
 
 class TestUhlmannFidelity:
+    """The fidelity from factors; a density matrix enters through its eigenvector factor."""
+
     def test_identical(self, rng):
-        rho = random_density(3, rng)
-        assert abs(uhlmann_fidelity(rho, rho) - 1.0) < 1e-9
+        phi = density_factor(random_density(3, rng))
+        assert abs(uhlmann_fidelity(phi, phi) - 1.0) < 1e-9
 
     def test_pure_vs_mixed(self, rng):
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
         sigma = random_density(3, rng)
         want = np.real(psi.conj() @ sigma @ psi)
-        got = uhlmann_fidelity(np.outer(psi, psi.conj()), sigma)
+        # a pure state is its own one-column factor
+        got = uhlmann_fidelity(psi[:, None], density_factor(sigma))
         assert abs(got - want) < 1e-9
 
     def test_commuting_closed_form(self):
         # hand arithmetic: (sqrt(1/2 * 3/4) + sqrt(1/2 * 1/4))^2
-        got = uhlmann_fidelity(np.diag([0.5, 0.5]).astype(complex),
-                               np.diag([0.75, 0.25]).astype(complex))
+        got = uhlmann_fidelity(np.diag(np.sqrt([0.5, 0.5])), np.diag(np.sqrt([0.75, 0.25])))
         assert abs(got - 0.9330127018922192) < 1e-9
 
     def test_symmetric(self, rng):
-        a, b = random_density(4, rng), random_density(4, rng)
+        a, b = density_factor(random_density(4, rng)), density_factor(random_density(4, rng))
         assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) < 1e-9
 
     def test_monotone_under_partial_trace(self, rng):
         for _ in range(20):
             a, b = random_density(6, rng), random_density(6, rng)
-            fa = uhlmann_fidelity(a, b)
-            fr = uhlmann_fidelity(partial_trace(a, [2, 3], {0}),
-                                  partial_trace(b, [2, 3], {0}))
+            fa = uhlmann_fidelity(density_factor(a), density_factor(b))
+            fr = uhlmann_fidelity(density_factor(partial_trace(a, [2, 3], {0})),
+                                  density_factor(partial_trace(b, [2, 3], {0})))
             assert fr >= fa - 1e-9
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3)
+            uhlmann_fidelity(np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3))
+
+    def test_matches_matrix_square_roots(self, rng):
+        # factors of rank 1 to 4 against (tr |sqrt(rho) sqrt(sigma)|)^2 on the 4 x 4 matrices
+        for rank in range(1, 5):
+            g = [rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+                 for _ in range(2)]
+            phi, chi = (x / np.linalg.norm(x) for x in g)
+            want = dense_uhlmann_fidelity(phi @ phi.conj().T, chi @ chi.conj().T)
+            assert abs(uhlmann_fidelity(phi, chi) - want) < 1e-9
 
 
 class TestDensityOperator:
@@ -309,11 +304,10 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             SystemLayout([2, 0])
 
-    def test_stack(self, rng):
-        rho = DensityOperator(np.array([random_density(4, rng) for _ in range(3)]),
-                              SystemLayout([2, 2]))
-        assert rho.dim == 4
-        assert rho.reduced([1]).matrix.shape == (3, 2, 2)
+    def test_rejects_a_stack(self, rng):
+        with pytest.raises(ValueError, match="must be a square matrix"):
+            DensityOperator(np.array([random_density(4, rng) for _ in range(3)]),
+                            SystemLayout([2, 2]))
 
 
 def bad_density(defect: str) -> np.ndarray:
@@ -349,10 +343,44 @@ class TestCheckDensity:
         message = re.escape(self.MESSAGES[defect])
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_density(stack)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            DensityOperator(stack)
 
     @pytest.mark.parametrize("defect", sorted(MESSAGES))
     def test_single_bad_matrix_fails(self, defect):
         with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGES[defect])}$"):
             DensityOperator(bad_density(defect))
+
+
+def bad_factor(defect: str) -> np.ndarray:
+    """A 3 x 2 factor that fails exactly one factor check, after the 3 x 3 cases above."""
+    phi = np.sqrt(np.diag([0.5, 0.3, 0.2]).astype(complex))[:, :2] / np.sqrt(0.8)
+    if defect == "trace":
+        phi *= np.sqrt(0.9)
+    elif defect == "nan":
+        phi[1, 1] = np.nan
+    return phi
+
+
+class TestCheckFactor:
+    """A density factor phi (rho = phi phi^dag) is checked for finite entries and unit
+    trace; Hermiticity and positivity hold by construction."""
+
+    MESSAGES = {
+        "trace": "density factor trace 0.9 differs from 1",
+        "nan": "density factor contains non-finite entries",
+    }
+
+    def test_valid_stack_passes(self, rng):
+        stack = np.array([density_factor(random_density(3, rng)) for _ in range(5)])
+        assert check_factor(stack) is stack
+        assert check_factor(bad_factor("none")) is not None
+
+    @pytest.mark.parametrize("defect", sorted(MESSAGES))
+    def test_bad_factor_fails(self, defect, rng):
+        message = f"^{re.escape(self.MESSAGES[defect])}$"
+        with pytest.raises(ValueError, match=message):
+            check_factor(bad_factor(defect))
+        stack = np.array([density_factor(random_density(3, rng))[:, :2] for _ in range(5)])
+        stack /= np.linalg.norm(stack, axis=(1, 2), keepdims=True)
+        stack[2] = bad_factor(defect)
+        with pytest.raises(ValueError, match=message):
+            check_factor(stack)

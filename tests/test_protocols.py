@@ -118,6 +118,11 @@ class TestClifford:
 
 
 class TestTwirl:
+    def test_rejects_non_finite_ensemble_element(self):
+        # a NaN product u^dag u passes max|G - I| > tol, so the entries are checked first
+        with pytest.raises(ValueError, match="ensemble element contains non-finite"):
+            UnitaryEnsemble([np.array([[np.nan, 0], [0, 1]])])
+
     def test_identity_stays_identity(self, rng):
         tw = twirl_channel(identity_channel([2]), QUBIT_GRAPH, [clifford_1q()])
         for _ in range(5):
@@ -399,6 +404,11 @@ class TestSubspaceBasis:
     def test_validation(self):
         with pytest.raises(ValueError):
             SubspaceBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite_basis(self):
+        # a NaN Gram matrix passes max|G - I| > tol, so the entries are checked first
+        with pytest.raises(ValueError, match="subspace basis contains non-finite"):
+            SubspaceBasis(np.array([[np.nan], [1.0]]))
 
     def test_uniform_state(self):
         basis = SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
