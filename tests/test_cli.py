@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dense_coherent_information, dense_uhlmann_fidelity
 import polychan
 from polychan import (
     ConnectionGraph,
@@ -36,7 +37,6 @@ from polychan.cli import (
 )
 from polychan.channels import connection_kraus
 from polychan.linalg import kron_all
-from conftest import dense_coherent_information, dense_uhlmann_fidelity
 from test_protocols import choi_matrix, mixture_twirl
 
 

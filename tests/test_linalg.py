@@ -351,7 +351,7 @@ class TestCheckDensity:
 
 
 def bad_factor(defect: str) -> np.ndarray:
-    """A 3 x 2 factor that fails exactly one factor check, after the 3 x 3 cases above."""
+    """A 3 x 2 factor (of diag(5/8, 3/8, 0)) that fails exactly one factor check."""
     phi = np.sqrt(np.diag([0.5, 0.3, 0.2]).astype(complex))[:, :2] / np.sqrt(0.8)
     if defect == "trace":
         phi *= np.sqrt(0.9)
@@ -372,7 +372,8 @@ class TestCheckFactor:
     def test_valid_stack_passes(self, rng):
         stack = np.array([density_factor(random_density(3, rng)) for _ in range(5)])
         assert check_factor(stack) is stack
-        assert check_factor(bad_factor("none")) is not None
+        phi = bad_factor("none")
+        assert check_factor(phi) is phi
 
     @pytest.mark.parametrize("defect", sorted(MESSAGES))
     def test_bad_factor_fails(self, defect, rng):
