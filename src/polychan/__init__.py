@@ -1,76 +1,48 @@
 """Numerical toolkit for multiparty quantum channels: fidelity functionals,
-coherent-information rate regions, twirling and teleportation protocols."""
+coherent-information rate regions, twirling and teleportation protocols.
 
-from .capacity import (
-    BipartiteSplit,
-    RateTuple,
-    check_dpi,
-    coherent_information,
-    continuity_gap,
-    pareto_frontier,
-    region_sample,
-    region_sweep,
-    simplex_weight_grid,
-)
-from .channels import (
-    Connection,
-    ConnectionGraph,
-    KrausChannel,
-    apply,
-    apply_with_reference,
-    compose,
-    dephasing,
-    depolarizing,
-    identity_channel,
-    product_channel,
-    random_channel,
-    random_kraus,
-    read_channel,
-    tensor,
-    tensor_power,
-    validate,
-    write_channel,
-)
-from .errors import CapExceededError, ChannelFormatError, PolychanError
-from .fidelities import (
-    FidelityReport,
-    average_fidelity_exact,
-    average_fidelity_mc,
-    channel_fidelity,
-    channel_fidelity_report,
-    entanglement_fidelity,
-    group_channel_fidelity_kraus,
-    group_fidelity,
-    local_entanglement_fidelity,
-    min_subspace_fidelity,
-    mixed_fidelity,
-    pure_state_fidelity,
-)
-from .linalg import (
-    DensityOperator,
-    SystemLayout,
-    eigh,
-    entropy,
-    haar_state,
-    haar_unitary,
-    kron,
-    make_rng,
-    maximally_entangled_vector,
-    partial_trace,
-    split_rng,
-    uhlmann_fidelity,
-)
-from .protocols import (
-    ExtractionResult,
-    PhaseAverageReport,
-    SubspaceBasis,
-    UnitaryEnsemble,
-    clifford_1q,
-    extract_subspace,
-    haar_ensemble,
-    phase_average_bound,
-    teleport_channel,
-    twirl_channel,
-)
+The public names below are loaded from their submodules on first use
+(PEP 562), so ``import polychan`` loads neither numpy nor any submodule.
+That lets the command line set numpy's BLAS thread count before numpy loads.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "capacity": ["BipartiteSplit", "RateTuple", "check_dpi", "coherent_information",
+                 "continuity_gap", "pareto_frontier", "region_sample", "region_sweep",
+                 "simplex_weight_grid"],
+    "channels": ["Connection", "ConnectionGraph", "KrausChannel", "apply",
+                 "apply_with_reference", "compose", "dephasing", "depolarizing",
+                 "identity_channel", "product_channel", "random_channel", "random_kraus",
+                 "read_channel", "tensor", "tensor_power", "validate", "write_channel"],
+    "errors": ["CapExceededError", "ChannelFormatError", "PolychanError"],
+    "fidelities": ["FidelityReport", "average_fidelity_exact", "average_fidelity_mc",
+                   "channel_fidelity", "channel_fidelity_report", "entanglement_fidelity",
+                   "group_channel_fidelity_kraus", "group_fidelity",
+                   "local_entanglement_fidelity", "min_subspace_fidelity", "mixed_fidelity",
+                   "pure_state_fidelity"],
+    "linalg": ["DensityOperator", "SystemLayout", "eigh", "entropy", "haar_state",
+               "haar_unitary", "kron", "make_rng", "maximally_entangled_vector",
+               "partial_trace", "split_rng", "uhlmann_fidelity"],
+    "protocols": ["ExtractionResult", "PhaseAverageReport", "SubspaceBasis",
+                  "UnitaryEnsemble", "clifford_1q", "extract_subspace", "haar_ensemble",
+                  "phase_average_bound", "teleport_channel", "twirl_channel"],
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

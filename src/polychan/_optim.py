@@ -15,7 +15,10 @@ the newest pair, or, with no pairs or no descent, its gradient times its last
 gradient step.  One objective call tries every row's ``WINDOW`` 4 ... 1/4 times
 its direction.  A row whose window finds no decrease drops its memory and
 tries the 17-step ``LADDER`` 8 ... 2^-13 times its gradient step in one more
-call; it stops ``no_decrease`` only when that finds none either.
+call; it stops ``no_decrease`` only when that finds none either.  A decrease
+is a value lower by more than max(``FTOL`` |f|, 1e-16), ``FTOL`` = 1e-13: the
+objective's own rounding is not a decrease, so a row that has converged to
+rounding stops instead of creeping on until ``max_iters``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# pairs (s, y) each row keeps; multiples of the direction the window tries first, and of
-# the gradient step the ladder tries where the window finds no decrease
+# pairs (s, y) each row keeps; the relative decrease a step must beat; multiples of the
+# direction the window tries first, and of the gradient step the ladder tries where the
+# window finds no decrease
 MEMORY = 8
+FTOL = 1e-13
 LADDER = 2.0 ** np.arange(3, -14, -1)
 WINDOW = LADDER[1:6]
 
@@ -38,7 +43,8 @@ class SphereResult:
 
     ``stops[r]`` says why restart r ended: ``grad_norm`` (tangent gradient
     below 1e-12), ``no_decrease`` (neither the window along the L-BFGS direction
-    nor the 17 gradient ladder steps lowered the value) or ``max_iters``.
+    nor the 17 gradient ladder steps lowered the value by more than
+    max(``FTOL`` |f|, 1e-16)) or ``max_iters``.
     ``value`` lies within 1e-12 of the lowest of ``values``.  ``agreement``
     counts the restarts within 1e-9 of the best value, the only evidence of how
     far a heuristic minimum can be trusted.
@@ -146,15 +152,17 @@ def _descend(objective_batch, gradient, x, max_iters):
         d[plain] = step[active[plain], None] * grad[plain]
         best_z, best, best_t = _best_step(objective_batch, _parts(za, dims), _parts(d, dims),
                                           WINDOW)
+        # a decrease must beat the objective's rounding, FTOL |f|, to count
+        target = fx[active] - np.maximum(FTOL * np.abs(fx[active]), 1e-16)
         # rows whose window finds no decrease drop their memory and try the whole ladder
         # along the gradient in one more call
-        low = np.flatnonzero(best >= fx[active] - 1e-16)
+        low = np.flatnonzero(best >= target)
         if low.size:
             rho[active[low]], gamma[active[low]], plain[low] = 0.0, 0.0, True
             d[low] = step[active[low], None] * grad[low]
             best_z[low], best[low], best_t[low] = _best_step(
                 objective_batch, _parts(za[low], dims), _parts(d[low], dims), LADDER)
-        done = best >= fx[active] - 1e-16
+        done = best >= target
         stops[active[done]] = "no_decrease"
         taken = active[plain & ~done]
         step[taken] = np.clip(best_t[plain & ~done] * step[taken], 1e-12, 1e7)

@@ -15,9 +15,20 @@ import json
 import os
 import sys
 
+# A second BLAS thread saves no wall time at this package's matrix sizes
+# (linalg.GEMM_SINGLE_THREAD_MNK) but costs CPU: an idle OpenBLAS worker alone
+# spins for about 0.13 s in every process.  OpenBLAS reads its thread count when
+# numpy loads, so it is set here, before the first numpy import, and never over
+# a count the user chose.
+if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+        and "OMP_NUM_THREADS" not in os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
-from . import capacity, channels, fidelities, protocols
+# capacity, fidelities and protocols are imported by the commands that use them,
+# so that a command does not compile modules it never calls
+from . import channels
 from .channels import ChannelCompletenessError, ConnectionGraph, KrausChannel
 from .errors import CapExceededError, ChannelFormatError
 from .linalg import (
@@ -122,6 +133,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
+    from . import fidelities
+
     ch, graph = _load(args.channel)
     graph = _need_graph(graph)
     rng = make_rng(args.seed)
@@ -154,6 +167,8 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import capacity
+
     # the weight grid sweeps at least three points, so a nonpositive size would pass unseen
     if args.grid < 1 and not args.weights:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
@@ -206,6 +221,8 @@ def _verify_fixtures(seed: int) -> list[tuple[str, KrausChannel, ConnectionGraph
 
 
 def _check_average_identity(ch, graph, report, rng, samples, tol_stat, tol_exact):
+    from . import fidelities
+
     # statistical band plus the exact-identity floor; the floor covers channels
     # whose integrand is constant (stderr collapses to rounding noise)
     mean, stderr = fidelities.average_fidelity_mc(ch, graph, samples, rng)
@@ -213,6 +230,8 @@ def _check_average_identity(ch, graph, report, rng, samples, tol_stat, tol_exact
 
 
 def _check_route_equality(ch, graph, report, tol_exact):
+    from . import fidelities
+
     # the definitional route against the report's Kraus-route group fidelities
     worst = 0.0
     inputs = [DensityOperator.maximally_mixed([d]) for d in graph.dims]
@@ -262,6 +281,8 @@ def _random_output_states(kraus, graph, streams):
 
 
 def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
+    from . import capacity
+
     d = graph.total_dim()
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
     split = capacity.BipartiteSplit([d, d], [0], [1])
@@ -275,6 +296,8 @@ def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
 
 
 def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
+    from . import capacity
+
     d = graph.total_dim()
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
     split = capacity.BipartiteSplit([d, d], [0], [1])
@@ -289,6 +312,8 @@ def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
 
 
 def _check_two_design(ch, graph, report, rng, ensemble_size, tol_exact, tol_stat):
+    from . import fidelities, protocols
+
     # exact 2-design equality needs qubit connections (the Clifford twirl); other
     # dimensions use sampled ensembles, for which only the Haar mean over inputs
     # is an identity
@@ -308,6 +333,8 @@ def _check_two_design(ch, graph, report, rng, ensemble_size, tol_exact, tol_stat
 
 
 def _check_phase_average(ch, graph, rng, restarts, tol_exact):
+    from . import protocols
+
     report = protocols.phase_average_bound(
         ch, graph, [np.eye(d, dtype=complex) for d in graph.dims], rng,
         restarts=restarts, tol=tol_exact,
@@ -316,6 +343,8 @@ def _check_phase_average(ch, graph, rng, restarts, tol_exact):
 
 
 def cmd_verify(args) -> int:
+    from . import fidelities
+
     # an empty sweep would pass its inequality checks vacuously
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
@@ -367,6 +396,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_twirl(args) -> int:
+    from . import protocols
+
     ch, graph = _load(args.channel)
     graph = _need_graph(graph)
     rng = make_rng(args.seed)
@@ -387,6 +418,8 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_teleport(args) -> int:
+    from . import protocols
+
     ch, graph = _load(args.channel)
     graph = _need_graph(graph)
     if graph.size != 1 or ch.in_dim != ch.out_dim:

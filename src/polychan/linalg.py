@@ -31,7 +31,9 @@ UNITARITY_TOL = 1e-10
 # A complex GEMM with m * n * k at or above this wakes a second OpenBLAS thread
 # (measured with numpy's OpenBLAS on 2 cores).
 # At these sizes that adds CPU time without saving wall time, so batched
-# products are taken in row blocks that stay under it.
+# products are taken in row blocks that stay under it.  The command line runs
+# one BLAS thread (cli.py), so this matters only for library callers that keep
+# numpy's default thread count.
 GEMM_SINGLE_THREAD_MNK = 1 << 16
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

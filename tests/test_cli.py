@@ -479,3 +479,67 @@ class TestClosedStdout:
         code, err = self.run_unread(argv)
         assert err == ""
         assert code == main(argv)
+
+
+class TestProcessSetup:
+    """What a fresh interpreter loads and which BLAS thread count it gets."""
+
+    @staticmethod
+    def fresh(code, **thread_vars):
+        """Run ``code`` in a new interpreter with only ``thread_vars`` of the thread
+        variables set; returns what it prints as one JSON value."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(thread_vars, PYTHONPATH=str(Path(polychan.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", "import json, os, sys\n" + code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_polychan_loads_no_numpy(self):
+        loaded = self.fresh("import polychan\n"
+                            "print(json.dumps([m for m in sys.modules if 'numpy' in m "
+                            "or m.startswith('polychan.')]))")
+        assert loaded == []
+
+    def test_cli_runs_one_blas_thread(self):
+        setting, tasks = self.fresh(
+            "import polychan.cli\nsetting = os.environ['OPENBLAS_NUM_THREADS']\n"
+            "import numpy\ntasks = '/proc/self/task'\n"
+            "print(json.dumps([setting, len(os.listdir(tasks)) if os.path.isdir(tasks) "
+            "else None]))")
+        assert setting == "1"
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == 1
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_users_thread_count_is_left_alone(self, var):
+        got = self.fresh("import polychan.cli\nprint(json.dumps({k: os.environ.get(k) for k "
+                         "in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')}))", **{var: "2"})
+        assert got == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, var: "2"}
+
+    def test_every_public_name_resolves(self):
+        names, missing, listed = self.fresh(
+            "import polychan\n"
+            "print(json.dumps([polychan.__all__, [n for n in polychan.__all__ "
+            "if getattr(polychan, n, None) is None], dir(polychan)]))")
+        assert len(names) > 50 and missing == [] and set(names) <= set(listed)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            polychan.no_such_name
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["validate", "{pair}"], ["capacity", "fidelities", "protocols", "_optim"]),
+        (["region", "{pair}", "--weights", "1,1", "--restarts", "1"],
+         ["fidelities", "protocols"]),
+    ], ids=["validate", "region"])
+    def test_commands_load_only_the_modules_they_use(self, argv, unloaded, pair_file):
+        argv = [a.format(pair=pair_file) for a in argv]
+        loaded = self.fresh(
+            "import contextlib, io\nfrom polychan.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(json.dumps([m[9:] for m in sys.modules if m.startswith('polychan.')]))")
+        assert "channels" in loaded and not set(unloaded) & set(loaded)

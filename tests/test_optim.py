@@ -12,6 +12,7 @@ from polychan import (
     product_channel,
     random_channel,
 )
+from polychan import _optim
 from polychan._optim import minimize_product_states
 from polychan.capacity import _RegionProblem
 from polychan.fidelities import QuadraticOverlap
@@ -118,7 +119,8 @@ def sequential_descend(objective_batch, gradient, x0, max_iters):
     newest pair when it was kept, is tried at 4, 2, 1, 1/2 and 1/4 times itself; with
     no pairs, or if it does not descend, the gradient times the last gradient step is
     tried there instead.  If none of those points lowers the value, the pairs are
-    dropped and the gradient step is tried at 8, 4, ... 2^-13 times itself."""
+    dropped and the gradient step is tried at 8, 4, ... 2^-13 times itself.  A point
+    lowers the value only if it does so by more than max(1e-13 |f|, 1e-16)."""
 
     def project(x, v):
         return [vw - np.vdot(c, vw).real * c for c, vw in zip(x, v)]
@@ -160,11 +162,12 @@ def sequential_descend(objective_batch, gradient, x0, max_iters):
         if along_gradient:
             direction = [step * gw for gw in g]
         new_x, new_f, t = search(x, direction, np.arange(2, -3, -1))
-        if new_f >= fx - 1e-16:
+        target = fx - max(1e-13 * abs(fx), 1e-16)
+        if new_f >= target:
             pairs, scale, along_gradient = [], 0.0, True
             direction = [step * gw for gw in g]
             new_x, new_f, t = search(x, direction, np.arange(3, -14, -1))
-            if new_f >= fx - 1e-16:
+            if new_f >= target:
                 break
         if along_gradient:
             step = float(np.clip(t * step, 1e-12, 1e7))
@@ -313,24 +316,66 @@ def test_no_decrease_stop_follows_the_outside_ladder_points():
     assert len(matches) == 1
 
 
-def test_row_whose_only_decrease_is_two_to_the_minus_six_still_moves():
+def step_to_two_to_the_minus_six(start_value, target_value):
+    """One iteration from a warm start whose objective is ``start_value`` there,
+    ``target_value`` at 2^-6 of the start's gradient step 1/2, and higher anywhere else,
+    so that only the ladder can find the target.  Returns the result, the target and the
+    batch sizes the objective saw."""
     problem = ProductEnergy(random_hermitian(3, make_rng(25)), [3])
     start = np.array([1.0, 0.5j, -0.25])
     start = start / np.linalg.norm(start)
     target = ladder_points(problem, [start], 0.5, np.array([2.0 ** -6]))[0][0]
 
     def objective(parts):
-        # 0 at the start, -1 at 2^-6 of the start's step 1/2 and +1 anywhere else
         problem.seen.append([p.copy() for p in parts])
         at_start = np.max(np.abs(parts[0] - start), axis=1) < 1e-12
         at_target = np.max(np.abs(parts[0] - target), axis=1) < 1e-12
-        return np.where(at_target, -1.0, np.where(at_start, 0.0, 1.0))
+        return np.where(at_target, target_value,
+                        np.where(at_start, start_value, abs(start_value) + 1.0))
 
     res = minimize_product_states(objective, [3], make_rng(26), problem.gradient, restarts=0,
                                   max_iters=1, warm_starts=[[start]])
+    return res, target, [parts[0].shape[0] for parts in problem.seen]
+
+
+def test_row_whose_only_decrease_is_two_to_the_minus_six_still_moves():
+    res, target, sizes = step_to_two_to_the_minus_six(0.0, -1.0)
     assert res.value == -1.0 and res.stops == ("max_iters",) and list(res.iterations) == [1]
     assert np.max(np.abs(res.states[0] - target)) < 1e-12
-    assert [parts[0].shape[0] for parts in problem.seen] == [1, 5, 17]
+    assert sizes == [1, 5, 17]
+
+
+@pytest.mark.parametrize("start_value, target_value, moves", [
+    (1.0, 1.0 - 2e-13, True), (1.0, 1.0 - 5e-14, False), (-1.0, -1.0 - 5e-14, False),
+    (1e-6, 1e-6 - 1e-15, True), (0.0, -2e-16, True), (0.0, -0.5e-16, False),
+], ids=["above_ftol", "below_ftol", "below_ftol_negative", "small_f_relative",
+        "zero_f_above_floor", "zero_f_below_floor"])
+def test_a_decrease_must_beat_ftol_times_the_value_or_the_floor(start_value, target_value,
+                                                                  moves):
+    # a step counts only if it lowers f by more than max(FTOL |f|, 1e-16): relative to |f|
+    # alone, so near f = 0 the 1e-16 floor still lets a row descend
+    res, target, sizes = step_to_two_to_the_minus_six(start_value, target_value)
+    assert sizes == [1, 5, 17]
+    if moves:
+        assert res.value == target_value and res.stops == ("max_iters",)
+        assert np.max(np.abs(res.states[0] - target)) < 1e-12
+    else:
+        assert res.value == start_value and res.stops == ("no_decrease",)
+    assert list(res.iterations) == [int(moves)]
+
+
+def test_rounding_level_decreases_end_the_descent(monkeypatch):
+    # the Rayleigh quotient of 1 + diag(0, 1e-8, 0.5) in a random basis: once the 0.5
+    # direction has converged, the 1e-8 one lowers f by less than FTOL |f| = 1e-13 a
+    # step, so the rows stop within a few steps instead of creeping on
+    q = np.linalg.qr(random_hermitian(3, make_rng(5)) + 1j * np.eye(3))[0]
+    problem = ProductEnergy((q * np.array([1.0, 1.0 + 1e-8, 1.5])) @ q.conj().T, [3])
+    res = problem.minimize(41, restarts=4, max_iters=10)
+    assert res.stops == ("no_decrease",) * 4 and max(res.iterations) < 10
+    assert np.all(res.values - 1.0 < 1e-8)
+    # counting every decrease above 1e-16, the same rows are still descending at 10 steps
+    monkeypatch.setattr(_optim, "FTOL", 0.0)
+    assert problem.minimize(41, restarts=4, max_iters=10).stops == ("max_iters",) * 4
 
 
 @pytest.mark.parametrize("offsets, best", [([0.0, 1e-13], 0), ([0.0, 1e-11], 1),
