@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-# A second BLAS thread saves no wall time at this package's matrix sizes
+# A second BLAS thread saves no wall time at most of this package's matrix sizes
 # (linalg.GEMM_SINGLE_THREAD_MNK) but costs CPU: an idle OpenBLAS worker alone
 # spins for about 0.13 s in every process.  OpenBLAS reads its thread count when
 # numpy loads, so it is set here, before the first numpy import, and never over
-# a count the user chose.
+# a count the user chose (the twirl of a large channel is faster with two).
 if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
         and "OMP_NUM_THREADS" not in os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
