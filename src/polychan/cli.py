@@ -16,10 +16,11 @@ import os
 import sys
 
 # A second BLAS thread saves no wall time at most of this package's matrix sizes
-# (linalg.GEMM_SINGLE_THREAD_MNK) but costs CPU: an idle OpenBLAS worker alone
-# spins for about 0.13 s in every process.  OpenBLAS reads its thread count when
-# numpy loads, so it is set here, before the first numpy import, and never over
-# a count the user chose (the twirl of a large channel is faster with two).
+# (on five qubit links the fidelity kernel's GEMM is 128 x 64 by 64 x 296) but
+# costs CPU: an idle OpenBLAS worker alone spins for about 0.13 s in every
+# process.  OpenBLAS reads its thread count when numpy loads, so it is set here,
+# before the first numpy import, and never over a count the user chose (the
+# twirl of a large channel is faster with two).
 if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
         and "OMP_NUM_THREADS" not in os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -147,6 +148,11 @@ def cmd_fidelity(args) -> int:
     add("channel_fidelity", fidelities.channel_fidelity(ch, graph, "definition"),
         "definition")
     report = fidelities.channel_fidelity_report(ch, graph)
+    try:
+        report.check()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     add("channel_fidelity", report.global_value, "kraus_trace")
     for kept in sorted(report.group_values, key=lambda s: (len(s), sorted(s))):
         if len(kept) == graph.size:

@@ -16,9 +16,12 @@ Every product-state fidelity on a stack of rows goes through one kernel,
 :class:`QuadraticOverlap`: the Monte Carlo average, stacked
 :func:`pure_state_fidelity` calls and both worst-case searches (over product
 states of subspaces, :func:`min_subspace_fidelity`, and over one connection's
-support with the others held fixed).  The kernel takes per-connection states and
-forms their product kets itself, for one row block at a time, so no caller holds
-the kets of a whole batch.  :func:`channel_fidelity_report` is the one place that
+support with the others held fixed).  Its values are taken in real coordinates:
+each state enters through the ``d_i^2`` real numbers of its density matrix, and a
+row costs ``2 K D^2`` real multiply-adds, one real GEMM per row block.  The kernel
+takes per-connection states and forms their coordinates (for the gradient, their
+product kets) itself, one row block at a time, so no caller holds them for a
+whole batch.  :func:`channel_fidelity_report` is the one place that
 enumerates connection subsets: it holds every group channel fidelity by the
 Kraus route and the exact Haar average built from them.
 """
@@ -44,12 +47,22 @@ from .linalg import (
     check_finite,
     clip_spectrum,
     eigh,
-    gemm_block_rows,
     kron_all,
     kron_rows,
 )
 
 SUBSET_CAP = 16
+# Byte budget for the temporaries of one row block of the product-state kernel
+# (QuadraticOverlap): its GEMM results, the real coordinates of the block's states,
+# or the product kets and their images.
+KERNEL_BLOCK_BYTES = 1 << 19
+# The value kernel's real GEMMs have a column count (rows of the block) that is a
+# multiple of this, padded with zero columns where a block is shorter.  OpenBLAS
+# splits a large dgemm between threads, and with its Haswell kernels (0.3.31;
+# 1, 2 and 4 threads) the split changes the rounding of the trailing columns
+# unless their count is a multiple of 8; so the same seed gives the same bytes
+# whatever OPENBLAS_NUM_THREADS is.
+GEMM_COLUMNS = 8
 # Monte Carlo samples drawn per connection at a time; the draws come in this order,
 # so changing it changes every seeded estimate.
 MC_DRAW_ROWS = 20000
@@ -239,10 +252,11 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
     """Monte Carlo estimate of the average fidelity over independent Haar product
     states; returns (mean, standard error).
 
-    The states are drawn ``MC_DRAW_ROWS`` samples per connection at a time.  At
-    once it holds one such draw block of per-connection states and the
-    per-sample values; :class:`QuadraticOverlap` forms the product kets for one
-    of its row blocks at a time.
+    The states are drawn ``MC_DRAW_ROWS`` samples per connection at a time, the
+    real parts then the imaginary parts of each connection's block.  At once it
+    holds one such draw block of per-connection states and the per-sample values;
+    :class:`QuadraticOverlap` forms the real coordinates for one of its row
+    blocks at a time.
     """
     check_graph_compatible(ch, graph)
     if samples < 2:
@@ -253,8 +267,12 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
         b = min(MC_DRAW_ROWS, samples - lo)
         states = []
         for d in graph.dims:
-            z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
-            states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+            # filled in place: a sum of the two draws would hold three temporaries
+            z = np.empty((b, d), dtype=complex)
+            z.real = rng.standard_normal((b, d))
+            z.imag = rng.standard_normal((b, d))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            states.append(z)
         vals[lo : lo + b] = problem._values(states)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
@@ -301,13 +319,32 @@ class QuadraticOverlap:
     connection-index order).  ``R_K`` is the connection-ordered Kraus tensor
     with every fixed connection's Gram matrix ``amp^dag amp`` folded into its
     legs; the Kraus tensors are stacked and folded once, at construction, in a
-    single einsum.  Every evaluation is then one contraction with that reduced
-    stack ``red`` of shape ``(K, D_var, D_var)``: ``u = red phi``,
-    ``m = phi^dag u`` and the fidelity ``sum_K |m_K|^2``.  The gradient reuses
-    ``u`` and ``w = red^dag phi``: part i's derivative is
-    ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where ``u_{K,i}``
-    contracts ``u_K`` with the other parts' conjugated states.  Values and
-    gradients both take stacks of rows, one product point per row.
+    single einsum, into ``red`` of shape ``(K, D_var, D_var)``.
+
+    Values are taken in real coordinates.  A varying connection's state
+    ``psi_i`` enters only through ``rho_i = psi_i psi_i^dag``, and its real
+    coordinates ``s_i`` (``d_i^2`` of them) are ``Re rho_i[p, q]`` for
+    ``p <= q`` and ``Im rho_i[p, q]`` for ``p > q``.  So
+    ``m_K = tr(R_K rho) = (C (x)_i s_i)_K`` with one complex matrix ``C``, the
+    traces of ``red`` against each connection's basis of Hermitian matrices
+    (:func:`_hermitian_trace`), built once, connection by connection.  The
+    fidelity is ``sum_K |m_K|^2 = sum_j (C_r y)_j^2``, where ``C_r`` stacks
+    ``Re C`` over ``Im C`` and ``y = (x)_i s_i``: ``2 K D_var^2`` real
+    multiply-adds per row.  The varying connections are split into a leading
+    group and a trailing group, the trailing one the fewest last connections
+    with ``2 K s_R >= s_L`` (``s_L`` and ``s_R`` the groups' coordinate
+    counts).  A row block is then one real GEMM of the ``(2 K s_R, s_L)``
+    matrix with the leading group's ``y_L``, whose result is multiplied by the
+    trailing group's ``y_R`` and summed over its ``s_R`` coordinates.
+
+    The gradient stays complex.  It takes ``u = red phi`` and
+    ``w = red^dag phi`` from one GEMM per row block against the stack of
+    ``red`` over ``red^dag``, built on the first gradient call: part i's
+    derivative is ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where
+    ``u_{K,i}`` contracts ``u_K`` with the other parts' conjugated states.
+    Values and gradients both take stacks of rows, one product point per row,
+    in row blocks whose temporaries stay under ``KERNEL_BLOCK_BYTES``
+    (``value_rows``, a multiple of ``GEMM_COLUMNS``, and ``gradient_rows``).
 
     With every connection varying over its whole space (identity bases, no
     fixed amplitudes), ``_values`` on per-connection state stacks (each
@@ -316,13 +353,6 @@ class QuadraticOverlap:
     calls.  :meth:`minimize` runs the worst-case search over the bases'
     product states, used by :func:`min_subspace_fidelity` and, with the other
     connections fixed, by ``protocols.extract_subspace``.
-
-    Products with ``red`` are stacks of K matmuls of shape (D_var, D_var) by
-    (D_var, B), over row blocks of B rows kept under
-    ``linalg.GEMM_SINGLE_THREAD_MNK``: a larger product wakes a second BLAS
-    thread, which adds CPU time without saving wall time.  The product kets
-    exist for one such block at a time: :meth:`_blocks` forms them from the
-    block's rows of the per-part states.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
@@ -344,7 +374,6 @@ class QuadraticOverlap:
         self.part_dims = [b.shape[1] for b in self.bases]
         self.var_dims = tuple(graph.dims[i] for i in self.varying)
         d_var = int(np.prod(self.var_dims))
-        self.block_rows = gemm_block_rows(d_var, d_var)
 
         labels = string.ascii_letters
         out, inn, kraus = labels[:g], labels[g : 2 * g], labels[2 * g]
@@ -353,8 +382,37 @@ class QuadraticOverlap:
             kraus + "".join(out[i] for i in self.varying) + "".join(inn[i] for i in self.varying))
         grams = [fixed_amps[j].conj().T @ fixed_amps[j] for j in fixed]
         stack = connection_kraus(ch, graph)
-        self.red = np.ascontiguousarray(np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var))
-        self.red_adj = np.ascontiguousarray(_adjoint(self.red))
+        self.red = np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var)
+        self._red_stack = None
+
+        # C[K, (a_0, a_1, ...)] = tr(R_K (x)_i B_{a_i}), one varying connection's leg pair
+        # at a time; its coordinate a joins the end of the last axis
+        k = self.red.shape[0]
+        coef, rest, coords = self.red[..., None], d_var, 1
+        for d in self.var_dims:
+            rest //= d
+            coef = _hermitian_trace(coef.reshape(k, d, rest, d, rest, coords))
+            coef = coef.transpose(0, 2, 4, 5, 1, 3)
+            coords *= d * d
+        # the trailing group: the fewest last connections with 2 K s_R >= s_L, leaving
+        # at least one connection in the leading group
+        self.lead, s_r = len(self.var_dims), 1
+        while self.lead > 1 and 2 * k * s_r < coords // s_r:
+            self.lead -= 1
+            s_r *= self.var_dims[self.lead] ** 2
+        s_l = coords // s_r
+        coef = coef.reshape(k, s_l, s_r)
+        self.coef = np.concatenate([coef.real, coef.imag]).transpose(0, 2, 1).reshape(-1, s_l)
+
+        # a value row holds the GEMM's 2 K s_R results, y_L, y_R and the largest
+        # connection's complex rho; a gradient row holds u and w (2 K D_var), phi and
+        # its derivative
+        self.value_rows = GEMM_COLUMNS * max(1, KERNEL_BLOCK_BYTES // GEMM_COLUMNS // (
+            8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.var_dims) ** 2))
+        self.gradient_rows = max(1, KERNEL_BLOCK_BYTES // (16 * (2 * k + 2) * d_var))
+        # per connection: each coordinate's entry of rho, and 1 where it is Im (p > q)
+        self.gathers = [(np.arange(d * d), np.greater(*np.divmod(np.arange(d * d), d))
+                         .astype(np.intp)) for d in self.var_dims]
 
         # per part i: the row-wise ket tensors contracted with the other parts' states
         n = len(self.varying)
@@ -365,20 +423,30 @@ class QuadraticOverlap:
             self.loo_specs.append(",".join([row + out] + [row + out[j] for j in rest])
                                   + "->" + row + out[i])
 
-    def _blocks(self, psis: Sequence[np.ndarray]):
-        """Per block of rows of the per-part states ``psis`` (each ``(rows, d_i)``):
-        its slice, the block's product kets phi, u = red phi and the overlaps
-        m = phi^dag u, shaped (B, D_var), (K, D_var, B) and (K, B)."""
-        for lo in range(0, psis[0].shape[0], self.block_rows):
-            rows = slice(lo, lo + self.block_rows)
-            phi = kron_rows([p[rows] for p in psis])
-            u = self.red @ phi.T
-            yield rows, phi, u, np.einsum("kdb,bd->kb", u, phi.conj())
+    def _coords(self, psis: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The leading and trailing groups' real coordinates y_L and y_R, shaped
+        (s_L, B) and (s_R, B), of the B rows of the per-part states ``psis``."""
+        cols = []
+        for psi, (coord, imag) in zip(psis, self.gathers):
+            t = psi.T
+            # rho[p, q, b] = psi[b, p] conj(psi[b, q]); its float view holds (re, im) last
+            rho = np.multiply(t[:, None, :], t[None, :, :].conj(), order="C")
+            cols.append(rho.view(float).reshape(len(coord), -1, 2)[coord, :, imag])
+        rows = psis[0].shape[0]
+        return _column_kron(cols[: self.lead], rows), _column_kron(cols[self.lead :], rows)
 
     def _values(self, psis: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.empty(psis[0].shape[0])
-        for rows, _, _, m in self._blocks(psis):
-            out[rows] = np.sum(m.real ** 2 + m.imag ** 2, axis=0)
+        rows = psis[0].shape[0]
+        out = np.empty(rows)
+        for lo in range(0, rows, self.value_rows):
+            block = slice(lo, lo + self.value_rows)
+            y_l, y_r = self._coords([p[block] for p in psis])
+            b = y_l.shape[1]
+            if b % GEMM_COLUMNS:
+                y_l = np.concatenate([y_l, np.zeros((len(y_l), -b % GEMM_COLUMNS))], axis=1)
+            z = (self.coef @ y_l)[:, :b].reshape(-1, *y_r.shape)
+            m = np.einsum("jsb,sb->jb", z, y_r)
+            out[block] = np.einsum("jb,jb->b", m, m)
         return out
 
     def batch_values(self, parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -388,11 +456,17 @@ class QuadraticOverlap:
     def packed_gradient(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
         """dF/d conj(c_i) per part, for per-part coordinate batches of shape
         (rows, part_dims[i]); the result has the same shapes."""
+        k, d_var = self.red.shape[:2]
+        if self._red_stack is None:
+            self._red_stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_var)
         psis = [c @ b.T for c, b in zip(parts, self.bases)]
-        v = np.empty((psis[0].shape[0], self.red.shape[1]), dtype=complex)
-        for rows, phi, u, m in self._blocks(psis):
-            w = self.red_adj @ phi.T
-            v[rows] = np.einsum("kb,kdb->bd", m.conj(), u) + np.einsum("kb,kdb->bd", m, w)
+        v = np.empty((psis[0].shape[0], d_var), dtype=complex)
+        for lo in range(0, v.shape[0], self.gradient_rows):
+            block = slice(lo, lo + self.gradient_rows)
+            phi = kron_rows([p[block] for p in psis])
+            uw = (self._red_stack @ phi.T).reshape(2, k, d_var, -1)
+            m = np.einsum("kdb,bd->kb", uw[0], phi.conj())
+            v[block] = np.einsum("jkb,jkdb->bd", np.stack([m.conj(), m]), uw)
         v = v.reshape(-1, *self.var_dims)
         bras = [p.conj() for p in psis]
         return [np.einsum(spec, v, *bras[:i], *bras[i + 1 :]) @ b.conj()
@@ -408,6 +482,31 @@ class QuadraticOverlap:
             max_iters=max_iters, gradient=self.packed_gradient,
         )
         return result.value, [b @ c for b, c in zip(self.bases, result.states)]
+
+
+def _hermitian_trace(r: np.ndarray) -> np.ndarray:
+    """tr(R B_a) for the real coordinates a = (p, q) of a Hermitian rho = sum_a s[a] B_a,
+    s[p, q] being Re rho[p, q] for p <= q and Im rho[p, q] for p > q.
+
+    ``r`` has one connection's out leg on axis 1 and its in leg on axis 3; the
+    result holds ``a``'s p on axis 1 and q on axis 3.  With ``t`` the legs swapped,
+    tr(R B_a) is ``r`` on the diagonal, ``r + t`` above it and ``i (t - r)`` below.
+    """
+    t = r.swapaxes(1, 3)
+    p = np.arange(r.shape[1]).reshape(1, -1, 1, 1, 1, 1)
+    q = p.reshape(1, 1, 1, -1, 1, 1)
+    return np.where(p < q, r + t, np.where(p > q, 1j * (t - r), r))
+
+
+def _column_kron(cols: Sequence[np.ndarray], rows: int) -> np.ndarray:
+    """Column-wise Kronecker product of (n_j, rows) arrays; ones of shape (1, rows)
+    for none."""
+    if not cols:
+        return np.ones((1, rows))
+    out = cols[0]
+    for c in cols[1:]:
+        out = (out[:, None, :] * c[None, :, :]).reshape(-1, rows)
+    return out
 
 
 def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,

@@ -28,14 +28,6 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
-# A complex GEMM with m * n * k at or above this wakes a second OpenBLAS thread
-# (measured with numpy's OpenBLAS on 2 cores).
-# At these sizes that adds CPU time without saving wall time, so batched
-# products are taken in row blocks that stay under it.  The command line runs
-# one BLAS thread (cli.py), so this matters only for library callers that keep
-# numpy's default thread count.
-GEMM_SINGLE_THREAD_MNK = 1 << 16
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -113,11 +105,6 @@ def kron_rows(batches: Sequence[np.ndarray]) -> np.ndarray:
     for b in batches[1:]:
         out = (out[:, :, None] * b[:, None, :]).reshape(out.shape[0], -1)
     return out
-
-
-def gemm_block_rows(m: int, k: int) -> int:
-    """Rows per block for products with an (m, k) matrix that stay on one BLAS thread."""
-    return max(1, (GEMM_SINGLE_THREAD_MNK - 1) // (m * k))
 
 
 def permute_legs_vector(vec: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:

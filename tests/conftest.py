@@ -58,3 +58,14 @@ def tangent_gradient(states, grads) -> np.ndarray:
     """The optimizer's real gradient 2 df/d conj(c), radial parts removed, as one
     complex vector over all parts."""
     return np.concatenate([2.0 * (g - np.vdot(c, g).real * c) for c, g in zip(states, grads)])
+
+
+def quadratic_overlap_oracle(red: np.ndarray, psis) -> np.ndarray:
+    """sum_K |phi^dag R_K phi|^2 per row, in complex arithmetic: phi is the row-wise
+    Kronecker product of the per-part states ``psis`` (each (rows, d_i)) and ``red``
+    the (K, D, D) stack R_K."""
+    phi = psis[0]
+    for p in psis[1:]:
+        phi = np.einsum("bi,bj->bij", phi, p).reshape(phi.shape[0], -1)
+    m = np.einsum("bd,kde,be->kb", phi.conj(), red, phi)
+    return np.sum(m.real ** 2 + m.imag ** 2, axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -156,6 +157,26 @@ class TestFidelityCommand:
         assert abs(by_method[("channel_fidelity", "kraus_trace")] - 0.0625) < 1e-10
         assert abs(by_method[("average_fidelity", "subset_decomposition")] - 0.25) < 1e-10
         assert abs(by_method[("group_fidelity[0]", "kraus_trace")] - 0.25) < 1e-10
+
+    def test_violated_report_bound_exits_1(self, fully_dep_pair_file, monkeypatch, capsys):
+        # a group fidelity above 1 fails the report's consistency check: a message on
+        # stderr, exit 1, no traceback and no table
+        from polychan import fidelities
+
+        real_report = fidelities.channel_fidelity_report
+
+        def bad_report(ch, graph):
+            report = real_report(ch, graph)
+            groups = {**report.group_values, frozenset([0]): 1.2}
+            return dataclasses.replace(report, group_values=groups)
+
+        monkeypatch.setattr(fidelities, "channel_fidelity_report", bad_report)
+        code = main(["fidelity", fully_dep_pair_file, "--seed", "2", "--samples", "200",
+                     "--restarts", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: fidelity 1.2 outside [0, 1]")
 
     def test_json_round_trips(self, dep_file, capsys):
         code = main(["fidelity", dep_file, "--seed", "5", "--samples", "2000",
@@ -518,6 +539,19 @@ class TestProcessSetup:
         got = self.fresh("import polychan.cli\nprint(json.dumps({k: os.environ.get(k) for k "
                          "in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')}))", **{var: "2"})
         assert got == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, var: "2"}
+
+    def test_kernel_values_do_not_depend_on_the_blas_thread_count(self):
+        # five qubit links and K = 4: the value kernel's GEMMs (128 x 64 by 64 x 296)
+        # are large enough for a second BLAS thread; 1001 rows end in a short block
+        code = ("import hashlib\nfrom polychan import ConnectionGraph, make_rng, "
+                "pure_state_fidelity, random_channel\n"
+                "rng = make_rng(3)\nch = random_channel(32, 32, 4, rng)\n"
+                "states = [rng.standard_normal((1001, 2)) + 1j * rng.standard_normal((1001, 2))"
+                " for _ in range(5)]\n"
+                "vals = pure_state_fidelity(ch, ConnectionGraph.diagonal([2] * 5), states)\n"
+                "print(json.dumps(hashlib.sha256(vals.tobytes()).hexdigest()))")
+        assert self.fresh(code, OPENBLAS_NUM_THREADS="1") == self.fresh(
+            code, OPENBLAS_NUM_THREADS="2")
 
     def test_every_public_name_resolves(self):
         names, missing, listed = self.fresh(

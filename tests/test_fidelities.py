@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density, tangent_gradient, unit_parts
+from conftest import quadratic_overlap_oracle, random_density, tangent_gradient, unit_parts
 from polychan import (
     ConnectionGraph,
     DensityOperator,
@@ -32,7 +32,6 @@ from polychan import fidelities
 from polychan.channels import KrausChannel, connection_kraus
 from polychan.errors import CapExceededError
 from polychan.fidelities import MC_DRAW_ROWS, SUBSET_CAP, QuadraticOverlap, _purification_amp
-from polychan.linalg import gemm_block_rows
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -366,6 +365,22 @@ class TestAverageFidelity:
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * stderr
 
+    def test_mc_draw_order(self, monkeypatch):
+        # draw blocks of MC_DRAW_ROWS samples, connection after connection, real parts
+        # then imaginary parts; each sample rebuilt and sent through the single-vector
+        # route; 20 samples in blocks of 7 leave a short last block
+        graph = ConnectionGraph.diagonal([2, 3])
+        ch = random_channel(6, 6, 3, make_rng(4))
+        monkeypatch.setattr(fidelities, "MC_DRAW_ROWS", 7)
+        mean, stderr = average_fidelity_mc(ch, graph, 20, make_rng(9))
+        stream, vals = make_rng(9), []
+        for b in (7, 7, 6):
+            states = [stream.standard_normal((b, d)) + 1j * stream.standard_normal((b, d))
+                      for d in graph.dims]
+            vals += [pure_state_fidelity(ch, graph, [s[r] for s in states]) for r in range(b)]
+        assert abs(mean - np.mean(vals)) < 1e-13
+        assert abs(stderr - np.std(vals, ddof=1) / np.sqrt(20)) < 1e-13
+
     def test_mc_memory_stays_under_one_draw_blocks_kets(self, rng):
         # five qubit links: one draw block's product kets would be 16 * MC_DRAW_ROWS * 32
         # bytes; the kernel forms kets one row block at a time, so the draws, their
@@ -531,12 +546,38 @@ class TestQuadraticOverlap:
         *_, problem = self.build(case, rng)
         coords = unit_parts(rng.standard_normal((7, 2 * sum(problem.part_dims))),
                             problem.part_dims)
-        assert problem.block_rows >= 7
+        assert min(problem.value_rows, problem.gradient_rows) >= 7
         values, grads = problem.batch_values(coords), problem.packed_gradient(coords)
-        problem.block_rows = 3
+        problem.value_rows = problem.gradient_rows = 3
         assert np.max(np.abs(problem.batch_values(coords) - values)) < 1e-14
         for got, want in zip(problem.packed_gradient(coords), grads):
             assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("dims", [(1,), (3,), (1, 2, 3), (2,) * 6])
+    def test_values_match_complex_oracle(self, dims, rng):
+        # the real-coordinate kernel against sum_K |phi^dag R_K phi|^2 in complex
+        # arithmetic, over three whole row blocks and a short last one
+        graph = ConnectionGraph.diagonal(list(dims))
+        d = graph.total_dim()
+        problem = QuadraticOverlap(random_channel(d, d, 3, rng), graph,
+                                   {i: np.eye(n) for i, n in enumerate(dims)}, {})
+        rows = 3 * problem.value_rows + 5
+        psis = unit_parts(rng.standard_normal((rows, 2 * sum(dims))), dims)
+        want = quadratic_overlap_oracle(problem.red, psis)
+        assert np.max(np.abs(problem._values(psis) - want)) < 1e-13
+        assert np.max(np.abs(problem.batch_values(psis) - want)) < 1e-13
+
+    @pytest.mark.parametrize("case", ["cross5_fixed", "pair_fixed_mixed", "middle_fixed"])
+    def test_fixed_amplitude_values_match_complex_oracle(self, case, rng):
+        # subspace bases and a folded fixed amplitude, as protocols.extract_subspace
+        # builds; two whole row blocks and a short last one
+        *_, problem = self.build(case, rng)
+        rows = 2 * problem.value_rows + 3
+        coords = unit_parts(rng.standard_normal((rows, 2 * sum(problem.part_dims))),
+                            problem.part_dims)
+        psis = [c @ b.T for c, b in zip(coords, problem.bases)]
+        want = quadratic_overlap_oracle(problem.red, psis)
+        assert np.max(np.abs(problem.batch_values(coords) - want)) < 1e-13
 
     def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
@@ -599,8 +640,9 @@ class TestCrossedGraph:
         # the stacked call runs the Monte Carlo kernel: two whole row blocks and a short
         # tail, and a batch shorter than one block, against the single-vector route
         for ch, graph, _ in self.crossed(rng):
-            d = graph.total_dim()
-            for rows in (2 * gemm_block_rows(d, d) + 5, 3):
+            problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)},
+                                       {})
+            for rows in (2 * problem.value_rows + 5, 3):
                 states = [np.array([haar_state(dim, rng) for _ in range(rows)])
                           for dim in graph.dims]
                 got = pure_state_fidelity(ch, graph, states)
