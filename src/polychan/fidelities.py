@@ -56,13 +56,14 @@ SUBSET_CAP = 16
 # (QuadraticOverlap): its GEMM results, the real coordinates of the block's states,
 # or the product kets and their images.
 KERNEL_BLOCK_BYTES = 1 << 19
-# The value kernel's real GEMMs have a column count (rows of the block) that is a
-# multiple of this, padded with zero columns where a block is shorter.  OpenBLAS
-# splits a large dgemm between threads, and with its Haswell kernels (0.3.31;
-# 1, 2 and 4 threads) the split changes the rounding of the trailing columns
-# unless their count is a multiple of 8; so the same seed gives the same bytes
-# whatever OPENBLAS_NUM_THREADS is.
-GEMM_COLUMNS = 8
+# The value kernel's real GEMMs have row and column counts that are multiples of
+# this: the coefficient matrix gets zero rows at construction, and a block shorter
+# than that gets zero columns.  OpenBLAS splits a large dgemm between threads, and
+# the split changes the rounding past the last multiple of 8 (0.3.31 with 2 and 4
+# threads: of the columns with its SkylakeX and Cooperlake kernels, of the rows
+# with its Haswell and Zen ones); aligned, the values are the same bytes whatever
+# OPENBLAS_NUM_THREADS is.
+GEMM_ALIGN = 8
 # Monte Carlo samples drawn per connection at a time; the draws come in this order,
 # so changing it changes every seeded estimate.
 MC_DRAW_ROWS = 20000
@@ -339,12 +340,14 @@ class QuadraticOverlap:
 
     The gradient stays complex.  It takes ``u = red phi`` and
     ``w = red^dag phi`` from one GEMM per row block against the stack of
-    ``red`` over ``red^dag``, built on the first gradient call: part i's
+    ``red`` over ``red^dag``, built on the first gradient call and taken in its
+    real form, so that both paths' GEMMs are real and aligned to
+    ``GEMM_ALIGN``: part i's
     derivative is ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where
     ``u_{K,i}`` contracts ``u_K`` with the other parts' conjugated states.
     Values and gradients both take stacks of rows, one product point per row,
     in row blocks whose temporaries stay under ``KERNEL_BLOCK_BYTES``
-    (``value_rows``, a multiple of ``GEMM_COLUMNS``, and ``gradient_rows``).
+    (``value_rows``, a multiple of ``GEMM_ALIGN``, and ``gradient_rows``).
 
     With every connection varying over its whole space (identity bases, no
     fixed amplitudes), ``_values`` on per-connection state stacks (each
@@ -402,14 +405,17 @@ class QuadraticOverlap:
             s_r *= self.var_dims[self.lead] ** 2
         s_l = coords // s_r
         coef = coef.reshape(k, s_l, s_r)
-        self.coef = np.concatenate([coef.real, coef.imag]).transpose(0, 2, 1).reshape(-1, s_l)
+        coef = np.concatenate([coef.real, coef.imag]).transpose(0, 2, 1).reshape(-1, s_l)
+        self.coef_rows = len(coef)
+        self.coef = _align(coef, axis=0)
 
         # a value row holds the GEMM's 2 K s_R results, y_L, y_R and the largest
         # connection's complex rho; a gradient row holds u and w (2 K D_var), phi and
         # its derivative
-        self.value_rows = GEMM_COLUMNS * max(1, KERNEL_BLOCK_BYTES // GEMM_COLUMNS // (
+        self.value_rows = GEMM_ALIGN * max(1, KERNEL_BLOCK_BYTES // GEMM_ALIGN // (
             8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.var_dims) ** 2))
-        self.gradient_rows = max(1, KERNEL_BLOCK_BYTES // (16 * (2 * k + 2) * d_var))
+        self.gradient_rows = GEMM_ALIGN * max(1, KERNEL_BLOCK_BYTES // GEMM_ALIGN // (
+            16 * (2 * k + 2) * d_var))
         # per connection: each coordinate's entry of rho, and 1 where it is Im (p > q)
         self.gathers = [(np.arange(d * d), np.greater(*np.divmod(np.arange(d * d), d))
                          .astype(np.intp)) for d in self.var_dims]
@@ -442,9 +448,7 @@ class QuadraticOverlap:
             block = slice(lo, lo + self.value_rows)
             y_l, y_r = self._coords([p[block] for p in psis])
             b = y_l.shape[1]
-            if b % GEMM_COLUMNS:
-                y_l = np.concatenate([y_l, np.zeros((len(y_l), -b % GEMM_COLUMNS))], axis=1)
-            z = (self.coef @ y_l)[:, :b].reshape(-1, *y_r.shape)
+            z = (self.coef @ _align(y_l, axis=1))[: self.coef_rows, :b].reshape(-1, *y_r.shape)
             m = np.einsum("jsb,sb->jb", z, y_r)
             out[block] = np.einsum("jb,jb->b", m, m)
         return out
@@ -458,15 +462,22 @@ class QuadraticOverlap:
         (rows, part_dims[i]); the result has the same shapes."""
         k, d_var = self.red.shape[:2]
         if self._red_stack is None:
-            self._red_stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_var)
+            # the real form of the (2 K D, D) stack S of red over red^dag: the float view
+            # of a row phi times it is the float view of the row (S phi)^T
+            stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_var).T
+            real = np.stack([np.stack([stack.real, stack.imag], axis=-1),
+                             np.stack([-stack.imag, stack.real], axis=-1)], axis=1)
+            self._red_stack = _align(real.reshape(2 * d_var, -1), axis=1)
         psis = [c @ b.T for c, b in zip(parts, self.bases)]
         v = np.empty((psis[0].shape[0], d_var), dtype=complex)
         for lo in range(0, v.shape[0], self.gradient_rows):
             block = slice(lo, lo + self.gradient_rows)
             phi = kron_rows([p[block] for p in psis])
-            uw = (self._red_stack @ phi.T).reshape(2, k, d_var, -1)
-            m = np.einsum("kdb,bd->kb", uw[0], phi.conj())
-            v[block] = np.einsum("jkb,jkdb->bd", np.stack([m.conj(), m]), uw)
+            b = len(phi)
+            uw = (_align(phi, axis=0).view(float) @ self._red_stack)[:b, : 4 * k * d_var]
+            uw = uw.view(complex).reshape(b, 2, k, d_var)
+            m = np.einsum("bkd,bd->bk", uw[:, 0], phi.conj())
+            v[block] = np.einsum("bjk,bjkd->bd", np.stack([m.conj(), m], axis=1), uw)
         v = v.reshape(-1, *self.var_dims)
         bras = [p.conj() for p in psis]
         return [np.einsum(spec, v, *bras[:i], *bras[i + 1 :]) @ b.conj()
@@ -496,6 +507,13 @@ def _hermitian_trace(r: np.ndarray) -> np.ndarray:
     p = np.arange(r.shape[1]).reshape(1, -1, 1, 1, 1, 1)
     q = p.reshape(1, 1, 1, -1, 1, 1)
     return np.where(p < q, r + t, np.where(p > q, 1j * (t - r), r))
+
+
+def _align(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` with zeros appended along ``axis`` up to a multiple of ``GEMM_ALIGN``."""
+    shape = list(a.shape)
+    shape[axis] = -shape[axis] % GEMM_ALIGN
+    return np.concatenate([a, np.zeros(shape, a.dtype)], axis=axis) if shape[axis] else a
 
 
 def _column_kron(cols: Sequence[np.ndarray], rows: int) -> np.ndarray:

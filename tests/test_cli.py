@@ -540,16 +540,20 @@ class TestProcessSetup:
                          "in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')}))", **{var: "2"})
         assert got == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, var: "2"}
 
-    def test_kernel_values_do_not_depend_on_the_blas_thread_count(self):
-        # five qubit links and K = 4: the value kernel's GEMMs (128 x 64 by 64 x 296)
-        # are large enough for a second BLAS thread; 1001 rows end in a short block
-        code = ("import hashlib\nfrom polychan import ConnectionGraph, make_rng, "
-                "pure_state_fidelity, random_channel\n"
+    def test_kernel_does_not_depend_on_the_blas_thread_count(self):
+        # five qubit links and K = 4: the value GEMMs (128 x 64 by 64 x 296) and the
+        # gradient's (96 x 64 by 64 x 512) are large enough for a second BLAS thread,
+        # and 1001 rows end in short blocks
+        code = ("import hashlib\nimport numpy as np\n"
+                "from polychan import ConnectionGraph, make_rng, random_channel\n"
+                "from polychan.fidelities import QuadraticOverlap\n"
                 "rng = make_rng(3)\nch = random_channel(32, 32, 4, rng)\n"
                 "states = [rng.standard_normal((1001, 2)) + 1j * rng.standard_normal((1001, 2))"
-                " for _ in range(5)]\n"
-                "vals = pure_state_fidelity(ch, ConnectionGraph.diagonal([2] * 5), states)\n"
-                "print(json.dumps(hashlib.sha256(vals.tobytes()).hexdigest()))")
+                " for _ in range(5)]\nstates = [s / np.linalg.norm(s, axis=1, keepdims=True)"
+                " for s in states]\nproblem = QuadraticOverlap(ch, ConnectionGraph.diagonal([2] * 5),"
+                " {i: np.eye(2) for i in range(5)}, {})\n"
+                "out = [problem.batch_values(states), *problem.packed_gradient(states)]\n"
+                "print(json.dumps(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest()))")
         assert self.fresh(code, OPENBLAS_NUM_THREADS="1") == self.fresh(
             code, OPENBLAS_NUM_THREADS="2")
 
