@@ -386,7 +386,7 @@ class QuadraticOverlap:
         grams = [fixed_amps[j].conj().T @ fixed_amps[j] for j in fixed]
         stack = connection_kraus(ch, graph)
         self.red = np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var)
-        self._red_stack = None
+        self._real_stack = None
 
         # C[K, (a_0, a_1, ...)] = tr(R_K (x)_i B_{a_i}), one varying connection's leg pair
         # at a time; its coordinate a joins the end of the last axis
@@ -461,20 +461,20 @@ class QuadraticOverlap:
         """dF/d conj(c_i) per part, for per-part coordinate batches of shape
         (rows, part_dims[i]); the result has the same shapes."""
         k, d_var = self.red.shape[:2]
-        if self._red_stack is None:
+        if self._real_stack is None:
             # the real form of the (2 K D, D) stack S of red over red^dag: the float view
             # of a row phi times it is the float view of the row (S phi)^T
             stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_var).T
             real = np.stack([np.stack([stack.real, stack.imag], axis=-1),
                              np.stack([-stack.imag, stack.real], axis=-1)], axis=1)
-            self._red_stack = _align(real.reshape(2 * d_var, -1), axis=1)
+            self._real_stack = _align(real.reshape(2 * d_var, -1), axis=1)
         psis = [c @ b.T for c, b in zip(parts, self.bases)]
         v = np.empty((psis[0].shape[0], d_var), dtype=complex)
         for lo in range(0, v.shape[0], self.gradient_rows):
             block = slice(lo, lo + self.gradient_rows)
             phi = kron_rows([p[block] for p in psis])
             b = len(phi)
-            uw = (_align(phi, axis=0).view(float) @ self._red_stack)[:b, : 4 * k * d_var]
+            uw = (_align(phi, axis=0).view(float) @ self._real_stack)[:b, : 4 * k * d_var]
             uw = uw.view(complex).reshape(b, 2, k, d_var)
             m = np.einsum("bkd,bd->bk", uw[:, 0], phi.conj())
             v[block] = np.einsum("bjk,bjkd->bd", np.stack([m.conj(), m], axis=1), uw)
