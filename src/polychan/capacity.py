@@ -441,10 +441,6 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     )
 
 
-def _dominates(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> bool:
-    return all(x >= y - tol for x, y in zip(a, b)) and any(x > y + tol for x, y in zip(a, b))
-
-
 def region_sweep(ch: KrausChannel, graph: ConnectionGraph, n: int,
                  weight_grid: Sequence[Sequence[float]], rng: np.random.Generator,
                  restarts: int = 16, max_iters: int = 300) -> list[RateTuple]:
@@ -455,17 +451,6 @@ def region_sweep(ch: KrausChannel, graph: ConnectionGraph, n: int,
         raise ValueError("weight grid is empty")
     return [region_sample(ch, graph, n, w, s, restarts=restarts, max_iters=max_iters)
             for w, s in zip(grid, rng.spawn(len(grid)))]
-
-
-def pareto_frontier(points: Sequence[RateTuple]) -> list[RateTuple]:
-    """The points whose achievable rates no other point dominates, first of each
-    rate tuple (rounded to 1e-9) only."""
-    first: dict = {}
-    for p in points:
-        first.setdefault(tuple(round(r, 9) for r in p.achievable), p)
-    unique = list(first.values())
-    return [p for p in unique
-            if not any(_dominates(q.achievable, p.achievable) for q in unique if q is not p)]
 
 
 def simplex_weight_grid(size: int, count: int, rng: np.random.Generator

@@ -323,19 +323,6 @@ def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
     return KrausChannel(ops, SystemLayout(in_dims), SystemLayout(out_dims))
 
 
-def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    """Sequential composition: (after . before)(rho) = after(before(rho))."""
-    if after.in_dim != before.out_dim:
-        raise ValueError(
-            f"cannot compose: after expects {after.in_dim}, before produces {before.out_dim}"
-        )
-    count = after.num_kraus * before.num_kraus
-    if count > MAX_KRAUS:
-        raise CapExceededError(f"compose would need {count} Kraus operators (cap {MAX_KRAUS})")
-    ops = [b @ a for b in after.kraus_ops for a in before.kraus_ops]
-    return KrausChannel(ops, before.in_layout, after.out_layout)
-
-
 def identity_channel(layout) -> KrausChannel:
     layout = layout if isinstance(layout, SystemLayout) else SystemLayout(layout)
     return KrausChannel([np.eye(layout.total_dim, dtype=complex)], layout, layout)

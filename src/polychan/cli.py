@@ -342,9 +342,7 @@ def _check_phase_average(ch, graph, rng, restarts, tol_exact):
     from . import protocols
 
     report = protocols.phase_average_bound(
-        ch, graph, [np.eye(d, dtype=complex) for d in graph.dims], rng,
-        restarts=restarts, tol=tol_exact,
-    )
+        ch, graph, [np.eye(d, dtype=complex) for d in graph.dims], rng, restarts=restarts)
     return report.bound - report.entanglement_fidelity, tol_exact, "optimizer"
 
 

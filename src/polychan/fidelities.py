@@ -152,11 +152,6 @@ def group_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph,
     return _overlap_fidelity(ch, graph, amps, keep=keep)
 
 
-def local_entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph,
-                                i: int) -> float:
-    return group_fidelity(ch, inputs, graph, keep=[i])
-
-
 def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequence
                         ) -> float | np.ndarray:
     """Transmission fidelity of a product pure input, identified per connection.
@@ -224,14 +219,6 @@ def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     return float(np.sum(traced.real ** 2 + traced.imag ** 2)) / (d_kept * graph.total_dim())
 
 
-def group_channel_fidelity_kraus(ch: KrausChannel, graph: ConnectionGraph,
-                                 keep: Iterable[int]) -> float:
-    keep_set = frozenset(int(k) for k in keep)
-    if not keep_set or not keep_set.issubset(range(graph.size)):
-        raise ValueError(f"invalid connection subset {sorted(keep_set)}")
-    return _kraus_group_fidelity(ch, graph, keep_set)
-
-
 def channel_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                      mode: str = "definition") -> float:
     """Entanglement fidelity at maximally entangled inputs, by either route."""
@@ -240,12 +227,6 @@ def channel_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     if mode == "kraus_trace":
         return _kraus_group_fidelity(ch, graph, frozenset(range(graph.size)))
     raise ValueError(f"unknown mode {mode!r} (use 'definition' or 'kraus_trace')")
-
-
-def average_fidelity_exact(ch: KrausChannel, graph: ConnectionGraph) -> float:
-    """Haar average of the pure-state fidelity, from the subset decomposition
-    into group channel fidelities."""
-    return channel_fidelity_report(ch, graph).average
 
 
 def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
@@ -552,12 +533,11 @@ class FidelityReport:
     and the exact Haar average of the pure-state fidelity built from them."""
 
     global_value: float
-    local_values: tuple[float, ...]
     group_values: dict
     average: float
 
     def check(self, tol: float = 1e-9) -> None:
-        vals = [self.global_value, *self.local_values, *self.group_values.values()]
+        vals = [self.global_value, *self.group_values.values()]
         for v in vals:
             if not -tol <= v <= 1.0 + tol:
                 raise ValueError(f"fidelity {v} outside [0, 1]")
@@ -588,7 +568,6 @@ def channel_fidelity_report(ch: KrausChannel, graph: ConnectionGraph) -> Fidelit
             total += coeff * groups.get(frozenset(range(g)) - frozenset(removed), 1.0)
     return FidelityReport(
         global_value=groups[frozenset(range(g))],
-        local_values=tuple(groups[frozenset([i])] for i in range(g)),
         group_values=groups,
         average=total / float(np.prod([d + 1 for d in dims])),
     )

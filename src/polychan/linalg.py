@@ -143,11 +143,6 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry of |m - m^dag|, over every matrix of a stack."""
-    return float(np.max(np.abs(m - _adjoint(m)))) if m.size else 0.0
-
-
 def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL, vectors: bool = True
          ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, eigenvector columns.
@@ -178,22 +173,20 @@ def clip_spectrum(w: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
 
 
 def check_density(m: np.ndarray) -> np.ndarray:
-    """Check that a matrix, or every matrix in a stack (leading axes), is a density
-    matrix: finite, Hermitian, unit trace and positive semidefinite.
+    """Check that a square matrix is a density matrix: finite, Hermitian, unit trace
+    and positive semidefinite.
 
-    Raises ``ValueError`` naming the first failed check (over the whole stack);
-    returns ``m``.
+    Raises ``ValueError`` naming the first failed check; returns ``m``.
     """
     check_finite(m, "density operator")
-    defect = hermiticity_defect(m)
+    adj = _adjoint(m)
+    defect = float(np.max(np.abs(m - adj)))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"density operator not Hermitian (defect {defect:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if np.any(off):
-        raise ValueError(f"density operator trace {complex(tr[off].flat[0])} differs from 1")
-    w = np.linalg.eigvalsh((m + _adjoint(m)) / 2.0)
-    low = float(np.min(w[..., 0])) if w.size else 0.0
+    tr = np.trace(m)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density operator trace {complex(tr)} differs from 1")
+    low = float(np.linalg.eigvalsh((m + adj) / 2.0)[0])
     if low < -EIGENVALUE_TOL:
         raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
     return m
@@ -233,10 +226,6 @@ class DensityOperator:
                 f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[0]}"
             )
         check_density(m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def from_vector(cls, psi: np.ndarray, layout=None) -> "DensityOperator":

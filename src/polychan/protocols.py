@@ -296,16 +296,11 @@ class PhaseAverageReport:
     eta: float
     entanglement_fidelity: float
     bound: float
-    tol: float
-
-    @property
-    def holds(self) -> bool:
-        return self.entanglement_fidelity >= self.bound - self.tol
 
 
 def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
                         rng: np.random.Generator, restarts: int = 32,
-                        max_iters: int = 300, tol: float = 1e-9) -> PhaseAverageReport:
+                        max_iters: int = 300) -> PhaseAverageReport:
     """Check that uniform states on well-transmitting subspaces keep high
     entanglement fidelity: F_e >= 1 - (3/2)^{|G|} eta."""
     bases = [s if isinstance(s, SubspaceBasis) else SubspaceBasis(s) for s in subspaces]
@@ -316,4 +311,4 @@ def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Seq
     uniform = [b.uniform_state() for b in bases]
     fe = entanglement_fidelity(ch, uniform, graph)
     bound = 1.0 - (1.5 ** graph.size) * eta
-    return PhaseAverageReport(eta=eta, entanglement_fidelity=fe, bound=bound, tol=tol)
+    return PhaseAverageReport(eta=eta, entanglement_fidelity=fe, bound=bound)

@@ -26,7 +26,6 @@ from polychan import (
     identity_channel,
     make_rng,
     maximally_entangled_vector,
-    pareto_frontier,
     product_channel,
     random_channel,
     region_sample,
@@ -298,7 +297,7 @@ class TestRegionPareto:
     def test_identity_pair_frontier(self):
         ch, graph = identity_pair()
         grid = [(1.0, 1.0), (1.0, 0.2), (0.2, 1.0)]
-        points = pareto_frontier(region_sweep(ch, graph, 1, grid, make_rng(31), restarts=4))
+        points = region_sweep(ch, graph, 1, grid, make_rng(31), restarts=4)
         assert any(p.achievable[0] >= 0.99 and p.achievable[1] >= 0.99 for p in points)
         for p in points:
             for r, d in zip(p.rates, p.dims):
@@ -311,23 +310,12 @@ class TestRegionPareto:
         graph = ConnectionGraph.diagonal([2, 2])
         ch = product_channel([dep, dep], graph)
         want = isotropic_scan_best_rate(dep)
-        points = pareto_frontier(region_sweep(ch, graph, 1, [(1.0, 0.0), (0.0, 1.0)],
-                                              make_rng(41), restarts=8))
+        points = region_sweep(ch, graph, 1, [(1.0, 0.0), (0.0, 1.0)], make_rng(41),
+                              restarts=8)
         best0 = max(p.achievable[0] for p in points)
         best1 = max(p.achievable[1] for p in points)
         assert abs(best0 - want) < 1e-3
         assert abs(best1 - want) < 1e-3
-
-    def test_frontier_keeps_the_first_of_each_undominated_rate_pair(self):
-        def point(rates, restart):
-            return RateTuple(rates=rates, dims=(2, 2), blocklength=1, weights=(1.0, 1.0),
-                             objective=sum(rates), sender_states=(), restart_index=restart)
-
-        points = [point((0.5, 0.5), 0), point((0.2, 0.9), 1), point((0.4, 0.4), 2),
-                  point((0.5, 0.5 + 1e-12), 3), point((0.6, -0.1), 4), point((0.6, 0.0), 5)]
-        # (0.4, 0.4) is dominated, index 3 repeats index 0 and index 5 repeats the
-        # clamped rates of index 4
-        assert [p.restart_index for p in pareto_frontier(points)] == [0, 1, 4]
 
     def test_sweep_runs_one_sample_per_weight_on_spawned_streams(self):
         ch, graph = identity_pair()

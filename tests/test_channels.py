@@ -15,7 +15,6 @@ from polychan import (
     SystemLayout,
     apply,
     apply_with_reference,
-    compose,
     dephasing,
     depolarizing,
     identity_channel,
@@ -194,40 +193,6 @@ class TestTensorAndCompose:
     def test_power_caps(self):
         with pytest.raises(CapExceededError):
             tensor_power(depolarizing(2, 0.5), 8)
-
-    def test_compose_with_identity(self, rng):
-        ch = random_channel(2, 2, 2, rng)
-        comp = compose(identity_channel([2]), ch)
-        for _ in range(4):
-            rho = random_density(2, rng)
-            assert np.max(np.abs(apply(comp, rho).matrix - apply(ch, rho).matrix)) < 1e-12
-
-    def test_compose_dephasings(self, rng):
-        # 2x2 oracle: off-diagonal factors multiply
-        p, q = 0.2, 0.45
-        comp = compose(dephasing(p), dephasing(q))
-        rho = DensityOperator(np.outer(PLUS, PLUS.conj()))
-        out = apply(comp, rho)
-        assert abs(out.matrix[0, 1] - 0.5 * (1 - 2 * p) * (1 - 2 * q)) < 1e-12
-
-    def test_compose_fully_depolarizing(self, rng):
-        comp = compose(depolarizing(2, 1.0), depolarizing(2, 1.0))
-        rho = random_density(2, rng)
-        assert np.allclose(apply(comp, rho).matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_compose_associative(self, rng):
-        a = random_channel(2, 3, 2, rng)
-        b = random_channel(3, 2, 2, rng)
-        c = random_channel(2, 2, 2, rng)
-        left = compose(compose(c, b), a)
-        right = compose(c, compose(b, a))
-        for _ in range(4):
-            rho = random_density(2, rng)
-            assert np.max(np.abs(apply(left, rho).matrix - apply(right, rho).matrix)) < 1e-10
-
-    def test_compose_dim_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            compose(identity_channel([3]), identity_channel([2]))
 
 
 class TestBuilders:

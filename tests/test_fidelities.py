@@ -8,18 +8,15 @@ from conftest import quadratic_overlap_oracle, random_density, tangent_gradient,
 from polychan import (
     ConnectionGraph,
     DensityOperator,
-    average_fidelity_exact,
     average_fidelity_mc,
     channel_fidelity,
     channel_fidelity_report,
     dephasing,
     depolarizing,
     entanglement_fidelity,
-    group_channel_fidelity_kraus,
     group_fidelity,
     haar_state,
     identity_channel,
-    local_entanglement_fidelity,
     make_rng,
     min_subspace_fidelity,
     mixed_fidelity,
@@ -61,17 +58,18 @@ def random_pair_channel(rng, kraus=3):
 
 
 def subset_average_oracle(ch, graph):
-    """Exact average from the subset decomposition, one group channel fidelity per
-    call: removed subsets S in itertools order, each weighted by d / prod_{j in S} d_j
-    (the empty kept group counts 1), over prod_i (d_i + 1)."""
+    """Exact average from the subset decomposition of the report's group channel
+    fidelities: removed subsets S in itertools order, each weighted by
+    d / prod_{j in S} d_j (the empty kept group counts 1), over prod_i (d_i + 1)."""
     g, dims = graph.size, graph.dims
+    groups = channel_fidelity_report(ch, graph).group_values
     d_total = float(np.prod(dims))
     total = 0.0
     for r in range(g + 1):
         for removed in itertools.combinations(range(g), r):
             coeff = d_total / float(np.prod([dims[j] for j in removed])) if removed else d_total
-            kept = set(range(g)) - set(removed)
-            total += coeff * (group_channel_fidelity_kraus(ch, graph, kept) if kept else 1.0)
+            kept = frozenset(range(g)) - frozenset(removed)
+            total += coeff * (groups[kept] if kept else 1.0)
     return total / float(np.prod([d + 1 for d in dims]))
 
 
@@ -131,13 +129,13 @@ class TestGroupFidelities:
         ch = product_channel([identity_channel([2]), identity_channel([2])], PAIR_GRAPH)
         inputs = mixed_inputs(PAIR_GRAPH)
         for i in (0, 1):
-            assert abs(local_entanglement_fidelity(ch, inputs, PAIR_GRAPH, i) - 1) < 1e-10
+            assert abs(group_fidelity(ch, inputs, PAIR_GRAPH, [i]) - 1) < 1e-10
 
     def test_identity_times_depolarizing(self):
         ch = product_channel([identity_channel([2]), depolarizing(2, 1.0)], PAIR_GRAPH)
         inputs = mixed_inputs(PAIR_GRAPH)
-        assert abs(local_entanglement_fidelity(ch, inputs, PAIR_GRAPH, 0) - 1.0) < 1e-10
-        assert abs(local_entanglement_fidelity(ch, inputs, PAIR_GRAPH, 1) - 0.25) < 1e-10
+        assert abs(group_fidelity(ch, inputs, PAIR_GRAPH, [0]) - 1.0) < 1e-10
+        assert abs(group_fidelity(ch, inputs, PAIR_GRAPH, [1]) - 0.25) < 1e-10
         assert abs(entanglement_fidelity(ch, inputs, PAIR_GRAPH) - 0.25) < 1e-10
 
     def test_full_group_equals_global(self, rng):
@@ -193,11 +191,10 @@ class TestChannelFidelityRoutes:
         for _ in range(10):
             ch, graph = random_pair_channel(rng)
             inputs = mixed_inputs(graph)
-            for r in (1, 2):
-                for kept in itertools.combinations(range(2), r):
-                    a = group_fidelity(ch, inputs, graph, kept)
-                    b = group_channel_fidelity_kraus(ch, graph, kept)
-                    assert abs(a - b) < 1e-10
+            groups = channel_fidelity_report(ch, graph).group_values
+            assert len(groups) == 3
+            for kept, b in groups.items():
+                assert abs(group_fidelity(ch, inputs, graph, kept) - b) < 1e-10
 
     def test_routes_agree_on_a_128_dimensional_channel(self):
         # seven qubit links: the purification is 128 x 128, within MAX_DIM on either side
@@ -209,10 +206,10 @@ class TestChannelFidelityRoutes:
         b = channel_fidelity(ch, graph, "kraus_trace")
         assert abs(a - b) < 1e-12
         inputs = mixed_inputs(graph)
+        groups = channel_fidelity_report(ch, graph).group_values
         for kept in ([0], [1, 3, 5]):
             a = group_fidelity(ch, inputs, graph, kept)
-            b = group_channel_fidelity_kraus(ch, graph, kept)
-            assert abs(a - b) < 1e-12
+            assert abs(a - groups[frozenset(kept)]) < 1e-12
 
     def test_kraus_route_connection_cap_before_work(self):
         # 27 one-dimensional connections: the guard fires before any contraction
@@ -240,7 +237,8 @@ class TestChannelFidelityRoutes:
 
     def test_kraus_route_identity_group(self):
         ch = product_channel([identity_channel([2]), depolarizing(2, 1.0)], PAIR_GRAPH)
-        assert abs(group_channel_fidelity_kraus(ch, PAIR_GRAPH, [0]) - 1.0) < 1e-12
+        groups = channel_fidelity_report(ch, PAIR_GRAPH).group_values
+        assert abs(groups[frozenset([0])] - 1.0) < 1e-12
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -297,12 +295,12 @@ class TestPureStateFidelity:
 class TestAverageFidelity:
     def test_exact_identity_pair(self):
         ch = product_channel([identity_channel([2]), identity_channel([2])], PAIR_GRAPH)
-        assert abs(average_fidelity_exact(ch, PAIR_GRAPH) - 1.0) < 1e-12
+        assert abs(channel_fidelity_report(ch, PAIR_GRAPH).average - 1.0) < 1e-12
 
     def test_exact_fully_depolarizing_pair(self):
         # analytic subset values: (1/9)(4/16 + 1/2 + 1/2 + 1) = 1/4
         ch = product_channel([depolarizing(2, 1.0), depolarizing(2, 1.0)], PAIR_GRAPH)
-        assert abs(average_fidelity_exact(ch, PAIR_GRAPH) - 0.25) < 1e-12
+        assert abs(channel_fidelity_report(ch, PAIR_GRAPH).average - 0.25) < 1e-12
 
     def test_single_connection_reduction(self, rng):
         # |G| = 1 closed form (d F_c + 1) / (d + 1)
@@ -311,7 +309,7 @@ class TestAverageFidelity:
             ch = random_channel(d, d, 2, rng)
             fc = channel_fidelity(ch, graph, "kraus_trace")
             want = (d * fc + 1) / (d + 1)
-            assert abs(average_fidelity_exact(ch, graph) - want) < 1e-12
+            assert abs(channel_fidelity_report(ch, graph).average - want) < 1e-12
 
     def test_mc_identity(self):
         ch = identity_channel([2])
@@ -326,7 +324,7 @@ class TestAverageFidelity:
 
     def test_mc_depolarizing_matches_exact(self):
         ch = depolarizing(2, 1.0)
-        exact = average_fidelity_exact(ch, QUBIT_GRAPH)
+        exact = channel_fidelity_report(ch, QUBIT_GRAPH).average
         assert abs(exact - 0.5) < 1e-12
         mean, stderr = average_fidelity_mc(ch, QUBIT_GRAPH, 20000, make_rng(5))
         assert abs(mean - exact) <= 3 * stderr + 1e-12
@@ -337,7 +335,7 @@ class TestAverageFidelity:
                  (PAIR_GRAPH, random_channel(4, 4, 3, rng)),
                  (ConnectionGraph.diagonal([2, 3]), random_channel(6, 6, 3, rng))]
         for graph, ch in cases:
-            exact = average_fidelity_exact(ch, graph)
+            exact = channel_fidelity_report(ch, graph).average
             mean, stderr = average_fidelity_mc(ch, graph, 50000, make_rng(6))
             assert abs(mean - exact) <= 3 * stderr
 
@@ -348,7 +346,7 @@ class TestAverageFidelity:
         for d in (2, 4, 16):
             graph = ConnectionGraph.single(d)
             ch = depolarizing(d, p)
-            gap = abs(average_fidelity_exact(ch, graph)
+            gap = abs(channel_fidelity_report(ch, graph).average
                       - channel_fidelity(ch, graph, "kraus_trace"))
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -356,7 +354,7 @@ class TestAverageFidelity:
     def test_pure_fidelity_haar_average(self, rng):
         # sampling pure-state fidelities at Haar states estimates the exact average
         ch = random_channel(2, 2, 2, rng)
-        exact = average_fidelity_exact(ch, QUBIT_GRAPH)
+        exact = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
             pure_state_fidelity(ch, QUBIT_GRAPH, [haar_state(2, stream)])
             for stream in split_rng(make_rng(8), 4000)
@@ -621,18 +619,20 @@ class TestCrossedGraph:
             part_fcs = [channel_fidelity(part, ConnectionGraph.single(d), "kraus_trace")
                         for part, d in zip(parts, graph.dims)]
             assert abs(channel_fidelity(ch, graph, "kraus_trace") - np.prod(part_fcs)) < 1e-10
+            groups = channel_fidelity_report(ch, graph).group_values
             for i, part_fc in enumerate(part_fcs):
-                assert abs(group_channel_fidelity_kraus(ch, graph, [i]) - part_fc) < 1e-10
+                assert abs(groups[frozenset([i])] - part_fc) < 1e-10
 
     def test_exact_average_matches_subset_oracle(self, rng):
         # the report's one enumeration sums the same terms in the same order
         for ch, graph, _ in self.crossed(rng):
             for case in (ch, random_channel(graph.total_dim(), graph.total_dim(), 3, rng)):
-                assert average_fidelity_exact(case, graph) == subset_average_oracle(case, graph)
+                want = subset_average_oracle(case, graph)
+                assert channel_fidelity_report(case, graph).average == want
 
     def test_mc_matches_exact(self, rng):
         for ch, graph, _ in self.crossed(rng):
-            exact = average_fidelity_exact(ch, graph)
+            exact = channel_fidelity_report(ch, graph).average
             mean, stderr = average_fidelity_mc(ch, graph, 50000, make_rng(12))
             assert abs(mean - exact) <= 3 * stderr
 
@@ -657,7 +657,7 @@ class TestFidelityReport:
         ch = product_channel([identity_channel([2]), identity_channel([2])], PAIR_GRAPH)
         report = channel_fidelity_report(ch, PAIR_GRAPH)
         assert abs(report.global_value - 1) < 1e-12
-        assert all(abs(v - 1) < 1e-12 for v in report.local_values)
+        assert all(abs(v - 1) < 1e-12 for v in report.group_values.values())
         report.check()
 
     def test_report_invariants_random(self, rng):
@@ -670,12 +670,10 @@ class TestFidelityReport:
             ch, graph = random_pair_channel(rng)
             report = channel_fidelity_report(ch, graph)
             assert report.average == subset_average_oracle(ch, graph)
-            assert average_fidelity_exact(ch, graph) == report.average
 
     def test_subset_cap_before_work(self):
         # 17 one-dimensional connections: the cap is checked before any contraction
         graph = ConnectionGraph.diagonal([1] * 17)
         ch = identity_channel([1] * 17)
-        for func in (channel_fidelity_report, average_fidelity_exact):
-            with pytest.raises(CapExceededError, match=f"capped at {SUBSET_CAP} connections"):
-                func(ch, graph)
+        with pytest.raises(CapExceededError, match=f"capped at {SUBSET_CAP} connections"):
+            channel_fidelity_report(ch, graph)

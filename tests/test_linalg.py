@@ -19,7 +19,6 @@ from polychan import (
 from polychan.errors import CapExceededError
 from polychan.linalg import (
     EIGENVALUE_TOL,
-    check_density,
     check_factor,
     PAULI_X,
     entropy_of_spectrum,
@@ -281,7 +280,7 @@ class TestUhlmannFidelity:
 class TestDensityOperator:
     def test_valid(self, rng):
         rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-        assert rho.dim == 4
+        assert rho.matrix.shape[0] == 4
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
@@ -331,18 +330,6 @@ class TestCheckDensity:
         "negative": "density operator has negative eigenvalue -1.000e-06",
         "nan": "density operator contains non-finite entries",
     }
-
-    def test_valid_stack_passes(self, rng):
-        stack = np.array([random_density(3, rng) for _ in range(5)] + [bad_density("none")])
-        assert check_density(stack) is stack
-
-    @pytest.mark.parametrize("defect", sorted(MESSAGES))
-    def test_one_bad_member_fails_the_stack(self, defect, rng):
-        stack = np.array([random_density(3, rng) for _ in range(5)])
-        stack[2] = bad_density(defect)
-        message = re.escape(self.MESSAGES[defect])
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            check_density(stack)
 
     @pytest.mark.parametrize("defect", sorted(MESSAGES))
     def test_single_bad_matrix_fails(self, defect):

@@ -13,8 +13,8 @@ from polychan import (
     SystemLayout,
     UnitaryEnsemble,
     apply,
-    average_fidelity_exact,
     channel_fidelity,
+    channel_fidelity_report,
     clifford_1q,
     dephasing,
     depolarizing,
@@ -136,7 +136,7 @@ class TestTwirl:
     def test_clifford_twirl_fidelity_constant(self, rng):
         ch = random_channel(2, 2, 2, rng)
         tw = twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()])
-        target = average_fidelity_exact(ch, QUBIT_GRAPH)
+        target = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
             pure_state_fidelity(tw, QUBIT_GRAPH, [haar_state(2, stream)])
             for stream in split_rng(make_rng(77), 100)
@@ -147,7 +147,7 @@ class TestTwirl:
     def test_pair_twirl_matches_exact_average(self, rng):
         ch = product_channel([dephasing(0.15), dephasing(0.4)], PAIR_GRAPH)
         tw = twirl_channel(ch, PAIR_GRAPH, [clifford_1q(), clifford_1q()])
-        target = average_fidelity_exact(ch, PAIR_GRAPH)
+        target = channel_fidelity_report(ch, PAIR_GRAPH).average
         for stream in split_rng(make_rng(3), 10):
             states = [haar_state(2, stream), haar_state(2, stream)]
             assert abs(pure_state_fidelity(tw, PAIR_GRAPH, states) - target) <= 1e-8
@@ -155,8 +155,8 @@ class TestTwirl:
     def test_twirl_preserves_average_fidelity(self, rng):
         ch = random_channel(2, 2, 3, rng)
         tw = twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()])
-        assert abs(average_fidelity_exact(tw, QUBIT_GRAPH)
-                   - average_fidelity_exact(ch, QUBIT_GRAPH)) < 1e-9
+        assert abs(channel_fidelity_report(tw, QUBIT_GRAPH).average
+                   - channel_fidelity_report(ch, QUBIT_GRAPH).average) < 1e-9
 
     def test_sampled_ensemble_dimension(self, rng):
         ens = haar_ensemble(3, 16, rng)
@@ -164,8 +164,8 @@ class TestTwirl:
         ch = random_channel(3, 3, 2, rng)
         tw = twirl_channel(ch, graph, [ens])
         assert validate(tw).passed
-        assert abs(average_fidelity_exact(tw, graph)
-                   - average_fidelity_exact(ch, graph)) < 1e-9
+        assert abs(channel_fidelity_report(tw, graph).average
+                   - channel_fidelity_report(ch, graph).average) < 1e-9
 
     def test_choi_cap(self, rng):
         # a 65-dim connection needs a 4225 x 4225 Choi matrix, past MAX_DIM
@@ -211,7 +211,7 @@ class TestTwirl:
             graph, ch = CROSS5_GRAPH, random_channel(32, 32, 3, rng)
         tw = twirl_channel(ch, graph, [clifford_1q()] * graph.size)
         assert tw.num_kraus <= ch.in_dim * ch.out_dim
-        target = average_fidelity_exact(ch, graph)
+        target = channel_fidelity_report(ch, graph).average
         vals = [pure_state_fidelity(tw, graph, [haar_state(d, s) for d in graph.dims])
                 for s in split_rng(rng, 10)]
         assert max(vals) - min(vals) <= 1e-8
@@ -364,7 +364,7 @@ class TestPhaseAverageBound:
                                      make_rng(0), restarts=4)
         assert report.eta < 1e-9
         assert abs(report.entanglement_fidelity - 1.0) < 1e-10
-        assert report.holds
+        assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_weak_dephasing_values(self):
         # eta = 0.01 at the equator, F_e(I/2) = 0.99, bound 0.985
@@ -373,14 +373,14 @@ class TestPhaseAverageBound:
         assert abs(report.eta - 0.01) < 1e-9
         assert abs(report.entanglement_fidelity - 0.99) < 1e-10
         assert abs(report.bound - 0.985) < 1e-9
-        assert report.holds
+        assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_depolarizing_saturates(self):
         # qubit depolarizing meets the bound with equality
         report = phase_average_bound(depolarizing(2, 0.2), QUBIT_GRAPH, [np.eye(2)],
                                      make_rng(2), restarts=8)
         assert abs(report.entanglement_fidelity - report.bound) < 1e-9
-        assert report.holds
+        assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_near_identity_sweep(self):
         rng = make_rng(17)
@@ -388,7 +388,7 @@ class TestPhaseAverageBound:
             ch = near_identity_channel(2, 1e-3, rng)
             report = phase_average_bound(ch, QUBIT_GRAPH, [np.eye(2)],
                                          make_rng(100 + k), restarts=16)
-            assert report.holds
+            assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_pair_near_identity(self):
         rng = make_rng(19)
@@ -397,7 +397,7 @@ class TestPhaseAverageBound:
         ch = KrausChannel(ch4.kraus_ops, [2, 2], [2, 2])
         report = phase_average_bound(ch, graph, [np.eye(2), np.eye(2)],
                                      make_rng(7), restarts=16)
-        assert report.holds
+        assert report.bound - report.entanglement_fidelity <= 1e-9
 
 
 class TestSubspaceBasis:
