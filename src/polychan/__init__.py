@@ -23,7 +23,7 @@ _EXPORTS = {
                    "min_subspace_fidelity", "mixed_fidelity", "pure_state_fidelity"],
     "linalg": ["DensityOperator", "SystemLayout", "eigh", "entropy", "haar_state",
                "haar_unitary", "kron", "make_rng", "maximally_entangled_vector",
-               "partial_trace", "split_rng", "uhlmann_fidelity"],
+               "partial_trace", "uhlmann_fidelity"],
     "protocols": ["ExtractionResult", "PhaseAverageReport", "SubspaceBasis",
                   "UnitaryEnsemble", "clifford_1q", "extract_subspace", "haar_ensemble",
                   "phase_average_bound", "teleport_channel", "twirl_channel"],

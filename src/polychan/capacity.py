@@ -21,6 +21,7 @@ I_R (x) log2 rho_B - log2 rho_RB back onto each sender's own legs (see
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +31,6 @@ from ._optim import minimize_product_states
 from .channels import (
     ConnectionGraph,
     KrausChannel,
-    check_graph_compatible,
     connection_kraus,
     copy_grouping,
 )
@@ -39,8 +39,10 @@ from .linalg import (
     MAX_DIM,
     SystemLayout,
     _adjoint,
+    block_rows,
     check_factor,
     clip_spectrum,
+    contract_rows_except,
     eigh,
     entropy_of_spectrum,
     float_or_stack,
@@ -52,10 +54,6 @@ from .linalg import (
 )
 
 BLOCKLENGTH_CAP = 3
-
-# Bytes of the sigma_i, folded-map and rho_RB stacks that one block of the batched
-# region objective may hold.
-OBJECTIVE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -193,14 +191,13 @@ class _RegionProblem:
     The fold reads each superoperator in fold order (``fold_ops``): one
     (other senders' input pairs, (b, b')) matrix per input pair (a, a') of
     s(i).  Rows are evaluated in blocks whose sigma_i, folded-map and rho_RB
-    stacks stay under ``OBJECTIVE_BLOCK_BYTES`` (32 rows on a qubit pair at
+    stacks stay under ``linalg.BLOCK_BYTES`` (32 rows on a qubit pair at
     n = 2, about 16 KB per row), so a long batch does not raise peak memory.
     Every product is a stack of small matmuls or an einsum, never one tall 2-D
     GEMM, which would wake a second BLAS thread.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph, n: int):
-        check_graph_compatible(ch, graph)
         if n < 1:
             raise ValueError("blocklength must be >= 1")
         if n > BLOCKLENGTH_CAP or graph.total_dim() ** n > MAX_DIM:
@@ -247,7 +244,7 @@ class _RegionProblem:
         # with the untransposed rho it is copied from, d_i^4 entries each
         row_bytes = max(32 * d * d * (self.part_dims[w] + d * d)
                         for d, w in zip(self.block_dims, self.sender))
-        self.block_rows = max(1, OBJECTIVE_BLOCK_BYTES // row_bytes)
+        self.block_rows = block_rows(row_bytes)
 
     def coherent_infos(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """I_c(R_i > B_i) per connection for a stack of product inputs, in bits.
@@ -369,12 +366,9 @@ class _RegionProblem:
             q = q.reshape(rows, *(self.part_dims[w] for w in others))
             for k, w in enumerate(others):
                 # contract the remaining marginals, leaving Q_w[row, (a, a')]
-                args = [q, list(range(len(others) + 1))]
-                for kv, v in enumerate(others):
-                    if v != w:
-                        args += [marginals[v], [0, kv + 1]]
                 dw = self.input_dims[w]
-                q_w = np.einsum(*args, [0, k + 1]).reshape(rows, dw, dw)
+                q_w = contract_rows_except(q, [marginals[v] for v in others], k).reshape(
+                    rows, dw, dw)
                 grads[w] += weights[i] * (parts[w].reshape(rows, dw, dw) @ q_w).reshape(rows, -1)
         return grads
 
@@ -404,8 +398,8 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
     weights = tuple(float(x) for x in weights)
     if len(weights) != graph.size:
         raise ValueError(f"need {graph.size} weights, got {len(weights)}")
-    if any(x < 0 for x in weights) or not any(x > 0 for x in weights):
-        raise ValueError("weights must be nonnegative and not all zero")
+    if not all(0.0 <= x < math.inf for x in weights) or not any(x > 0 for x in weights):
+        raise ValueError(f"weights must be finite, nonnegative and not all zero, got {weights}")
     problem = _RegionProblem(ch, graph, n)
     wvec = np.array(weights)
 

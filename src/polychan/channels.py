@@ -384,8 +384,10 @@ def connection_kraus(ch: KrausChannel, graph: ConnectionGraph) -> np.ndarray:
     """Kraus stack with one output and one input leg per connection.
 
     The result has shape ``(K, d_0, ..., d_{g-1}, d_0, ..., d_{g-1})``: output
-    legs, then input legs, each side in connection-index order.
+    legs, then input legs, each side in connection-index order.  Raises
+    ``ValueError`` when the graph's blocks do not tile the channel's layouts.
     """
+    check_graph_compatible(ch, graph)
     g = graph.size
     blocks = ch.kraus_stack().reshape(-1, *graph.out_block_dims, *graph.in_block_dims)
     axes = [1 + graph.output_order.index(c) for c in range(g)]

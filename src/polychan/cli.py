@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,22 +36,16 @@ from .errors import CapExceededError, ChannelFormatError
 from .linalg import (
     DensityOperator,
     SystemLayout,
+    block_rows,
     haar_state,
     make_rng,
     maximally_entangled_vector,
-    split_rng,
 )
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
-
-# Byte budget for one block of verify's DPI and continuity sweeps, counted as
-# one D x 2K factor per trial (see _stream_blocks).  Every fixture's 200 trials
-# fit in one block (the largest is 0.4 MB); larger channels or more trials are
-# taken in blocks.
-SWEEP_BLOCK_BYTES = 1 << 20
 
 
 def _fmt(value) -> str:
@@ -160,7 +155,7 @@ def cmd_fidelity(args) -> int:
         name = "group_fidelity[" + "+".join(str(i) for i in sorted(kept)) + "]"
         add(name, report.group_values[kept], "kraus_trace")
     add("average_fidelity", report.average, "subset_decomposition")
-    mc_rng, opt_rng = split_rng(rng, 2)
+    mc_rng, opt_rng = rng.spawn(2)
     mean, stderr = fidelities.average_fidelity_mc(ch, graph, args.samples, mc_rng)
     add("average_fidelity", mean, "monte_carlo", stderr)
     min_val, _ = fidelities.min_subspace_fidelity(
@@ -211,7 +206,7 @@ def cmd_region(args) -> int:
 
 def _verify_fixtures(seed: int) -> list[tuple[str, KrausChannel, ConnectionGraph]]:
     rng = make_rng(seed)
-    r1, r2 = split_rng(rng, 2)
+    r1, r2 = rng.spawn(2)
     pair = channels.product_channel(
         [channels.dephasing(0.1), channels.dephasing(0.4)],
         ConnectionGraph.diagonal([2, 2]),
@@ -249,14 +244,15 @@ def _check_route_equality(ch, graph, report, tol_exact):
 
 def _stream_blocks(streams, graph, num_kraus):
     """``streams`` in consecutive blocks whose sweep factors stay under
-    ``SWEEP_BLOCK_BYTES``, so peak memory does not grow with the number of trials.
+    ``linalg.BLOCK_BYTES``, so peak memory does not grow with the number of trials.
 
     A trial holds D x K factors, D = (product of the connection dimensions)^2:
     its states a and b, or its state and the 2K columns of its postprocessed
-    state, so it is counted as one D x 2K factor.  A trial over the budget gets
-    a block of its own.
+    state, so it is counted as one D x 2K factor.  Every fixture's 200 trials
+    fit in one block (the largest is 0.4 MB); a trial over the budget gets a
+    block of its own.
     """
-    size = max(1, SWEEP_BLOCK_BYTES // (32 * graph.total_dim() ** 2 * num_kraus))
+    size = block_rows(32 * graph.total_dim() ** 2 * num_kraus)
     return [streams[i:i + size] for i in range(0, len(streams), size)]
 
 
@@ -293,7 +289,7 @@ def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
     split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = float("inf")
-    for block in _stream_blocks(split_rng(rng, trials), graph, len(kraus)):
+    for block in _stream_blocks(rng.spawn(trials), graph, len(kraus)):
         phi = _random_output_states(kraus, graph, block)
         # each stream draws its postprocessing after its input amplitudes
         posts = channels.random_kraus(ch.out_dim, ch.out_dim, 2, block)
@@ -308,7 +304,7 @@ def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
     split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = -float("inf")
-    for block in _stream_blocks(split_rng(rng, trials), graph, len(kraus)):
+    for block in _stream_blocks(rng.spawn(trials), graph, len(kraus)):
         # each stream draws state a, then state b
         a = _random_output_states(kraus, graph, block)
         b = _random_output_states(kraus, graph, block)
@@ -329,7 +325,7 @@ def _check_two_design(ch, graph, report, rng, ensemble_size, tol_exact, tol_stat
                  [protocols.haar_ensemble(d, ensemble_size, rng) for d in graph.dims])
     twirled = protocols.twirl_channel(ch, graph, ensembles)
     # one input per stream, as drawn one state at a time; their fidelities in one stacked call
-    draws = [[haar_state(d, s) for d in graph.dims] for s in split_rng(rng, 100 if exact else 50)]
+    draws = [[haar_state(d, s) for d in graph.dims] for s in rng.spawn(100 if exact else 50)]
     vals = fidelities.pure_state_fidelity(twirled, graph, [np.array(c) for c in zip(*draws)])
     if exact:
         return float(np.max(np.abs(vals - target))), tol_exact, "exact"
@@ -365,7 +361,7 @@ def cmd_verify(args) -> int:
     rows = []
     all_pass = True
     for name, ch, graph in cases:
-        streams = split_rng(rng, 5)
+        streams = rng.spawn(5)
         report = fidelities.channel_fidelity_report(ch, graph)
         checks = [
             ("average_mc_vs_exact",
@@ -505,6 +501,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a NaN, infinite or negative tolerance would pass or fail every check by construction
+        for flag in ("--tol-completeness", "--tol-exact", "--tol-stat"):
+            value = getattr(args, flag[2:].replace("-", "_"), 0.0)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{flag} must be finite and >= 0, got {value}")
         return args.func(args)
     except ChannelCompletenessError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,25 +37,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._optim import minimize_product_states
-from .channels import ConnectionGraph, KrausChannel, check_graph_compatible, connection_kraus
+from .channels import ConnectionGraph, KrausChannel, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
     UNITARITY_TOL,
     DensityOperator,
     SystemLayout,
     _adjoint,
+    block_rows,
     check_finite,
     clip_spectrum,
+    contract_rows_except,
     eigh,
     kron_all,
     kron_rows,
 )
 
 SUBSET_CAP = 16
-# Byte budget for the temporaries of one row block of the product-state kernel
-# (QuadraticOverlap): its GEMM results, the real coordinates of the block's states,
-# or the product kets and their images.
-KERNEL_BLOCK_BYTES = 1 << 19
 # The value kernel's real GEMMs have row and column counts that are multiples of
 # this: the coefficient matrix gets zero rows at construction, and a block shorter
 # than that gets zero columns.  OpenBLAS splits a large dgemm between threads, and
@@ -114,7 +112,6 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     product is at most ``MAX_DIM`` on a side.  Raises ``CapExceededError``
     beyond 25 connections, before any contraction.
     """
-    check_graph_compatible(ch, graph)
     _check_amps(graph, amps)
     g = graph.size
     # the overlap einsum labels the Kraus index and 2g reference/output legs, below 52
@@ -161,7 +158,6 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
     vecs = [np.asarray(psi, dtype=complex) for psi in states]
     if not vecs or any(v.ndim != 2 for v in vecs):
         return _overlap_fidelity(ch, graph, [_pure_amp(v, i) for i, v in enumerate(vecs)])
-    check_graph_compatible(ch, graph)
     _check_amps(graph, vecs)
     for i, v in enumerate(vecs):
         check_finite(v, f"state stack for connection {i}")
@@ -203,7 +199,6 @@ def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     leg.  The traced-out connections' legs stay open, and the value is
     ``sum |traced|^2 / (d_kept d)``.
     """
-    check_graph_compatible(ch, graph)
     g = graph.size
     # labels: 0 for the Kraus index, 1..g for the outputs, then one per open input;
     # einsum takes labels below 52, and at least one connection is kept
@@ -240,7 +235,6 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
     :class:`QuadraticOverlap` forms the real coordinates for one of its row
     blocks at a time.
     """
-    check_graph_compatible(ch, graph)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
@@ -327,7 +321,7 @@ class QuadraticOverlap:
     derivative is ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where
     ``u_{K,i}`` contracts ``u_K`` with the other parts' conjugated states.
     Values and gradients both take stacks of rows, one product point per row,
-    in row blocks whose temporaries stay under ``KERNEL_BLOCK_BYTES``
+    in row blocks whose temporaries stay under ``linalg.BLOCK_BYTES``
     (``value_rows``, a multiple of ``GEMM_ALIGN``, and ``gradient_rows``).
 
     With every connection varying over its whole space (identity bases, no
@@ -341,7 +335,6 @@ class QuadraticOverlap:
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
                  bases: dict[int, np.ndarray], fixed_amps: dict[int, np.ndarray]):
-        check_graph_compatible(ch, graph)
         g = graph.size
         if set(bases) | set(fixed_amps) != set(range(g)) or set(bases) & set(fixed_amps):
             raise ValueError("bases and fixed_amps must partition the connections")
@@ -393,22 +386,12 @@ class QuadraticOverlap:
         # a value row holds the GEMM's 2 K s_R results, y_L, y_R and the largest
         # connection's complex rho; a gradient row holds u and w (2 K D_var), phi and
         # its derivative
-        self.value_rows = GEMM_ALIGN * max(1, KERNEL_BLOCK_BYTES // GEMM_ALIGN // (
-            8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.var_dims) ** 2))
-        self.gradient_rows = GEMM_ALIGN * max(1, KERNEL_BLOCK_BYTES // GEMM_ALIGN // (
-            16 * (2 * k + 2) * d_var))
+        self.value_rows = block_rows(
+            8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.var_dims) ** 2, GEMM_ALIGN)
+        self.gradient_rows = block_rows(16 * (2 * k + 2) * d_var, GEMM_ALIGN)
         # per connection: each coordinate's entry of rho, and 1 where it is Im (p > q)
         self.gathers = [(np.arange(d * d), np.greater(*np.divmod(np.arange(d * d), d))
                          .astype(np.intp)) for d in self.var_dims]
-
-        # per part i: the row-wise ket tensors contracted with the other parts' states
-        n = len(self.varying)
-        out, row = labels[:n], labels[2 * g + 1]
-        self.loo_specs = []
-        for i in range(n):
-            rest = [j for j in range(n) if j != i]
-            self.loo_specs.append(",".join([row + out] + [row + out[j] for j in rest])
-                                  + "->" + row + out[i])
 
     def _coords(self, psis: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The leading and trailing groups' real coordinates y_L and y_R, shaped
@@ -461,8 +444,7 @@ class QuadraticOverlap:
             v[block] = np.einsum("bjk,bjkd->bd", np.stack([m.conj(), m], axis=1), uw)
         v = v.reshape(-1, *self.var_dims)
         bras = [p.conj() for p in psis]
-        return [np.einsum(spec, v, *bras[:i], *bras[i + 1 :]) @ b.conj()
-                for i, (spec, b) in enumerate(zip(self.loo_specs, self.bases))]
+        return [contract_rows_except(v, bras, i) @ b.conj() for i, b in enumerate(self.bases)]
 
     def minimize(self, rng: np.random.Generator, restarts: int, max_iters: int
                  ) -> tuple[float, list[np.ndarray]]:
@@ -519,7 +501,6 @@ def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: S
     minimizing per-connection states in the ambient spaces.  Deterministic for
     a fixed rng state.
     """
-    check_graph_compatible(ch, graph)
     bases = [(s if isinstance(s, SubspaceBasis) else SubspaceBasis(s)).vectors for s in subspaces]
     if len(bases) != graph.size:
         raise ValueError(f"need one subspace per connection ({graph.size})")

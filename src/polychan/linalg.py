@@ -28,6 +28,10 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
+# Byte budget for the temporaries of one row block of a batched kernel: the region
+# objective and its gradient, the product-state fidelity kernel, and verify's sweeps.
+BLOCK_BYTES = 1 << 19
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -38,9 +42,10 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split a stream into ``n`` independent substreams."""
-    return rng.spawn(n)
+def block_rows(row_bytes: int, align: int = 1) -> int:
+    """Rows per block of a batched kernel whose rows hold ``row_bytes`` each: the most
+    that fit in ``BLOCK_BYTES``, a multiple of ``align``, and at least ``align``."""
+    return align * max(1, BLOCK_BYTES // align // row_bytes)
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,13 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = kron(out, m)
     return out
+
+
+def contract_rows_except(t: np.ndarray, vecs: Sequence[np.ndarray], skip: int) -> np.ndarray:
+    """Row-wise contraction of a (rows, n_0, ..., n_{m-1}) tensor with the (rows, n_j)
+    vectors ``vecs[j]`` on every axis j but ``skip``; the result has shape (rows, n_skip)."""
+    others = [arg for j, v in enumerate(vecs) if j != skip for arg in (v, [0, j + 1])]
+    return np.einsum(t, list(range(len(vecs) + 1)), *others, [0, skip + 1])
 
 
 def kron_rows(batches: Sequence[np.ndarray]) -> np.ndarray:

@@ -19,7 +19,6 @@ from .channels import (
     ConnectionGraph,
     KrausChannel,
     block_kraus,
-    check_graph_compatible,
     connection_kraus,
     weyl_operators,
 )
@@ -141,7 +140,6 @@ def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
     this is the mixture ``(1/sqrt(N)) U^dag A U`` over the product ensemble.
     At most ``d_in * d_out`` Kraus operators are read off J's spectrum; J must
     be at most ``MAX_DIM`` on a side."""
-    check_graph_compatible(ch, graph)
     if len(ensembles) != graph.size:
         raise ValueError(f"need one ensemble per connection ({graph.size})")
     for i, ens in enumerate(ensembles):
@@ -243,7 +241,6 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
     current support with the largest weight that keeps the operator positive
     semidefinite, so the peeled pairs plus the remainder reconstruct the input.
     """
-    check_graph_compatible(ch, graph)
     if len(inputs) != graph.size:
         raise ValueError(f"need one input per connection ({graph.size})")
     # connections not yet processed enter as given, processed ones as their remainders

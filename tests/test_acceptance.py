@@ -37,7 +37,6 @@ from polychan import (
     pure_state_fidelity,
     random_channel,
     region_sample,
-    split_rng,
     twirl_channel,
 )
 
@@ -118,7 +117,7 @@ def test_criterion_3_two_design_twirl():
         target = channel_fidelity_report(ch, graph).average
         vals = np.array([
             pure_state_fidelity(twirled, graph, [haar_state(2, stream)])
-            for stream in split_rng(rng, 100)
+            for stream in rng.spawn(100)
         ])
         worst_spread = max(worst_spread, float(vals.max() - vals.min()))
         worst_err = max(worst_err, float(np.max(np.abs(vals - target))))
@@ -231,7 +230,7 @@ def test_criterion_7_extraction_and_phase_bound():
         ops += [np.sqrt(1e-3) * m for m in mix.kraus_ops]
         ch = KrausChannel(ops, [2], [2])
         rep = phase_average_bound(ch, ConnectionGraph.single(2), [np.eye(2)],
-                                  split_rng(rng, 1)[0])
+                                  rng.spawn(1)[0])
         worst_gap = max(worst_gap, rep.bound - rep.entanglement_fidelity)
         failures += 0 if rep.bound - rep.entanglement_fidelity <= 1e-9 else 1
     for k in range(50):
@@ -240,7 +239,7 @@ def test_criterion_7_extraction_and_phase_bound():
         ops += [np.sqrt(1e-3) * m for m in mix.kraus_ops]
         ch = KrausChannel(ops, [2, 2], [2, 2])
         rep = phase_average_bound(ch, PAIR, [np.eye(2), np.eye(2)],
-                                  split_rng(rng, 1)[0])
+                                  rng.spawn(1)[0])
         worst_gap = max(worst_gap, rep.bound - rep.entanglement_fidelity)
         failures += 0 if rep.bound - rep.entanglement_fidelity <= 1e-9 else 1
     report(

@@ -31,13 +31,12 @@ from polychan import (
     region_sample,
     region_sweep,
     simplex_weight_grid,
-    split_rng,
     uhlmann_fidelity,
 )
-from polychan.capacity import OBJECTIVE_BLOCK_BYTES, _lift_sender_states, _log2m, _RegionProblem
+from polychan.capacity import _lift_sender_states, _log2m, _RegionProblem
 from polychan.channels import KrausChannel, connection_kraus, tensor_power
 from polychan.errors import CapExceededError
-from polychan.linalg import eigh, entropy_of_spectrum, kron_rows, permute_legs_vector
+from polychan.linalg import BLOCK_BYTES, eigh, entropy_of_spectrum, kron_rows, permute_legs_vector
 
 
 def bell_state(d=2):
@@ -102,7 +101,7 @@ class TestDataProcessing:
         assert abs(margin - 2.0) < 1e-9
 
     def test_random_sweep(self, rng):
-        for stream in split_rng(rng, 200):
+        for stream in rng.spawn(200):
             phi = random_factor(4, rng)
             post = random_channel(2, 2, 2, stream)
             assert check_dpi(phi, SPLIT_22, post) >= -1e-9
@@ -157,7 +156,7 @@ class TestStacks:
         split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
         d, db = layout.total_dim, dims[1 - a_leg]
         phis, chis = self.random_stack(d, rng), self.random_stack(d, rng)
-        posts = [random_channel(db, db, 2, stream) for stream in split_rng(rng, len(phis))]
+        posts = [random_channel(db, db, 2, stream) for stream in rng.spawn(len(phis))]
         infos = coherent_information(phis, split)
         margins = check_dpi(phis, split, np.array([p.kraus_stack() for p in posts]))
         shared = check_dpi(phis, split, posts[0])
@@ -277,6 +276,10 @@ class TestRegionSample:
             region_sample(ch, graph, 1, (0.0, 0.0), make_rng(0))
         with pytest.raises(ValueError):
             region_sample(ch, graph, 1, (1.0,), make_rng(0))
+        # a NaN or infinite weight is named before any descent, with no RuntimeWarning
+        for bad in [(float("nan"), 1.0), (float("inf"), 1.0)]:
+            with pytest.raises(ValueError, match="weights must be finite"):
+                region_sample(ch, graph, 1, bad, make_rng(0))
 
     def test_blocklength_cap(self):
         ch, graph = identity_pair()
@@ -707,7 +710,7 @@ class TestFoldedObjective:
                                          ("two_plus_one", 2), ("shuffled", 1)])
     def test_block_stacks_fit_the_budget(self, name, n):
         # one block's sigma_i, folded-map and rho_RB stacks (with the rho that rho_RB is
-        # copied from) stay within OBJECTIVE_BLOCK_BYTES; the widest connection's would not
+        # copied from) stay within BLOCK_BYTES; the widest connection's would not
         # with one more row
         graph = self.GRAPHS[name]
         d = graph.total_dim()
@@ -721,6 +724,6 @@ class TestFoldedObjective:
             sigma, fold, rho_rb = problem._folded_states(parts, marginals, i)[1:4]
             assert sigma.shape[0] == fold.shape[0] == rho_rb.shape[0] == rows
             held = sigma.nbytes + fold.nbytes + 2 * rho_rb.nbytes
-            assert held <= OBJECTIVE_BLOCK_BYTES
+            assert held <= BLOCK_BYTES
             per_row.append(held // rows)
-        assert (rows + 1) * max(per_row) > OBJECTIVE_BLOCK_BYTES
+        assert (rows + 1) * max(per_row) > BLOCK_BYTES

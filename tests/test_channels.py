@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_density_operator
+import polychan as pc
 from polychan import (
     Connection,
     ConnectionGraph,
@@ -268,6 +269,22 @@ class TestConnectionGraph:
         check_graph_compatible(ch, ConnectionGraph.diagonal([2, 2]))
         with pytest.raises(ValueError):
             check_graph_compatible(ch, ConnectionGraph.diagonal([2, 3]))
+
+    @pytest.mark.parametrize("call", [
+        lambda ch, g, rng: pc.region_sample(ch, g, 1, (1.0, 1.0), rng),
+        lambda ch, g, rng: pc.channel_fidelity(ch, g, "definition"),
+        lambda ch, g, rng: pc.channel_fidelity(ch, g, "kraus_trace"),
+        lambda ch, g, rng: pc.pure_state_fidelity(ch, g, [np.ones((1, 2)), np.ones((1, 3))]),
+        lambda ch, g, rng: pc.average_fidelity_mc(ch, g, 10, rng),
+        lambda ch, g, rng: pc.min_subspace_fidelity(ch, g, [np.eye(2), np.eye(3)], rng),
+        lambda ch, g, rng: pc.twirl_channel(ch, g, [pc.clifford_1q(),
+                                                    pc.haar_ensemble(3, 2, rng)]),
+        lambda ch, g, rng: pc.extract_subspace(ch, g, [np.eye(2) / 2, np.eye(3) / 3], 0.1, rng),
+    ])
+    def test_entry_points_reject_a_graph_that_does_not_tile(self, call, rng):
+        # each reaches the check through connection_kraus, before any optimizer or twirl work
+        with pytest.raises(ValueError, match="do not multiply"):
+            call(random_channel(4, 4, 2, rng), ConnectionGraph.diagonal([2, 3]), rng)
 
     def test_connection_validation(self):
         with pytest.raises(ValueError):

@@ -25,10 +25,9 @@ from polychan import (
     product_channel,
     random_channel,
     read_channel,
-    split_rng,
     write_channel,
 )
-from polychan import cli
+from polychan import cli, linalg
 from polychan.cli import (
     _check_dpi_sweep,
     _check_lemma_sweep,
@@ -112,6 +111,14 @@ class TestValidateCommand:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_tolerance_is_a_usage_error(self, dep_file, value, capsys):
+        # a NaN tolerance called every channel invalid
+        assert main(["validate", dep_file, "--tol-completeness", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --tol-completeness must be finite and >= 0, got {float(value)}\n"
 
 
 class TestFidelityCommand:
@@ -227,6 +234,14 @@ class TestRegionCommand:
         assert main(["region", pair_file, "--grid", grid, "--restarts", "2"]) == 2
         assert capsys.readouterr().err == f"error: --grid must be >= 1, got {grid}\n"
 
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
+    def test_non_finite_weight_is_a_usage_error(self, pair_file, weights, capsys):
+        # before: the descent ran into NaNs and ended in an eigensolver error
+        assert main(["region", pair_file, "--weights", weights, "--restarts", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: weights must be finite, nonnegative and not all zero")
+
     def test_weights_need_no_grid(self, pair_file, capsys):
         code = main(["region", pair_file, "--grid", "0", "--weights", "1,1", "--restarts", "2"])
         assert code == 0
@@ -280,6 +295,16 @@ class TestVerifyCommand:
         assert main(["verify", "--fixtures", "--ensemble-size", size]) == 2
         assert capsys.readouterr().err == f"error: --ensemble-size must be >= 1, got {size}\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-exact", "inf"), ("--tol-exact", "nan"), ("--tol-exact", "-0.5"),
+        ("--tol-stat", "inf"), ("--tol-stat", "nan"), ("--tol-stat", "-3")])
+    def test_bad_tolerance_is_a_usage_error(self, flag, value, capsys):
+        # an infinite tolerance passed every row by construction, a NaN one failed every row
+        assert main(["verify", "--fixtures", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+
     def test_no_restarts_is_a_usage_error(self, dep_file, capsys):
         code = main(["verify", dep_file, "--samples", "2000", "--trials", "2",
                      "--restarts", "0"])
@@ -330,7 +355,7 @@ def oracle_dpi_sweep(ch, graph, rng, trials):
     """The data-processing sweep as a loop of single density-matrix checks."""
     conn_ch = connection_channel(ch, graph)
     worst = float("inf")
-    for stream in split_rng(rng, trials):
+    for stream in rng.spawn(trials):
         out = oracle_output_state(conn_ch, graph, stream)
         post = random_channel(ch.out_dim, ch.out_dim, 2, stream)
         after = apply_with_reference(post, out, ref_legs=1)
@@ -342,7 +367,7 @@ def oracle_lemma_sweep(ch, graph, rng, trials):
     """The continuity sweep as a loop of single density-matrix checks."""
     conn_ch = connection_channel(ch, graph)
     worst = -float("inf")
-    for stream in split_rng(rng, trials):
+    for stream in rng.spawn(trials):
         a = oracle_output_state(conn_ch, graph, stream)
         b = oracle_output_state(conn_ch, graph, stream)
         lhs = abs(dense_info(a) - dense_info(b))
@@ -355,7 +380,7 @@ def oracle_lemma_sweep(ch, graph, rng, trials):
 def verify_streams(seed):
     """Each verify fixture with its five check streams, drawn as ``cmd_verify`` draws them."""
     rng = make_rng(seed)
-    return [(name, ch, graph, split_rng(rng, 5)) for name, ch, graph in _verify_fixtures(seed)]
+    return [(name, ch, graph, rng.spawn(5)) for name, ch, graph in _verify_fixtures(seed)]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -377,7 +402,7 @@ def test_blocked_sweeps_match_per_trial_oracle(block, monkeypatch):
     for name, ch, graph, streams in verify_streams(3)[3:]:
         # a trial counts as one D x 2K factor, D = total_dim^2
         d = graph.total_dim() ** 2
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 32 * d * ch.num_kraus * block)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 32 * d * ch.num_kraus * block)
         _, _, _, fresh = [case for case in verify_streams(3) if case[0] == name][0]
         dpi, _, _ = _check_dpi_sweep(ch, graph, streams[1], 30, 1e-9)
         lemma, _, _ = _check_lemma_sweep(ch, graph, streams[2], 30, 1e-9)
@@ -399,15 +424,15 @@ def test_sweep_memory_does_not_grow_with_trials(sweep):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * cli.SWEEP_BLOCK_BYTES
+    assert peak < 12 * linalg.BLOCK_BYTES
 
 
 def test_random_output_states_keep_each_streams_draws():
     graph = ConnectionGraph.diagonal([2, 3])
     ch = product_channel([depolarizing(2, 0.3), depolarizing(3, 0.2)], graph)
     conn_ch = connection_channel(ch, graph)
-    streams = split_rng(make_rng(3), 4)
-    fresh = split_rng(make_rng(3), 4)
+    streams = make_rng(3).spawn(4)
+    fresh = make_rng(3).spawn(4)
     first = _random_output_states(conn_ch.kraus_stack(), graph, streams)
     second = _random_output_states(conn_ch.kraus_stack(), graph, streams)
     for t, stream in enumerate(fresh):
@@ -424,7 +449,7 @@ def test_random_output_state_is_a_product_input():
     graph = ConnectionGraph([(1, 0, 2), (0, 1, 3)])
     ch = product_channel([identity_channel([2]), identity_channel([3])], graph)
     out = _random_output_states(connection_channel(ch, graph).kraus_stack(), graph,
-                                split_rng(make_rng(0), 5))
+                                make_rng(0).spawn(5))
     # rows (R_0, R_1, B_0, B_1); one column, as the channel has one Kraus operator
     assert out.shape == (5, 36, 1)
     for member in out:

@@ -23,7 +23,6 @@ from polychan import (
     product_channel,
     pure_state_fidelity,
     random_channel,
-    split_rng,
 )
 from polychan import fidelities
 from polychan.channels import KrausChannel, connection_kraus
@@ -357,7 +356,7 @@ class TestAverageFidelity:
         exact = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
             pure_state_fidelity(ch, QUBIT_GRAPH, [haar_state(2, stream)])
-            for stream in split_rng(make_rng(8), 4000)
+            for stream in make_rng(8).spawn(4000)
         ]
         vals = np.asarray(vals)
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))

@@ -29,7 +29,6 @@ from polychan import (
     product_channel,
     pure_state_fidelity,
     random_channel,
-    split_rng,
     teleport_channel,
     twirl_channel,
     validate,
@@ -139,7 +138,7 @@ class TestTwirl:
         target = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
             pure_state_fidelity(tw, QUBIT_GRAPH, [haar_state(2, stream)])
-            for stream in split_rng(make_rng(77), 100)
+            for stream in make_rng(77).spawn(100)
         ]
         assert max(vals) - min(vals) <= 1e-8
         assert max(abs(v - target) for v in vals) <= 1e-8
@@ -148,7 +147,7 @@ class TestTwirl:
         ch = product_channel([dephasing(0.15), dephasing(0.4)], PAIR_GRAPH)
         tw = twirl_channel(ch, PAIR_GRAPH, [clifford_1q(), clifford_1q()])
         target = channel_fidelity_report(ch, PAIR_GRAPH).average
-        for stream in split_rng(make_rng(3), 10):
+        for stream in make_rng(3).spawn(10):
             states = [haar_state(2, stream), haar_state(2, stream)]
             assert abs(pure_state_fidelity(tw, PAIR_GRAPH, states) - target) <= 1e-8
 
@@ -213,7 +212,7 @@ class TestTwirl:
         assert tw.num_kraus <= ch.in_dim * ch.out_dim
         target = channel_fidelity_report(ch, graph).average
         vals = [pure_state_fidelity(tw, graph, [haar_state(d, s) for d in graph.dims])
-                for s in split_rng(rng, 10)]
+                for s in rng.spawn(10)]
         assert max(vals) - min(vals) <= 1e-8
         assert max(abs(v - target) for v in vals) <= 1e-8
 

@@ -1,10 +1,12 @@
-"""Source-level checks: the block orders and the copy order have one owner, and
-every function is reached by a command.
+"""Source-level checks: the block orders, the copy order and the row-block budget
+have one owner each, and every function is reached by a command.
 
-``channels.py`` alone reads the graph's block orders, regroups the copies of a
-tensor power and calls ``tensor_power``; every other module works on
-connections in index order and gets the copy order from
-``channels.copy_grouping``.
+``channels.py`` alone reads the graph's block orders, checks that a graph tiles
+its channel, regroups the copies of a tensor power and calls ``tensor_power``;
+every other module works on connections in index order, gets the copy order
+from ``channels.copy_grouping`` and its Kraus legs from
+``channels.connection_kraus``, which checks the graph.  ``linalg.py`` alone
+defines a row-block byte budget.
 
 Every function in the package is either reached by one of the six commands on
 small traffic or named, with its reason, in ``LIBRARY_ONLY``, and the README's
@@ -27,7 +29,8 @@ import polychan
 SOURCES = sorted(Path(polychan.__file__).parent.glob("*.py"))
 OWNER = "channels.py"
 BLOCK_ORDER_NAMES = {"input_order", "output_order", "in_block_dims", "out_block_dims",
-                     "_leg_grouping_index"}
+                     "_leg_grouping_index", "check_graph_compatible"}
+BUDGET_OWNER = "linalg.py"
 
 
 def _name(node) -> str | None:
@@ -84,6 +87,28 @@ def test_the_owner_holds_the_one_copy_order():
     orders = [o for o in offences(Path(polychan.__file__).parent / OWNER)
               if o.endswith("inline copy-grouping order")]
     assert len(orders) == 1
+
+
+def budget_definitions(path: Path) -> list[str]:
+    """Assignments in one file to a name ending in ``BLOCK_BYTES``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"line {node.lineno}: {_name(t)}" for t in targets
+                  if (_name(t) or "").endswith("BLOCK_BYTES")]
+    return found
+
+
+def test_one_block_budget_in_linalg():
+    defined = {p.name: budget_definitions(p) for p in SOURCES}
+    # the owner's one definition is seen, so an empty result elsewhere means something
+    assert len(defined.pop(BUDGET_OWNER)) == 1
+    assert {name: found for name, found in defined.items() if found} == {}
 
 
 # Functions that no command reaches and that stay, by reason.
