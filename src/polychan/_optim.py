@@ -30,11 +30,12 @@ import numpy as np
 
 # pairs (s, y) each row keeps; the relative decrease a step must beat; multiples of the
 # direction the window tries first, and of the gradient step the ladder tries where the
-# window finds no decrease
+# window finds no decrease; the iterations a restart takes at most
 MEMORY = 8
 FTOL = 1e-13
 LADDER = 2.0 ** np.arange(3, -14, -1)
 WINDOW = LADDER[1:6]
+MAX_ITERS = 300
 
 
 @dataclass
@@ -65,7 +66,7 @@ def minimize_product_states(
     rng: np.random.Generator,
     gradient: Callable[[list[np.ndarray]], list[np.ndarray]],
     restarts: int = 32,
-    max_iters: int = 300,
+    max_iters: int = MAX_ITERS,
     warm_starts: Sequence[Sequence[np.ndarray]] = (),
 ) -> SphereResult:
     """Minimize a smooth objective over product pure states.

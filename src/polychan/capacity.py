@@ -393,8 +393,9 @@ def _lift_sender_states(states, graph: ConnectionGraph, n: int) -> list[np.ndarr
 
 def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
                   weights: Sequence[float], rng: np.random.Generator,
-                  restarts: int = 16, max_iters: int = 300) -> RateTuple:
-    """Best found rate tuple for one weight vector at blocklength n."""
+                  restarts: int = 16) -> RateTuple:
+    """Best found rate tuple for one weight vector at blocklength n, from a descent of
+    at most ``_optim.MAX_ITERS`` iterations per restart."""
     weights = tuple(float(x) for x in weights)
     if len(weights) != graph.size:
         raise ValueError(f"need {graph.size} weights, got {len(weights)}")
@@ -415,12 +416,11 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
              for grp in problem.groups]]
     if n > 1:
         base = region_sample(ch, graph, 1, weights, rng.spawn(1)[0],
-                             restarts=max(4, restarts // 2), max_iters=max_iters)
+                             restarts=max(4, restarts // 2))
         warm.append(_lift_sender_states(base.sender_states, graph, n))
 
     result = minimize_product_states(
-        objective_batch, problem.part_dims, rng, gradient, restarts=restarts,
-        max_iters=max_iters, warm_starts=warm,
+        objective_batch, problem.part_dims, rng, gradient, restarts=restarts, warm_starts=warm,
     )
     infos = problem.coherent_infos([s[None, :] for s in result.states])[0]
     rates = tuple(v / n for v in infos)
@@ -437,13 +437,13 @@ def region_sample(ch: KrausChannel, graph: ConnectionGraph, n: int,
 
 def region_sweep(ch: KrausChannel, graph: ConnectionGraph, n: int,
                  weight_grid: Sequence[Sequence[float]], rng: np.random.Generator,
-                 restarts: int = 16, max_iters: int = 300) -> list[RateTuple]:
+                 restarts: int = 16) -> list[RateTuple]:
     """One :func:`region_sample` per weight vector, in grid order, each on its own
     stream of ``rng.spawn(len(weight_grid))``."""
     grid = [tuple(float(x) for x in w) for w in weight_grid]
     if not grid:
         raise ValueError("weight grid is empty")
-    return [region_sample(ch, graph, n, w, s, restarts=restarts, max_iters=max_iters)
+    return [region_sample(ch, graph, n, w, s, restarts=restarts)
             for w, s in zip(grid, rng.spawn(len(grid)))]
 
 

@@ -70,11 +70,15 @@ def _write(text: str, out: str | None) -> None:
     """Write text and a newline to the file ``out``, or to stdout.
 
     A reader that closes stdout early ends the output, not the command: the
-    command runs on and returns its own exit code, with no traceback.
+    command runs on and returns its own exit code, with no traceback.  A file
+    that cannot be written is a ``ValueError`` naming it, a usage error.
     """
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
         return
     try:
         sys.stdout.write(text + "\n")
@@ -348,8 +352,6 @@ def cmd_verify(args) -> int:
     # an empty sweep would pass its inequality checks vacuously
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.ensemble_size < 1:
-        raise ValueError(f"--ensemble-size must be >= 1, got {args.ensemble_size}")
     if args.fixtures:
         cases = _verify_fixtures(args.seed)
     else:
@@ -444,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, channel=True):
-        if channel:
-            p.add_argument("channel", help="channel file (JSON document)")
+    def common(p, nargs=None):
+        p.add_argument("channel", nargs=nargs, help="channel file (JSON document)")
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="write output to this path")
@@ -471,11 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("verify", help="run the identity/inequality suites")
-    p.add_argument("channel", nargs="?", default=None)
+    common(p, nargs="?")
     p.add_argument("--fixtures", action="store_true", help="use built-in fixtures")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--trials", type=int, default=200, help="sweep size for inequalities")
     p.add_argument("--ensemble-size", type=int, default=64)
@@ -506,6 +504,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), 0.0)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{flag} must be finite and >= 0, got {value}")
+        # an empty ensemble is an error even where the connections are all qubits
+        if getattr(args, "ensemble_size", 1) < 1:
+            raise ValueError(f"--ensemble-size must be >= 1, got {args.ensemble_size}")
         return args.func(args)
     except ChannelCompletenessError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._optim import minimize_product_states
+from ._optim import MAX_ITERS, minimize_product_states
 from .channels import ConnectionGraph, KrausChannel, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
@@ -113,10 +112,7 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     beyond 25 connections, before any contraction.
     """
     _check_amps(graph, amps)
-    g = graph.size
-    # the overlap einsum labels the Kraus index and 2g reference/output legs, below 52
-    if 2 * g + 1 > 52:
-        raise CapExceededError(f"too many connections for the overlap contraction ({g})")
+    g = _check_label_count(graph)
     keep_set = set(range(g)) if keep is None else set(int(k) for k in keep)
     if not keep_set or not keep_set.issubset(range(g)):
         raise ValueError(f"invalid connection subset {sorted(keep_set)}")
@@ -134,6 +130,14 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     bra = bra.conj().reshape([sent.shape[leg] for leg in kept_legs])
     overlaps = np.einsum(sent, list(range(2 * g + 1)), bra, kept_legs, open_legs)
     return float(np.sum(overlaps.real ** 2 + overlaps.imag ** 2))
+
+
+def _check_label_count(graph: ConnectionGraph) -> int:
+    """The number g of connections, if an einsum over the Kraus index and a leg pair per
+    connection has its 2g + 1 labels below 52; else ``CapExceededError``."""
+    if 2 * graph.size + 1 > 52:
+        raise CapExceededError(f"too many connections for the overlap contraction ({graph.size})")
+    return graph.size
 
 
 def entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph) -> float:
@@ -282,9 +286,8 @@ class SubspaceBasis:
     def projector(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T
 
-    def uniform_state(self, layout=None) -> DensityOperator:
-        layout = layout if layout is not None else SystemLayout([self.ambient_dim])
-        return DensityOperator(self.projector() / self.dim, layout)
+    def uniform_state(self) -> DensityOperator:
+        return DensityOperator(self.projector() / self.dim, SystemLayout([self.ambient_dim]))
 
 
 class QuadraticOverlap:
@@ -335,7 +338,7 @@ class QuadraticOverlap:
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
                  bases: dict[int, np.ndarray], fixed_amps: dict[int, np.ndarray]):
-        g = graph.size
+        g = _check_label_count(graph)
         if set(bases) | set(fixed_amps) != set(range(g)) or set(bases) & set(fixed_amps):
             raise ValueError("bases and fixed_amps must partition the connections")
         for i, basis in bases.items():
@@ -352,14 +355,12 @@ class QuadraticOverlap:
         self.var_dims = tuple(graph.dims[i] for i in self.varying)
         d_var = int(np.prod(self.var_dims))
 
-        labels = string.ascii_letters
-        out, inn, kraus = labels[:g], labels[g : 2 * g], labels[2 * g]
-        fixed = sorted(fixed_amps)
-        fold = ",".join([kraus + out + inn] + [out[j] + inn[j] for j in fixed]) + "->" + (
-            kraus + "".join(out[i] for i in self.varying) + "".join(inn[i] for i in self.varying))
-        grams = [fixed_amps[j].conj().T @ fixed_amps[j] for j in fixed]
-        stack = connection_kraus(ch, graph)
-        self.red = np.einsum(fold, stack, *grams).reshape(-1, d_var, d_var)
+        # einsum labels: connection i's output leg i, its input leg g + i, the Kraus index 2g
+        grams = [arg for j in sorted(fixed_amps)
+                 for arg in (fixed_amps[j].conj().T @ fixed_amps[j], [j, g + j])]
+        fold = [2 * g, *self.varying, *(g + i for i in self.varying)]
+        self.red = np.einsum(connection_kraus(ch, graph), [2 * g, *range(2 * g)], *grams,
+                             fold).reshape(-1, d_var, d_var)
         self._real_stack = None
 
         # C[K, (a_0, a_1, ...)] = tr(R_K (x)_i B_{a_i}), one varying connection's leg pair
@@ -491,21 +492,21 @@ def _column_kron(cols: Sequence[np.ndarray], rows: int) -> np.ndarray:
 
 
 def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
-                          rng: np.random.Generator, restarts: int = 32,
-                          max_iters: int = 300) -> tuple[float, list[np.ndarray]]:
+                          rng: np.random.Generator, restarts: int = 32
+                          ) -> tuple[float, list[np.ndarray]]:
     """Heuristic minimum of the pure-state fidelity over product states drawn from
     the given subspaces.
 
-    Multi-restart L-BFGS descent on the spheres; the returned value is an upper
-    bound on the true minimum (up to optimizer slack).  Also returns the
-    minimizing per-connection states in the ambient spaces.  Deterministic for
-    a fixed rng state.
+    Multi-restart L-BFGS descent on the spheres, at most ``_optim.MAX_ITERS``
+    iterations per restart; the returned value is an upper bound on the true
+    minimum (up to optimizer slack).  Also returns the minimizing per-connection
+    states in the ambient spaces.  Deterministic for a fixed rng state.
     """
     bases = [(s if isinstance(s, SubspaceBasis) else SubspaceBasis(s)).vectors for s in subspaces]
     if len(bases) != graph.size:
         raise ValueError(f"need one subspace per connection ({graph.size})")
     problem = QuadraticOverlap(ch, graph, dict(enumerate(bases)), {})
-    return problem.minimize(rng, restarts, max_iters)
+    return problem.minimize(rng, restarts, MAX_ITERS)
 
 
 @dataclass(frozen=True)
@@ -517,13 +518,13 @@ class FidelityReport:
     group_values: dict
     average: float
 
-    def check(self, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         vals = [self.global_value, *self.group_values.values()]
         for v in vals:
-            if not -tol <= v <= 1.0 + tol:
+            if not -1e-9 <= v <= 1.0 + 1e-9:
                 raise ValueError(f"fidelity {v} outside [0, 1]")
         for key, v in self.group_values.items():
-            if self.global_value > v + tol:
+            if self.global_value > v + 1e-9:
                 raise ValueError(
                     f"global fidelity {self.global_value} exceeds group {set(key)} value {v}"
                 )

@@ -155,20 +155,19 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL, vectors: bool = True
-         ) -> tuple[np.ndarray, np.ndarray | None]:
+def eigh(h: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, eigenvector columns.
 
     ``h`` may be a stack of matrices (the last two axes); the result is then
-    stacked the same way.  Inputs with a Hermiticity defect below ``tol`` are
-    symmetrized first; a worse defect in any member is rejected.  With
+    stacked the same way.  Inputs with a Hermiticity defect up to ``HERMITICITY_TOL``
+    are symmetrized first; a worse defect in any member is rejected.  With
     ``vectors=False`` only the eigenvalues are computed and ``None`` stands
     in for the eigenvectors.
     """
     adj = _adjoint(h)
     defect = float(np.max(np.abs(h - adj))) if h.size else 0.0
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     sym = (h + adj) / 2.0
     if not vectors:
         return np.linalg.eigvalsh(sym), None
@@ -176,11 +175,11 @@ def eigh(h: np.ndarray, tol: float = HERMITICITY_TOL, vectors: bool = True
     return w, v
 
 
-def clip_spectrum(w: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
-    """Clip eigenvalues in [-tol, 0) to zero; reject anything more negative (in any row)."""
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Clip eigenvalues in [-EIGENVALUE_TOL, 0) to zero; reject any lower (in any row)."""
     low = float(np.min(w)) if w.size else 0.0
-    if low < -tol:
-        raise ValueError(f"spectrum has eigenvalue {low:.3e} below -{tol:.1e}")
+    if low < -EIGENVALUE_TOL:
+        raise ValueError(f"spectrum has eigenvalue {low:.3e} below -{EIGENVALUE_TOL:.1e}")
     return np.clip(w, 0.0, None)
 
 

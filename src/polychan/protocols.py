@@ -195,29 +195,29 @@ def teleport_channel(resource: DensityOperator) -> KrausChannel:
     return KrausChannel(ops, layout, layout)
 
 
-def _support_basis(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _support_basis(rho: np.ndarray) -> np.ndarray:
     w, v = eigh(rho)
-    return v[:, w > tol]
+    return v[:, w > 1e-9]
 
 
-def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts, max_iters
+def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts
                           ) -> tuple[float, np.ndarray]:
     """Lowest mixed fidelity over pure states of a support, on one connection, with
     every other connection purified from its state in ``states``."""
     fixed = {j: _purification_amp(m, j) for j, m in enumerate(states) if j != conn}
     problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
-    value, worst = problem.minimize(rng, restarts, max_iters)
+    value, worst = problem.minimize(rng, restarts, 200)
     return value, worst[0]
 
 
-def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> float:
+def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray) -> float:
     """Largest q keeping rho - q |phi><phi| positive semidefinite: 1 / <phi|rho^+|phi>
-    for phi in the support of rho (the eigenvalues above ``tol``, up to a weight
-    ``tol`` outside it), else 0."""
+    for phi in the support of rho (the eigenvalues above 1e-9, as in
+    :func:`_support_basis`, up to a weight 1e-9 outside it), else 0."""
     w, v = eigh(rho)
     c = v.conj().T @ phi
-    inside = w > tol
-    if np.sum(np.abs(c[~inside]) ** 2) > tol:
+    inside = w > 1e-9
+    if np.sum(np.abs(c[~inside]) ** 2) > 1e-9:
         return 0.0
     return 1.0 / float(np.sum(np.abs(c[inside]) ** 2 / w[inside]))
 
@@ -232,14 +232,15 @@ class ExtractionResult:
 
 def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
                      target_eta: float, rng: np.random.Generator,
-                     restarts: int = 8, max_iters: int = 200,
-                     max_removed_weight: float = 0.5) -> ExtractionResult:
+                     restarts: int = 8) -> ExtractionResult:
     """Greedily peel worst-case directions until each connection's remaining support
     transmits with fidelity at least 1 - target_eta.
 
     Each step removes the (heuristically) lowest-fidelity pure state from the
     current support with the largest weight that keeps the operator positive
     semidefinite, so the peeled pairs plus the remainder reconstruct the input.
+    Each worst-case search runs at most 200 descent iterations per restart; more
+    than half of a connection's weight removed is an ``ExtractionError``.
     """
     if len(inputs) != graph.size:
         raise ValueError(f"need one input per connection ({graph.size})")
@@ -265,14 +266,14 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
                     f"connection {c}: support exhausted before reaching eta={target_eta}"
                 )
             value, worst = _min_support_fidelity(
-                ch, graph, c, support, states, rng, restarts, max_iters
+                ch, graph, c, support, states, rng, restarts
             )
             if value >= 1.0 - target_eta:
                 break
-            if removed_weight > max_removed_weight:
+            if removed_weight > 0.5:
                 raise ExtractionError(
                     f"connection {c}: removed weight {removed_weight:.3f} exceeds "
-                    f"{max_removed_weight} without reaching eta={target_eta}"
+                    f"0.5 without reaching eta={target_eta}"
                 )
             q = _largest_removable_weight(rho, worst)
             rho = rho - q * np.outer(worst, worst.conj())
@@ -296,14 +297,11 @@ class PhaseAverageReport:
 
 
 def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
-                        rng: np.random.Generator, restarts: int = 32,
-                        max_iters: int = 300) -> PhaseAverageReport:
+                        rng: np.random.Generator, restarts: int = 32) -> PhaseAverageReport:
     """Check that uniform states on well-transmitting subspaces keep high
     entanglement fidelity: F_e >= 1 - (3/2)^{|G|} eta."""
     bases = [s if isinstance(s, SubspaceBasis) else SubspaceBasis(s) for s in subspaces]
-    value, _ = min_subspace_fidelity(
-        ch, graph, bases, rng, restarts=restarts, max_iters=max_iters
-    )
+    value, _ = min_subspace_fidelity(ch, graph, bases, rng, restarts=restarts)
     eta = max(0.0, 1.0 - value)
     uniform = [b.uniform_state() for b in bases]
     fe = entanglement_fidelity(ch, uniform, graph)

@@ -323,10 +323,10 @@ class TestRegionPareto:
     def test_sweep_runs_one_sample_per_weight_on_spawned_streams(self):
         ch, graph = identity_pair()
         grid = [(1.0, 0.0), (0.5, 0.5)]
-        points = region_sweep(ch, graph, 1, grid, make_rng(61), restarts=2, max_iters=5)
+        points = region_sweep(ch, graph, 1, grid, make_rng(61), restarts=2)
         streams = make_rng(61).spawn(2)
         for p, w, s in zip(points, grid, streams):
-            want = region_sample(ch, graph, 1, w, s, restarts=2, max_iters=5)
+            want = region_sample(ch, graph, 1, w, s, restarts=2)
             assert p.weights == w and p.rates == want.rates
         with pytest.raises(ValueError):
             region_sweep(ch, graph, 1, [], make_rng(61))

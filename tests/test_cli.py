@@ -485,6 +485,23 @@ class TestTwirlCommand:
         assert "4225x4225 Choi matrix" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_empty_ensemble_is_a_usage_error(self, tmp_path, size, capsys):
+        # the README pair is all qubits, so the size went unused and the command exited 0
+        graph = ConnectionGraph.diagonal([2, 2])
+        src = tmp_path / "pair.json"
+        src.write_text(write_channel(
+            product_channel([dephasing(0.1), depolarizing(2, 0.3)], graph), graph))
+        out = tmp_path / "tw.json"
+        assert main(["twirl", str(src), "--ensemble-size", size, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --ensemble-size must be >= 1, got {size}\n"
+        assert not out.exists()
+        # checked before the file is read
+        assert main(["twirl", str(tmp_path / "missing.json"), "--ensemble-size", size,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --ensemble-size must be >= 1, got {size}\n"
+
+
 class TestTeleportCommand:
     def test_identity_channel_gives_identity_teleport(self, identity_file, tmp_path,
                                                       capsys):
@@ -498,6 +515,26 @@ class TestTeleportCommand:
 
     def test_rejects_multi_connection(self, pair_file):
         assert main(["teleport", pair_file, "--out", "/tmp/unused.json"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["fidelity", "{pair}", "--samples", "200", "--restarts", "1"],
+    ["region", "{pair}", "--weights", "1,1", "--restarts", "1"],
+    ["verify", "{pair}", "--samples", "200", "--trials", "2", "--restarts", "1"],
+    ["twirl", "{pair}"],
+    ["teleport", "{qubit}"],
+], ids=["fidelity", "region", "verify", "twirl", "teleport"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_is_a_usage_error(command, target, pair_file, dep_file, tmp_path,
+                                         capsys):
+    # the command did all its work and then ended in a FileNotFoundError traceback
+    out = tmp_path / "missing" / "x.csv" if target == "missing_directory" else tmp_path
+    argv = [a.format(pair=pair_file, qubit=dep_file) for a in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestClosedStdout:

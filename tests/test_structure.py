@@ -1,5 +1,6 @@
 """Source-level checks: the block orders, the copy order and the row-block budget
-have one owner each, and every function is reached by a command.
+have one owner each, and every function is reached, and every option set, by a
+command.
 
 ``channels.py`` alone reads the graph's block orders, checks that a graph tiles
 its channel, regroups the copies of a tensor power and calls ``tensor_power``;
@@ -9,12 +10,16 @@ from ``channels.copy_grouping`` and its Kraus legs from
 defines a row-block byte budget.
 
 Every function in the package is either reached by one of the six commands on
-small traffic or named, with its reason, in ``LIBRARY_ONLY``, and the README's
-quick example runs.
+small traffic or named, with its reason, in ``LIBRARY_ONLY``.  Every parameter
+with a default of a reached function is either set by that traffic to another
+value or named, with its reason, in ``LIBRARY_OPTIONS``.  The README's quick
+example runs.
 """
 
 import ast
 import contextlib
+import gc
+import inspect
 import io
 import json
 import os
@@ -123,9 +128,17 @@ LIBRARY_ONLY = {
     # module protocol: dir(polychan)
     "__init__.__dir__",
 }
+# Parameters with defaults, of functions a command reaches, that no command sets, by reason.
+LIBRARY_OPTIONS = {
+    # extract_subspace's searches stop at 200, and the optimizer tests check that stop
+    "_optim.minimize_product_states.max_iters",
+    # the Kraus-route entry the README shows and the tests take as their reference
+    "fidelities.channel_fidelity.mode",
+}
 # One small run of each command, with the exit code it must return.
 TRAFFIC = [
     (["validate", "pair.json"], 0),
+    (["validate", "pair.json", "--tol-completeness", "1e-6"], 0),
     (["validate", "string_entry.json"], 2),
     (["fidelity", "pair.json", "--samples", "200", "--restarts", "2"], 0),
     (["region", "pair.json", "--grid", "1", "--restarts", "2"], 0),
@@ -138,16 +151,22 @@ TRAFFIC = [
 ]
 
 
-def function_defs() -> dict[tuple[str, int], str]:
+def function_defs() -> dict[tuple[str, int], tuple[str, list[str]]]:
     """Every ``def`` in the package, keyed by its file and first line (its first
-    decorator's, as in ``co_firstlineno``), as ``module.Class.function``."""
+    decorator's, as in ``co_firstlineno``), as ``module.Class.function`` and the
+    names of its parameters with defaults."""
     found = {}
 
     def walk(node, path: Path, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found[(str(path), first)] = (f"{path.stem}.{prefix}{child.name}",
+                                             [a.arg for a in defaulted])
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, path, f"{prefix}{child.name}.")
             else:
@@ -158,16 +177,44 @@ def function_defs() -> dict[tuple[str, int], str]:
     return found
 
 
-def reached_by_commands(workdir: Path) -> tuple[list[int], set[tuple[str, int]]]:
-    """Run ``cli.main`` on ``TRAFFIC`` under ``sys.setprofile``; the exit codes and the
-    (file, first line) of every Python function called."""
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except ValueError:  # an array compared entry by entry
+        return False
+
+
+def run_traffic(workdir: Path) -> tuple[list[int], list[tuple[str, int]], list[str]]:
+    """Run ``cli.main`` on ``TRAFFIC`` under ``sys.setprofile``: the exit codes, the
+    (file, first line) of every Python function called, and the parameters with
+    defaults, as ``module.Class.function.parameter``, that some call set to a value
+    neither the default object nor equal to it."""
     from polychan import cli
 
-    called = set()
+    defs = function_defs()
+    keys, unset, set_options = {}, {}, set()
 
     def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
+        if event != "call":
+            return
+        code = frame.f_code
+        if code not in keys:
+            keys[code] = key = (str(Path(code.co_filename).resolve()), code.co_firstlineno)
+            name, params = defs.get(key, ("", []))
+            if params:
+                # the function being called, for its defaults: nested functions are
+                # made anew by each call of their enclosing one
+                fn = next(r for r in gc.get_referrers(code)
+                          if inspect.isfunction(r) and r.__code__ is code)
+                signature = inspect.signature(fn).parameters
+                unset[code] = name, {p: signature[p].default for p in params}
+        if code in unset:
+            name, defaults = unset[code]
+            for p in [p for p, d in defaults.items() if not _is_default(frame.f_locals[p], d)]:
+                set_options.add(f"{name}.{p}")
+                del defaults[p]
 
     codes = []
     for argv, _ in TRAFFIC:
@@ -178,13 +225,19 @@ def reached_by_commands(workdir: Path) -> tuple[list[int], set[tuple[str, int]]]
                                        for a in argv]))
         finally:
             sys.setprofile(None)
-    return codes, {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in called}
+    return codes, sorted(set(keys.values())), sorted(set_options)
 
 
-def test_every_function_is_reached_by_a_command(tmp_path):
+@pytest.fixture(scope="module")
+def traffic(tmp_path_factory):
+    """``run_traffic`` on small channel files, in a fresh interpreter, as a command
+    starts: in this one, earlier tests have already imported the lazily loaded
+    modules and filled the Clifford group's cache.  The reached functions as a set of
+    (file, first line), and the options set, as a set of names."""
     from polychan import channels
     from polychan.channels import ConnectionGraph
 
+    workdir = tmp_path_factory.mktemp("traffic")
     pair = ConnectionGraph.diagonal([2, 2])
     files = {
         "pair.json": (channels.product_channel(
@@ -193,23 +246,35 @@ def test_every_function_is_reached_by_a_command(tmp_path):
         "qutrit.json": (channels.depolarizing(3, 0.2), ConnectionGraph.single(3)),
     }
     for name, (ch, graph) in files.items():
-        (tmp_path / name).write_text(channels.write_channel(ch, graph), encoding="utf-8")
-    doc = json.loads((tmp_path / "qubit.json").read_text(encoding="utf-8"))
+        (workdir / name).write_text(channels.write_channel(ch, graph), encoding="utf-8")
+    doc = json.loads((workdir / "qubit.json").read_text(encoding="utf-8"))
     doc["kraus"][0][0][0][0] = "0.88"
-    (tmp_path / "string_entry.json").write_text(json.dumps(doc), encoding="utf-8")
-    # a fresh interpreter, as a command starts: in this one, earlier tests have already
-    # imported the lazily loaded modules and filled the Clifford group's cache
+    (workdir / "string_entry.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(polychan.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
+    proc = subprocess.run([sys.executable, __file__, str(workdir)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, reached = json.loads(proc.stdout)
+    codes, reached, set_options = json.loads(proc.stdout)
     assert codes == [code for _, code in TRAFFIC]
-    reached = {tuple(key) for key in reached}
-    unreached = {name for key, name in function_defs().items() if key not in reached}
+    return {tuple(key) for key in reached}, set(set_options)
+
+
+def test_every_function_is_reached_by_a_command(traffic):
+    reached, _ = traffic
+    unreached = {name for key, (name, _) in function_defs().items() if key not in reached}
     assert sorted(unreached - LIBRARY_ONLY) == []
     # an allowlisted function that a command reaches, or that is gone, is a stale entry
     assert sorted(LIBRARY_ONLY - unreached) == []
+
+
+def test_every_option_is_set_by_a_command(traffic):
+    reached, set_options = traffic
+    options = {f"{name}.{p}" for key, (name, params) in function_defs().items()
+               if key in reached for p in params}
+    unset = options - set_options
+    assert sorted(unset - LIBRARY_OPTIONS) == []
+    # an allowlisted option that a command sets, or that is gone, is a stale entry
+    assert sorted(LIBRARY_OPTIONS - unset) == []
 
 
 def test_readme_quick_example_runs():
@@ -225,5 +290,4 @@ def test_readme_quick_example_runs():
 
 
 if __name__ == "__main__":
-    codes, reached = reached_by_commands(Path(sys.argv[1]))
-    print(json.dumps([codes, sorted(reached)]))
+    print(json.dumps(run_traffic(Path(sys.argv[1]))))
