@@ -11,16 +11,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "capacity": ["BipartiteSplit", "RateTuple", "check_dpi", "coherent_information",
-                 "continuity_gap", "region_sample", "region_sweep", "simplex_weight_grid"],
+    "capacity": ["RateTuple", "check_dpi", "coherent_information", "continuity_gap",
+                 "region_sample", "region_sweep", "simplex_weight_grid"],
     "channels": ["Connection", "ConnectionGraph", "KrausChannel", "apply",
                  "apply_with_reference", "dephasing", "depolarizing", "identity_channel",
                  "product_channel", "random_channel", "random_kraus", "read_channel",
-                 "tensor", "tensor_power", "validate", "write_channel"],
+                 "tensor", "tensor_power", "write_channel"],
     "errors": ["CapExceededError", "ChannelFormatError", "PolychanError"],
     "fidelities": ["FidelityReport", "average_fidelity_mc", "channel_fidelity",
-                   "channel_fidelity_report", "entanglement_fidelity", "group_fidelity",
-                   "min_subspace_fidelity", "mixed_fidelity", "pure_state_fidelity"],
+                   "channel_fidelity_report", "group_fidelity", "min_subspace_fidelity",
+                   "pure_state_fidelity"],
     "linalg": ["DensityOperator", "SystemLayout", "eigh", "entropy", "haar_state",
                "haar_unitary", "kron", "make_rng", "maximally_entangled_vector",
                "partial_trace", "uhlmann_fidelity"],

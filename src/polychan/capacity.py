@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .channels import (
 from .errors import CapExceededError
 from .linalg import (
     MAX_DIM,
-    SystemLayout,
     _adjoint,
     block_rows,
     check_factor,
@@ -56,41 +55,15 @@ from .linalg import (
 BLOCKLENGTH_CAP = 3
 
 
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """A disjoint covering split of a layout's legs into an A and a B side."""
-
-    layout: SystemLayout
-    a_legs: frozenset[int]
-    b_legs: frozenset[int]
-
-    def __init__(self, layout, a_legs: Iterable[int], b_legs: Iterable[int]):
-        layout = layout if isinstance(layout, SystemLayout) else SystemLayout(layout)
-        a = frozenset(int(i) for i in a_legs)
-        b = frozenset(int(i) for i in b_legs)
-        if a & b:
-            raise ValueError(f"split sides overlap on legs {sorted(a & b)}")
-        if a | b != set(range(layout.num_legs)):
-            raise ValueError("split sides must cover all legs")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "a_legs", a)
-        object.__setattr__(self, "b_legs", b)
-
-    @property
-    def a_dim(self) -> int:
-        return int(np.prod([self.layout.leg_dims[i] for i in sorted(self.a_legs)] or [1]))
-
-
-def _b_rows(phi: np.ndarray, split: BipartiteSplit) -> np.ndarray:
-    """A factor (..., D, K), rows over the split's layout, as M[..., b, (a, k)]: rho_B = M M^dag."""
-    dims, lead = split.layout.leg_dims, phi.shape[:-2]
-    if phi.ndim < 2 or phi.shape[-2] != split.layout.total_dim:
-        raise ValueError(f"factor of shape {phi.shape} does not match the split's layout {dims}")
-    k = len(lead)
-    axes = [*range(k), *(k + i for i in sorted(split.b_legs)),
-            *(k + i for i in sorted(split.a_legs)), k + len(dims)]
-    legs = phi.reshape(lead + dims + phi.shape[-1:]).transpose(axes)
-    return legs.reshape(lead + (split.layout.total_dim // split.a_dim, -1))
+def _b_rows(phi: np.ndarray, a_dim: int) -> np.ndarray:
+    """A factor (..., D, K), rows over (A, B) with A first, as M[..., b, (a, k)]:
+    rho_B = M M^dag."""
+    if phi.ndim < 2 or a_dim < 1 or phi.shape[-2] % a_dim:
+        raise ValueError(f"factor of shape {phi.shape} has rows that do not split into "
+                         f"A of dimension {a_dim} and B")
+    lead, (d, k) = phi.shape[:-2], phi.shape[-2:]
+    return phi.reshape(lead + (a_dim, d // a_dim, k)).swapaxes(-3, -2).reshape(
+        lead + (d // a_dim, a_dim * k))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -98,49 +71,48 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ _adjoint(m) if m.shape[-2] <= m.shape[-1] else _adjoint(m) @ m
 
 
-def coherent_information(phi: np.ndarray, split: BipartiteSplit) -> float | np.ndarray:
+def coherent_information(phi: np.ndarray, a_dim: int) -> float | np.ndarray:
     """I_c(A>B) = S(rho_B) - S(rho_AB), in bits, of rho = phi phi^dag; one value per
     factor of a stack.
 
-    ``phi`` has shape (..., D, K), its rows over the split's layout, so no D x D
-    matrix is formed: rho_AB has the nonzero spectrum of phi^dag phi, and
-    rho_B = M M^dag (see ``_b_rows``) that of M^dag M; the smaller of each pair
-    is taken.
+    ``phi`` has shape (..., D, K), its rows over (A, B) with A first and of
+    dimension ``a_dim``, so no D x D matrix is formed: rho_AB has the nonzero
+    spectrum of phi^dag phi, and rho_B = M M^dag (see ``_b_rows``) that of
+    M^dag M; the smaller of each pair is taken.
     """
     phi = check_factor(np.asarray(phi, dtype=complex))
-    s_b = entropy_of_spectrum(eigh(_gram(_b_rows(phi, split)), vectors=False)[0])
+    s_b = entropy_of_spectrum(eigh(_gram(_b_rows(phi, a_dim)), vectors=False)[0])
     return s_b - entropy_of_spectrum(eigh(_gram(phi), vectors=False)[0])
 
 
-def check_dpi(phi: np.ndarray, split: BipartiteSplit, post: KrausChannel | np.ndarray
-              ) -> float | np.ndarray:
+def check_dpi(phi: np.ndarray, a_dim: int, kraus: np.ndarray) -> float | np.ndarray:
     """Margin I_c(before) - I_c(after postprocessing on B); nonnegative up to round-off.
 
-    ``phi`` is a factor as in :func:`coherent_information`.  ``post`` is a channel
-    on B or its (J, out, in) Kraus operators; a (..., J, out, in) array gives each
-    factor of a stack its own.  The postprocessed state has the factor
+    ``phi`` is a factor as in :func:`coherent_information`.  ``kraus`` holds the
+    (J, out, in) Kraus operators of a channel on B; a (..., J, out, in) array gives
+    each factor of a stack its own.  The postprocessed state has the factor
     [(I_A (x) B_j) phi]_j, with rows (a, out) and J K columns.
     """
-    kraus = post.kraus_stack() if isinstance(post, KrausChannel) else np.asarray(post)
-    m = _b_rows(np.asarray(phi, dtype=complex), split)
+    kraus = np.asarray(kraus)
+    m = _b_rows(np.asarray(phi, dtype=complex), a_dim)
     if kraus.shape[-1] != m.shape[-2]:
         raise ValueError(f"postprocessing input dimension {kraus.shape[-1]} does not match "
                          f"the B side's {m.shape[-2]}")
     out = kraus @ m[..., None, :, :]
     lead, (j, d_out) = out.shape[:-3], out.shape[-3:-1]
-    out = out.reshape(lead + (j, d_out, split.a_dim, -1)).swapaxes(-4, -2)
-    after = BipartiteSplit([split.a_dim, d_out], [0], [1])
-    return coherent_information(phi, split) - coherent_information(
-        out.reshape(lead + (split.a_dim * d_out, -1)), after)
+    out = out.reshape(lead + (j, d_out, a_dim, -1)).swapaxes(-4, -2)
+    return coherent_information(phi, a_dim) - coherent_information(
+        out.reshape(lead + (a_dim * d_out, -1)), a_dim)
 
 
-def continuity_gap(phi: np.ndarray, chi: np.ndarray, split: BipartiteSplit
+def continuity_gap(phi: np.ndarray, chi: np.ndarray, a_dim: int
                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same split, given
-    by their factors, or factor by factor for two stacks."""
-    lhs = np.abs(coherent_information(phi, split) - coherent_information(chi, split))
+    """(|delta I_c|, 4 sqrt(1-F) log2(d_A) + 2) for two states on the same (A, B)
+    systems, A first and of dimension ``a_dim``, given by their factors, or factor by
+    factor for two stacks."""
+    lhs = np.abs(coherent_information(phi, a_dim) - coherent_information(chi, a_dim))
     f = np.maximum(0.0, 1.0 - uhlmann_fidelity(phi, chi))
-    rhs = 4.0 * np.sqrt(f) * np.log2(split.a_dim) + 2.0
+    rhs = 4.0 * np.sqrt(f) * np.log2(a_dim) + 2.0
     return float_or_stack(lhs), float_or_stack(rhs)
 
 

@@ -191,26 +191,12 @@ class KrausChannel:
         return self._stack
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    defect: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tol
-
-
 def completeness_defect(ch: KrausChannel) -> float:
+    """How far sum_K A_K^dag A_K is from the identity, as its largest entry difference."""
     s = np.zeros((ch.in_dim, ch.in_dim), dtype=complex)
     for a in ch.kraus_ops:
         s += a.conj().T @ a
     return float(np.max(np.abs(s - np.eye(ch.in_dim))))
-
-
-def validate(ch: KrausChannel, tol: float = COMPLETENESS_TOL) -> ValidationReport:
-    """Report how far sum_K A_K^dag A_K is from the identity."""
-    return ValidationReport(defect=completeness_defect(ch), tol=tol)
 
 
 def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
@@ -500,13 +486,13 @@ def write_channel(ch: KrausChannel, graph: ConnectionGraph | None = None) -> str
             {"sender": c.sender, "receiver": c.receiver, "ref_dim": c.dim}
             for c in graph.connections
         ]
+    stack = ch.kraus_stack()
     doc = {
         "in_dims": list(ch.in_layout.leg_dims),
         "out_dims": list(ch.out_layout.leg_dims),
         "connections": conns,
-        "kraus": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in a] for a in ch.kraus_ops
-        ],
+        # each entry [re, im], as Python floats
+        "kraus": np.stack([stack.real, stack.imag], axis=-1).tolist(),
     }
     return json.dumps(doc, indent=1)
 

@@ -119,17 +119,18 @@ def _parse_weights(text: str, size: int) -> tuple[float, ...]:
 
 def cmd_validate(args) -> int:
     ch, graph = _load(args.channel, check_completeness=False)
-    report = channels.validate(ch, tol=args.tol_completeness)
+    defect = channels.completeness_defect(ch)
+    passed = defect <= args.tol_completeness
     conns = "none" if graph is None else [(c.sender, c.receiver, c.dim) for c in graph.connections]
     _write("\n".join([
         f"in_dims: {list(ch.in_layout.leg_dims)}",
         f"out_dims: {list(ch.out_layout.leg_dims)}",
         f"kraus_count: {ch.num_kraus}",
         f"connections (sender, receiver, dim): {conns}",
-        f"completeness_defect: {report.defect!r}",
-        f"status: {'valid' if report.passed else 'invalid'}",
+        f"completeness_defect: {defect!r}",
+        f"status: {'valid' if passed else 'invalid'}",
     ]), None)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_fidelity(args) -> int:
@@ -291,13 +292,12 @@ def _check_dpi_sweep(ch, graph, rng, trials, tol_exact):
 
     d = graph.total_dim()
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
-    split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = float("inf")
     for block in _stream_blocks(rng.spawn(trials), graph, len(kraus)):
         phi = _random_output_states(kraus, graph, block)
         # each stream draws its postprocessing after its input amplitudes
         posts = channels.random_kraus(ch.out_dim, ch.out_dim, 2, block)
-        worst = min(worst, float(np.min(capacity.check_dpi(phi, split, posts))))
+        worst = min(worst, float(np.min(capacity.check_dpi(phi, d, posts))))
     return -worst, tol_exact, "sweep"
 
 
@@ -306,13 +306,12 @@ def _check_lemma_sweep(ch, graph, rng, trials, tol_exact):
 
     d = graph.total_dim()
     kraus = channels.connection_kraus(ch, graph).reshape(-1, d, d)
-    split = capacity.BipartiteSplit([d, d], [0], [1])
     worst = -float("inf")
     for block in _stream_blocks(rng.spawn(trials), graph, len(kraus)):
         # each stream draws state a, then state b
         a = _random_output_states(kraus, graph, block)
         b = _random_output_states(kraus, graph, block)
-        lhs, rhs = capacity.continuity_gap(a, b, split)
+        lhs, rhs = capacity.continuity_gap(a, b, d)
         worst = max(worst, float(np.max(lhs - rhs)))
     return worst, tol_exact, "sweep"
 
@@ -352,6 +351,8 @@ def cmd_verify(args) -> int:
     # an empty sweep would pass its inequality checks vacuously
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.fixtures and args.channel:
+        raise ChannelFormatError("verify takes a channel file or --fixtures, not both")
     if args.fixtures:
         cases = _verify_fixtures(args.seed)
     else:

@@ -11,10 +11,13 @@ leans on that.  Both take channels up to ``MAX_DIM`` on a side.
 Per-connection references use the canonical eigen-purification
 ``sum_m sqrt(l_m) |m>|v_m>`` with reference dimension equal to the state's
 dimension.  Fidelities do not depend on the choice of purification.
+:func:`group_fidelity` is the definitional route's one entry for arbitrary
+product inputs; there a pure state, given as a 1-D vector, is sent with no
+reference.
 
 Every product-state fidelity on a stack of rows goes through one kernel,
-:class:`QuadraticOverlap`: the Monte Carlo average, stacked
-:func:`pure_state_fidelity` calls and both worst-case searches (over product
+:class:`QuadraticOverlap`: the Monte Carlo average,
+:func:`pure_state_fidelity` and both worst-case searches (over product
 states of subspaces, :func:`min_subspace_fidelity`, and over one connection's
 support with the others held fixed).  Its values are taken in real coordinates:
 each state enters through the ``d_i^2`` real numbers of its density matrix, and a
@@ -44,6 +47,7 @@ from .linalg import (
     SystemLayout,
     _adjoint,
     block_rows,
+    check_einsum_labels,
     check_finite,
     clip_spectrum,
     contract_rows_except,
@@ -112,7 +116,8 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     beyond 25 connections, before any contraction.
     """
     _check_amps(graph, amps)
-    g = _check_label_count(graph)
+    g = graph.size
+    check_einsum_labels(2 * g + 1, f"connections ({g})")
     keep_set = set(range(g)) if keep is None else set(int(k) for k in keep)
     if not keep_set or not keep_set.issubset(range(g)):
         raise ValueError(f"invalid connection subset {sorted(keep_set)}")
@@ -132,36 +137,32 @@ def _overlap_fidelity(ch: KrausChannel, graph: ConnectionGraph, amps: Sequence[n
     return float(np.sum(overlaps.real ** 2 + overlaps.imag ** 2))
 
 
-def _check_label_count(graph: ConnectionGraph) -> int:
-    """The number g of connections, if an einsum over the Kraus index and a leg pair per
-    connection has its 2g + 1 labels below 52; else ``CapExceededError``."""
-    if 2 * graph.size + 1 > 52:
-        raise CapExceededError(f"too many connections for the overlap contraction ({graph.size})")
-    return graph.size
-
-
-def entanglement_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph) -> float:
-    """Overlap of (I x channel) applied to the purified product input with that purification."""
-    amps = [_purification_amp(rho, i) for i, rho in enumerate(inputs)]
-    return _overlap_fidelity(ch, graph, amps)
-
-
 def group_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph,
-                   keep: Iterable[int]) -> float:
-    """Entanglement fidelity after tracing everything outside the kept connections."""
-    amps = [_purification_amp(rho, i) for i, rho in enumerate(inputs)]
+                   keep: Iterable[int] | None = None) -> float:
+    """Fidelity of a product input sent through the channel, on the kept connections
+    (all by default) with everything else traced out.
+
+    A 2-D input (an array or a ``DensityOperator``) is a density, purified with an
+    entangled reference; a 1-D input is a pure state sent with no reference.
+    """
+    amps = []
+    for i, x in enumerate(inputs):
+        m = _as_matrix(x)
+        amps.append(_pure_amp(m, i) if m.ndim == 1 else _purification_amp(m, i))
     return _overlap_fidelity(ch, graph, amps, keep=keep)
 
 
 def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequence
-                        ) -> float | np.ndarray:
-    """Transmission fidelity of a product pure input, identified per connection.
+                        ) -> np.ndarray:
+    """Transmission fidelities of product pure inputs, one per row: ``states[i]`` is
+    connection i's stack of states, shape (rows, d_i).
 
-    Per-connection stacks of states, shape (rows, d_i), give one fidelity per row.
+    One product state, as 1-D vectors, goes through :func:`group_fidelity`.
     """
     vecs = [np.asarray(psi, dtype=complex) for psi in states]
-    if not vecs or any(v.ndim != 2 for v in vecs):
-        return _overlap_fidelity(ch, graph, [_pure_amp(v, i) for i, v in enumerate(vecs)])
+    if any(v.ndim != 2 for v in vecs):
+        raise ValueError("pure_state_fidelity takes one (rows, d_i) stack per connection; "
+                         "pass a single product state to group_fidelity")
     _check_amps(graph, vecs)
     for i, v in enumerate(vecs):
         check_finite(v, f"state stack for connection {i}")
@@ -172,21 +173,6 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
         raise ValueError("zero vector is not a state")
     problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
     return problem._values([v / nrm for v, nrm in zip(vecs, norms)])
-
-
-def mixed_fidelity(ch: KrausChannel, graph: ConnectionGraph,
-                   entries: Sequence[tuple[str, np.ndarray]]) -> float:
-    """Fidelity with a mix of per-connection roles: ('pure', vector) connections are
-    sent bare, ('mixed', density) connections keep an entangled reference."""
-    amps = []
-    for i, (kind, val) in enumerate(entries):
-        if kind == "pure":
-            amps.append(_pure_amp(val, i))
-        elif kind == "mixed":
-            amps.append(_purification_amp(val, i))
-        else:
-            raise ValueError(f"unknown entry kind {kind!r}")
-    return _overlap_fidelity(ch, graph, amps)
 
 
 def _me_amps(graph: ConnectionGraph) -> list[np.ndarray]:
@@ -205,9 +191,8 @@ def _kraus_group_fidelity(ch: KrausChannel, graph: ConnectionGraph,
     """
     g = graph.size
     # labels: 0 for the Kraus index, 1..g for the outputs, then one per open input;
-    # einsum takes labels below 52, and at least one connection is kept
-    if g > 26:
-        raise CapExceededError(f"too many connections for the contraction ({g})")
+    # at least one connection is kept, so 2g labels at most
+    check_einsum_labels(2 * g, f"connections ({g})")
     open_ins = [i for i in range(g) if i not in keep_set]
     in_labels = [1 + i for i in range(g)]
     for n, i in enumerate(open_ins):
@@ -330,15 +315,16 @@ class QuadraticOverlap:
     With every connection varying over its whole space (identity bases, no
     fixed amplitudes), ``_values`` on per-connection state stacks (each
     ``(rows, d_i)``) gives the pure-state fidelities of
-    :func:`average_fidelity_mc` and of stacked :func:`pure_state_fidelity`
-    calls.  :meth:`minimize` runs the worst-case search over the bases'
-    product states, used by :func:`min_subspace_fidelity` and, with the other
-    connections fixed, by ``protocols.extract_subspace``.
+    :func:`average_fidelity_mc` and of :func:`pure_state_fidelity`.
+    :meth:`minimize` runs the worst-case search over the bases' product states,
+    used by :func:`min_subspace_fidelity` and, with the other connections
+    fixed, by ``protocols.extract_subspace``.
     """
 
     def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
                  bases: dict[int, np.ndarray], fixed_amps: dict[int, np.ndarray]):
-        g = _check_label_count(graph)
+        g = graph.size
+        check_einsum_labels(2 * g + 1, f"connections ({g})")
         if set(bases) | set(fixed_amps) != set(range(g)) or set(bases) & set(fixed_amps):
             raise ValueError("bases and fixed_amps must partition the connections")
         for i, basis in bases.items():

@@ -11,7 +11,6 @@ All entropic quantities are in bits (log base 2).
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -128,6 +127,13 @@ def permute_legs_vector(vec: np.ndarray, dims: Sequence[int], order: Sequence[in
     return np.transpose(vec.reshape(dims), axes=order).reshape(-1)
 
 
+def check_einsum_labels(count: int, what: str) -> None:
+    """Raise ``CapExceededError`` naming ``what`` when an einsum needs ``count``
+    labels, more than the 52 numpy takes."""
+    if count > 52:
+        raise CapExceededError(f"too many {what} for one einsum ({count} labels, numpy takes 52)")
+
+
 def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
     """Trace out all legs except ``keep``; kept legs stay in their original relative order."""
     dims = _as_dims(layout)
@@ -138,16 +144,15 @@ def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError(f"keep indices {keep} out of range for {n} legs")
-    labels = string.ascii_letters
-    row = list(labels[:n])
-    col = list(labels[n : 2 * n])
-    for j in range(n):
-        if j not in keep:
-            col[j] = row[j]
-    out = [row[j] for j in keep] + [col[j] for j in keep]
-    spec = "".join(row + col) + "->" + "".join(out)
+    check_einsum_labels(n + len(keep), f"legs ({n})")
+    # row legs 0..n-1; a traced column leg shares its row leg's label, a kept one
+    # takes the next of n, n + 1, ...
+    col = list(range(n))
+    for p, j in enumerate(keep):
+        col[j] = n + p
     dk = int(np.prod([dims[j] for j in keep])) if keep else 1
-    return np.einsum(spec, m.reshape(dims + dims)).reshape(dk, dk)
+    return np.einsum(m.reshape(dims + dims), [*range(n), *col],
+                     [*keep, *range(n, n + len(keep))]).reshape(dk, dk)
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:

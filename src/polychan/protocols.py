@@ -27,7 +27,7 @@ from .fidelities import (
     QuadraticOverlap,
     SubspaceBasis,
     _purification_amp,
-    entanglement_fidelity,
+    group_fidelity,
     min_subspace_fidelity,
 )
 from .linalg import (
@@ -202,8 +202,8 @@ def _support_basis(rho: np.ndarray) -> np.ndarray:
 
 def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts
                           ) -> tuple[float, np.ndarray]:
-    """Lowest mixed fidelity over pure states of a support, on one connection, with
-    every other connection purified from its state in ``states``."""
+    """Lowest fidelity over pure states of a support, sent bare on one connection,
+    with every other connection purified from its state in ``states``."""
     fixed = {j: _purification_amp(m, j) for j, m in enumerate(states) if j != conn}
     problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
     value, worst = problem.minimize(rng, restarts, 200)
@@ -304,6 +304,6 @@ def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Seq
     value, _ = min_subspace_fidelity(ch, graph, bases, rng, restarts=restarts)
     eta = max(0.0, 1.0 - value)
     uniform = [b.uniform_state() for b in bases]
-    fe = entanglement_fidelity(ch, uniform, graph)
+    fe = group_fidelity(ch, uniform, graph)
     bound = 1.0 - (1.5 ** graph.size) * eta
     return PhaseAverageReport(eta=eta, entanglement_fidelity=fe, bound=bound)

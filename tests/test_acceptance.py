@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import dense_coherent_information, density_factor, random_density
 from polychan import (
-    BipartiteSplit,
     ConnectionGraph,
     DensityOperator,
     KrausChannel,
@@ -25,7 +24,6 @@ from polychan import (
     clifford_1q,
     continuity_gap,
     depolarizing,
-    entanglement_fidelity,
     extract_subspace,
     group_fidelity,
     haar_state,
@@ -34,7 +32,6 @@ from polychan import (
     maximally_entangled_vector,
     phase_average_bound,
     product_channel,
-    pure_state_fidelity,
     random_channel,
     region_sample,
     twirl_channel,
@@ -116,7 +113,7 @@ def test_criterion_3_two_design_twirl():
         twirled = twirl_channel(ch, graph, [clifford_1q()])
         target = channel_fidelity_report(ch, graph).average
         vals = np.array([
-            pure_state_fidelity(twirled, graph, [haar_state(2, stream)])
+            group_fidelity(twirled, [haar_state(2, stream)], graph)
             for stream in rng.spawn(100)
         ])
         worst_spread = max(worst_spread, float(vals.max() - vals.min()))
@@ -135,17 +132,16 @@ def test_criterion_4_continuity_lemma():
     violations = 0
     worst = -np.inf
     for d in (2, 3, 4):
-        split = BipartiteSplit([d, d], [0], [1])
         for _ in range(1000):
             rho = density_factor(random_density(d * d, rng))
             sigma = density_factor(random_density(d * d, rng))
-            lhs, rhs = continuity_gap(rho, sigma, split)
+            lhs, rhs = continuity_gap(rho, sigma, d)
             worst = max(worst, lhs - rhs)
             if lhs - rhs > 1e-9:
                 violations += 1
     phi = maximally_entangled_vector(2)[:, None]
     mixed = np.eye(4) / 2
-    lhs, rhs = continuity_gap(phi, mixed, BipartiteSplit([2, 2], [0], [1]))
+    lhs, rhs = continuity_gap(phi, mixed, 2)
     point_err = max(abs(lhs - 2.0), abs(rhs - (2 * np.sqrt(3.0) + 2.0)))
     report(
         4,
@@ -164,9 +160,8 @@ def test_criterion_5_data_processing():
     for k in range(1000):
         da, db = dims[k % 3]
         phi = density_factor(random_density(da * db, rng))
-        split = BipartiteSplit([da, db], [0], [1])
         post = random_channel(db, 2 + k % 2, 2, rng)
-        margin = check_dpi(phi, split, post)
+        margin = check_dpi(phi, da, post.kraus_stack())
         worst = min(worst, margin)
         if margin < -1e-9:
             violations += 1
@@ -261,9 +256,9 @@ def test_criterion_8_convexity_and_monotonicity():
         a, b = random_density(2, rng), random_density(2, rng)
         lam = float(rng.uniform())
         mix = DensityOperator(lam * a + (1 - lam) * b)
-        gap = (lam * entanglement_fidelity(ch, [DensityOperator(a)], single)
-               + (1 - lam) * entanglement_fidelity(ch, [DensityOperator(b)], single)
-               - entanglement_fidelity(ch, [mix], single))
+        gap = (lam * group_fidelity(ch, [DensityOperator(a)], single)
+               + (1 - lam) * group_fidelity(ch, [DensityOperator(b)], single)
+               - group_fidelity(ch, [mix], single))
         worst = max(worst, -gap)
         if gap < -1e-9:
             violations += 1

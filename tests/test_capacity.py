@@ -12,7 +12,6 @@ from conftest import (
     unit_parts,
 )
 from polychan import (
-    BipartiteSplit,
     ConnectionGraph,
     DensityOperator,
     RateTuple,
@@ -59,18 +58,22 @@ def scalar_entropy(probs):
     return float(-np.sum(pos * np.log2(pos)))
 
 
-SPLIT_22 = BipartiteSplit([2, 2], [0], [1])
+def rows_a_first(phi, dims, a_leg):
+    """A factor, or a stack of them, with its rows over the legs ``dims`` permuted so
+    that leg ``a_leg`` comes first."""
+    lead = phi.shape[:-2]
+    legs = phi.reshape(lead + tuple(dims) + phi.shape[-1:])
+    return np.moveaxis(legs, len(lead) + a_leg, len(lead)).reshape(phi.shape)
 
 
 class TestCoherentInformation:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_maximally_entangled(self, d):
-        split = BipartiteSplit([d, d], [0], [1])
-        assert abs(coherent_information(bell_factor(d), split) - np.log2(d)) < 1e-9
+        assert abs(coherent_information(bell_factor(d), d) - np.log2(d)) < 1e-9
 
     def test_maximally_mixed(self):
         phi = np.eye(4) / 2
-        assert abs(coherent_information(phi, SPLIT_22) - (-1.0)) < 1e-12
+        assert abs(coherent_information(phi, 2) - (-1.0)) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_depolarized_bell_scalar_oracle(self, p):
@@ -78,56 +81,61 @@ class TestCoherentInformation:
         # spectrum of the depolarized maximally entangled state
         eigs = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
         want = 1.0 - scalar_entropy(eigs)
-        assert abs(coherent_information(density_factor(out), SPLIT_22) - want) < 1e-9
+        assert abs(coherent_information(density_factor(out), 2) - want) < 1e-9
 
     def test_range_bound(self, rng):
         for _ in range(50):
-            ic = coherent_information(random_factor(4, rng), SPLIT_22)
+            ic = coherent_information(random_factor(4, rng), 2)
             assert -1.0 - 1e-9 <= ic <= 1.0 + 1e-9
 
-    def test_split_validation(self):
-        with pytest.raises(ValueError):
-            BipartiteSplit([2, 2], [0], [0, 1])
-        with pytest.raises(ValueError):
-            BipartiteSplit([2, 2], [0], [])
+    def test_split_validation(self, rng):
+        # a factor's 4 rows split into A and B only for a_dim 1, 2 or 4
+        phi = random_factor(4, rng)
+        for a_dim in (0, 3, 8):
+            with pytest.raises(ValueError, match="do not split"):
+                coherent_information(phi, a_dim)
+            with pytest.raises(ValueError, match="do not split"):
+                check_dpi(phi, a_dim, identity_channel([2]).kraus_stack())
+            with pytest.raises(ValueError, match="do not split"):
+                continuity_gap(phi, phi, a_dim)
 
 
 class TestDataProcessing:
     def test_identity_margin_zero(self):
-        assert abs(check_dpi(bell_factor(), SPLIT_22, identity_channel([2]))) < 1e-12
+        assert abs(check_dpi(bell_factor(), 2, identity_channel([2]).kraus_stack())) < 1e-12
 
     def test_fully_depolarizing_margin_two(self):
-        margin = check_dpi(bell_factor(), SPLIT_22, depolarizing(2, 1.0))
+        margin = check_dpi(bell_factor(), 2, depolarizing(2, 1.0).kraus_stack())
         assert abs(margin - 2.0) < 1e-9
 
     def test_random_sweep(self, rng):
         for stream in rng.spawn(200):
             phi = random_factor(4, rng)
             post = random_channel(2, 2, 2, stream)
-            assert check_dpi(phi, SPLIT_22, post) >= -1e-9
+            assert check_dpi(phi, 2, post.kraus_stack()) >= -1e-9
 
     def test_leg_mismatch(self, rng):
         with pytest.raises(ValueError):
-            check_dpi(bell_factor(), SPLIT_22, identity_channel([3]))
+            check_dpi(bell_factor(), 2, identity_channel([3]).kraus_stack())
 
 
 class TestContinuity:
     def test_equal_states(self, rng):
         phi = random_factor(4, rng)
-        lhs, rhs = continuity_gap(phi, phi, SPLIT_22)
+        lhs, rhs = continuity_gap(phi, phi, 2)
         assert lhs < 1e-9
         # f = 0 up to fidelity round-off; the square root amplifies that to ~1e-6
         assert abs(rhs - 2.0) < 1e-5
 
     def test_bell_vs_maximally_mixed(self):
-        lhs, rhs = continuity_gap(bell_factor(), np.eye(4) / 2, SPLIT_22)
+        lhs, rhs = continuity_gap(bell_factor(), np.eye(4) / 2, 2)
         assert abs(lhs - 2.0) < 1e-9
         assert abs(rhs - 5.464101615137754) < 1e-6
 
     def test_random_sweep(self, rng):
         for _ in range(200):
             phi, chi = random_factor(4, rng), random_factor(4, rng)
-            lhs, rhs = continuity_gap(phi, chi, SPLIT_22)
+            lhs, rhs = continuity_gap(phi, chi, 2)
             assert lhs <= rhs + 1e-9
 
     def test_nearby_states(self, rng):
@@ -135,7 +143,7 @@ class TestContinuity:
             m = random_density(4, rng)
             phi = density_factor(m)
             chi = density_factor(0.99 * m + 0.01 * np.eye(4) / 4)
-            lhs, rhs = continuity_gap(phi, chi, SPLIT_22)
+            lhs, rhs = continuity_gap(phi, chi, 2)
             assert lhs <= rhs + 1e-9
 
 
@@ -153,21 +161,20 @@ class TestStacks:
     @pytest.mark.parametrize("a_leg", [0, 1])
     def test_members_match_single_calls(self, dims, a_leg, rng):
         layout = SystemLayout(dims)
-        split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
-        d, db = layout.total_dim, dims[1 - a_leg]
-        phis, chis = self.random_stack(d, rng), self.random_stack(d, rng)
+        d, da, db = layout.total_dim, dims[a_leg], dims[1 - a_leg]
+        phis, chis = (rows_a_first(self.random_stack(d, rng), dims, a_leg) for _ in range(2))
         posts = [random_channel(db, db, 2, stream) for stream in rng.spawn(len(phis))]
-        infos = coherent_information(phis, split)
-        margins = check_dpi(phis, split, np.array([p.kraus_stack() for p in posts]))
-        shared = check_dpi(phis, split, posts[0])
-        lhs, rhs = continuity_gap(phis, chis, split)
+        infos = coherent_information(phis, da)
+        margins = check_dpi(phis, da, np.array([p.kraus_stack() for p in posts]))
+        shared = check_dpi(phis, da, posts[0].kraus_stack())
+        lhs, rhs = continuity_gap(phis, chis, da)
         fids = uhlmann_fidelity(phis, chis)
         for values in (infos, margins, shared, lhs, rhs, fids):
             assert values.shape == (len(phis),)
         for t, post in enumerate(posts):
             one, other = phis[t], chis[t]
-            single = [coherent_information(one, split), check_dpi(one, split, post),
-                      check_dpi(one, split, posts[0]), *continuity_gap(one, other, split),
+            single = [coherent_information(one, da), check_dpi(one, da, post.kraus_stack()),
+                      check_dpi(one, da, posts[0].kraus_stack()), *continuity_gap(one, other, da),
                       uhlmann_fidelity(one, other)]
             assert all(type(v) is float for v in single)
             stacked = [infos[t], margins[t], shared[t], lhs[t], rhs[t], fids[t]]
@@ -177,9 +184,9 @@ class TestStacks:
         phis = self.random_stack(4, rng)
         kraus = random_channel(2, 2, 2, rng).kraus_stack()
         with pytest.raises(ValueError):
-            check_dpi(phis, SPLIT_22, np.array([kraus] * 5))
+            check_dpi(phis, 2, np.array([kraus] * 5))
         with pytest.raises(ValueError):
-            check_dpi(phis, SPLIT_22, np.array([kraus] * 6)[..., :1])
+            check_dpi(phis, 2, np.array([kraus] * 6)[..., :1])
 
 
 class TestFactorRoute:
@@ -190,8 +197,7 @@ class TestFactorRoute:
     @pytest.mark.parametrize("rank", [1, 2, 6])
     def test_matches_density_matrices(self, dims, a_leg, rank, rng):
         layout = SystemLayout(dims)
-        split = BipartiteSplit(layout, [a_leg], [1 - a_leg])
-        d, db = layout.total_dim, dims[1 - a_leg]
+        d, da, db = layout.total_dim, dims[a_leg], dims[1 - a_leg]
         g = [rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
              for _ in range(2)]
         phi, chi = (x / np.linalg.norm(x) for x in g)
@@ -206,9 +212,11 @@ class TestFactorRoute:
         fid = dense_uhlmann_fidelity(rho.matrix, sigma.matrix)
         gap = abs(before - dense_coherent_information(sigma, [1 - a_leg]))
         bound = 4 * np.sqrt(max(0.0, 1 - fid)) * np.log2(dims[a_leg]) + 2
-        assert abs(coherent_information(phi, split) - before) < 1e-12
-        assert abs(check_dpi(phi, split, post) - (before - after)) < 1e-12
-        assert np.max(np.abs(np.subtract(continuity_gap(phi, chi, split), (gap, bound)))) < 1e-9
+        # the factors with A's rows first, as the factor functions read them
+        phi_a, chi_a = rows_a_first(phi, dims, a_leg), rows_a_first(chi, dims, a_leg)
+        assert abs(coherent_information(phi_a, da) - before) < 1e-12
+        assert abs(check_dpi(phi_a, da, post.kraus_stack()) - (before - after)) < 1e-12
+        assert np.max(np.abs(np.subtract(continuity_gap(phi_a, chi_a, da), (gap, bound)))) < 1e-9
 
 
 def identity_pair():

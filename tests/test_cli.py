@@ -283,6 +283,13 @@ class TestVerifyCommand:
     def test_needs_input(self, capsys):
         assert main(["verify", "--seed", "1"]) == 2
 
+    def test_channel_and_fixtures_is_a_usage_error(self, capsys):
+        # the channel file was ignored; now both are refused before any file is read
+        assert main(["verify", "/nonexistent/x.json", "--fixtures"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: verify takes a channel file or --fixtures, not both\n"
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_empty_sweep_is_a_usage_error(self, trials, capsys):
         # without a trial the inequality rows would read -inf and pass

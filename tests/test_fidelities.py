@@ -13,13 +13,11 @@ from polychan import (
     channel_fidelity_report,
     dephasing,
     depolarizing,
-    entanglement_fidelity,
     group_fidelity,
     haar_state,
     identity_channel,
     make_rng,
     min_subspace_fidelity,
-    mixed_fidelity,
     product_channel,
     pure_state_fidelity,
     random_channel,
@@ -76,16 +74,16 @@ class TestEntanglementFidelity:
     def test_identity(self, rng):
         for _ in range(3):
             rho = DensityOperator(random_density(2, rng))
-            assert abs(entanglement_fidelity(identity_channel([2]), [rho], QUBIT_GRAPH) - 1) < 1e-10
+            assert abs(group_fidelity(identity_channel([2]), [rho], QUBIT_GRAPH) - 1) < 1e-10
 
     def test_fully_depolarizing(self):
-        val = entanglement_fidelity(depolarizing(2, 1.0), mixed_inputs(QUBIT_GRAPH), QUBIT_GRAPH)
+        val = group_fidelity(depolarizing(2, 1.0), mixed_inputs(QUBIT_GRAPH), QUBIT_GRAPH)
         assert abs(val - 0.25) < 1e-12
 
     def test_dephasing_direct_oracle(self):
         # 4x4 oracle: overlap of (1-p)Phi+ + p Phi- with Phi+
         p = 0.4
-        val = entanglement_fidelity(dephasing(p), mixed_inputs(QUBIT_GRAPH), QUBIT_GRAPH)
+        val = group_fidelity(dephasing(p), mixed_inputs(QUBIT_GRAPH), QUBIT_GRAPH)
         assert abs(val - (1 - p)) < 1e-12
 
     def test_matches_trace_form_oracle(self, rng):
@@ -93,7 +91,7 @@ class TestEntanglementFidelity:
             graph = ConnectionGraph.single(d)
             ch = random_channel(d, d, 3, rng)
             rho = DensityOperator(random_density(d, rng))
-            got = entanglement_fidelity(ch, [rho], graph)
+            got = group_fidelity(ch, [rho], graph)
             want = trace_form_fidelity(ch, graph, [rho])
             assert abs(got - want) < 1e-12
 
@@ -104,10 +102,10 @@ class TestEntanglementFidelity:
             a, b = random_density(2, rng), random_density(2, rng)
             lam = rng.uniform()
             mix = DensityOperator(lam * a + (1 - lam) * b)
-            lhs = entanglement_fidelity(ch, [mix], QUBIT_GRAPH)
-            rhs = lam * entanglement_fidelity(ch, [DensityOperator(a)], QUBIT_GRAPH) + (
+            lhs = group_fidelity(ch, [mix], QUBIT_GRAPH)
+            rhs = lam * group_fidelity(ch, [DensityOperator(a)], QUBIT_GRAPH) + (
                 1 - lam
-            ) * entanglement_fidelity(ch, [DensityOperator(b)], QUBIT_GRAPH)
+            ) * group_fidelity(ch, [DensityOperator(b)], QUBIT_GRAPH)
             assert lhs <= rhs + 1e-9
 
     @pytest.mark.filterwarnings("error")
@@ -118,9 +116,9 @@ class TestEntanglementFidelity:
         ch = identity_channel([2, 2])
         density = np.array([[bad, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="connection 0 contains non-finite"):
-            mixed_fidelity(ch, PAIR_GRAPH, [("mixed", density), ("pure", [1, 0])])
+            group_fidelity(ch, [density, [1, 0]], PAIR_GRAPH)
         with pytest.raises(ValueError, match="connection 1 contains non-finite"):
-            entanglement_fidelity(ch, [np.eye(2) / 2, density], PAIR_GRAPH)
+            group_fidelity(ch, [np.eye(2) / 2, density], PAIR_GRAPH)
 
 
 class TestGroupFidelities:
@@ -135,13 +133,13 @@ class TestGroupFidelities:
         inputs = mixed_inputs(PAIR_GRAPH)
         assert abs(group_fidelity(ch, inputs, PAIR_GRAPH, [0]) - 1.0) < 1e-10
         assert abs(group_fidelity(ch, inputs, PAIR_GRAPH, [1]) - 0.25) < 1e-10
-        assert abs(entanglement_fidelity(ch, inputs, PAIR_GRAPH) - 0.25) < 1e-10
+        assert abs(group_fidelity(ch, inputs, PAIR_GRAPH) - 0.25) < 1e-10
 
     def test_full_group_equals_global(self, rng):
         ch, graph = random_pair_channel(rng)
         inputs = [DensityOperator(random_density(2, rng)) for _ in range(2)]
         a = group_fidelity(ch, inputs, graph, [0, 1])
-        b = entanglement_fidelity(ch, inputs, graph)
+        b = group_fidelity(ch, inputs, graph)
         assert abs(a - b) < 1e-10
 
     def test_subset_monotonicity(self, rng):
@@ -283,31 +281,40 @@ class TestPureStateFidelity:
         with pytest.raises(ValueError):
             pure_state_fidelity(identity_channel([2, 2]), PAIR_GRAPH, [states[0][:, :1], states[0]])
 
+    def test_rejects_single_states(self, rng):
+        # one product state of 1-D vectors is group_fidelity's input, not a stack
+        psi = haar_state(2, rng)
+        with pytest.raises(ValueError, match="group_fidelity"):
+            pure_state_fidelity(identity_channel([2]), QUBIT_GRAPH, [psi])
+        with pytest.raises(ValueError, match="group_fidelity"):
+            pure_state_fidelity(identity_channel([2, 2]), PAIR_GRAPH, [psi[None], psi])
+
     def test_identity(self, rng):
         psi = haar_state(2, rng)
-        assert abs(pure_state_fidelity(identity_channel([2]), QUBIT_GRAPH, [psi]) - 1) < 1e-10
+        assert abs(group_fidelity(identity_channel([2]), [psi], QUBIT_GRAPH) - 1) < 1e-10
 
     def test_fully_depolarizing_pair(self, rng):
         ch = product_channel([depolarizing(2, 1.0), depolarizing(2, 1.0)], PAIR_GRAPH)
         states = [haar_state(2, rng), haar_state(2, rng)]
-        assert abs(pure_state_fidelity(ch, PAIR_GRAPH, states) - 0.25) < 1e-12
+        assert abs(group_fidelity(ch, states, PAIR_GRAPH) - 0.25) < 1e-12
 
     def test_dephasing_plus_state(self):
         # 2x2 oracle
         p = 0.3
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert abs(pure_state_fidelity(dephasing(p), QUBIT_GRAPH, [plus]) - (1 - p)) < 1e-12
+        assert abs(group_fidelity(dephasing(p), [plus], QUBIT_GRAPH) - (1 - p)) < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_states(self, bad, rng):
-        # named before any contraction, on the single path (shared with mixed_fidelity)
-        # and on the stacked path, where one bad row would otherwise give one NaN
+        # named before any contraction, as one 1-D state to group_fidelity (next to a
+        # pure or a mixed input) and on the stacked path, where one bad row would
+        # otherwise give one NaN
         ch = identity_channel([2, 2])
         good, state = haar_state(2, rng), np.array([bad, 1], dtype=complex)
         with pytest.raises(ValueError, match="connection 1 contains non-finite"):
-            pure_state_fidelity(ch, PAIR_GRAPH, [good, state])
+            group_fidelity(ch, [good, state], PAIR_GRAPH)
         with pytest.raises(ValueError, match="connection 1 contains non-finite"):
-            mixed_fidelity(ch, PAIR_GRAPH, [("mixed", np.eye(2) / 2), ("pure", state)])
+            group_fidelity(ch, [np.eye(2) / 2, state], PAIR_GRAPH)
         stacks = [np.array([haar_state(2, rng) for _ in range(2)]) for _ in range(2)]
         stacks[0][1] = state
         with pytest.raises(ValueError, match="connection 0 contains non-finite"):
@@ -378,7 +385,7 @@ class TestAverageFidelity:
         ch = random_channel(2, 2, 2, rng)
         exact = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
-            pure_state_fidelity(ch, QUBIT_GRAPH, [haar_state(2, stream)])
+            group_fidelity(ch, [haar_state(2, stream)], QUBIT_GRAPH)
             for stream in make_rng(8).spawn(4000)
         ]
         vals = np.asarray(vals)
@@ -397,7 +404,7 @@ class TestAverageFidelity:
         for b in (7, 7, 6):
             states = [stream.standard_normal((b, d)) + 1j * stream.standard_normal((b, d))
                       for d in graph.dims]
-            vals += [pure_state_fidelity(ch, graph, [s[r] for s in states]) for r in range(b)]
+            vals += [group_fidelity(ch, [s[r] for s in states], graph) for r in range(b)]
         assert abs(mean - np.mean(vals)) < 1e-13
         assert abs(stderr - np.std(vals, ddof=1) / np.sqrt(20)) < 1e-13
 
@@ -432,7 +439,7 @@ class TestMinSubspaceFidelity:
 
         # coarse exhaustive grid over qutrit pure states
         def fid(psi):
-            return pure_state_fidelity(ch, graph, [psi])
+            return group_fidelity(ch, [psi], graph)
 
         grid_best = 1.0
         steps = np.linspace(0, 1, 5)
@@ -531,12 +538,9 @@ class TestQuadraticOverlap:
         assert got.shape == (rows,)
         for r in range(rows):
             states = {i: bases[i] @ coords[k][r] for k, i in enumerate(sorted(bases))}
-            if fixed:
-                want = mixed_fidelity(ch, graph, [
-                    ("mixed", fixed[j]) if j in fixed else ("pure", states[j])
-                    for j in range(graph.size)])
-            else:
-                want = pure_state_fidelity(ch, graph, [states[j] for j in range(graph.size)])
+            # fixed connections as densities, varying ones as 1-D pure states
+            want = group_fidelity(ch, [fixed[j] if j in fixed else states[j]
+                                       for j in range(graph.size)], graph)
             assert abs(got[r] - want) < 1e-12
 
     @pytest.mark.parametrize("case", CASES)
@@ -670,7 +674,7 @@ class TestCrossedGraph:
                 got = pure_state_fidelity(ch, graph, states)
                 assert got.shape == (rows,)
                 for r in range(rows):
-                    want = pure_state_fidelity(ch, graph, [s[r] for s in states])
+                    want = group_fidelity(ch, [s[r] for s in states], graph)
                     assert abs(got[r] - want) < 1e-12
 
 

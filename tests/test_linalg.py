@@ -103,6 +103,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.array([random_density(4, rng)] * 2), [2, 2], {0})
 
+    def test_label_cap_before_work(self):
+        # 27 legs, all kept: 54 einsum labels, past numpy's 52; raised before the
+        # 54-axis reshape, which numpy < 2 would refuse with its own ValueError
+        with pytest.raises(CapExceededError, match="too many legs"):
+            partial_trace(np.eye(1), [1] * 27, range(27))
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy < 2 reshapes to at most 32 dimensions")
+    def test_27_legs_keeping_one(self):
+        # 28 labels: one per row leg and one for the kept column leg
+        assert np.array_equal(partial_trace(np.eye(1), [1] * 27, [0]), [[1.0]])
+
 
 class TestPermute:
     def test_vector_roundtrip(self, rng):

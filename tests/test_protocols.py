@@ -19,6 +19,7 @@ from polychan import (
     dephasing,
     depolarizing,
     extract_subspace,
+    group_fidelity,
     haar_ensemble,
     haar_state,
     haar_unitary,
@@ -27,13 +28,11 @@ from polychan import (
     maximally_entangled_vector,
     phase_average_bound,
     product_channel,
-    pure_state_fidelity,
     random_channel,
     teleport_channel,
     twirl_channel,
-    validate,
 )
-from polychan.channels import block_kraus, connection_kraus
+from polychan.channels import block_kraus, completeness_defect, connection_kraus
 from polychan.errors import CapExceededError
 from polychan.protocols import ExtractionError, _largest_removable_weight
 
@@ -130,14 +129,14 @@ class TestTwirl:
 
     def test_output_validates(self, rng):
         ch = random_channel(2, 2, 2, rng)
-        assert validate(twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()])).passed
+        assert completeness_defect(twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()])) <= 1e-9
 
     def test_clifford_twirl_fidelity_constant(self, rng):
         ch = random_channel(2, 2, 2, rng)
         tw = twirl_channel(ch, QUBIT_GRAPH, [clifford_1q()])
         target = channel_fidelity_report(ch, QUBIT_GRAPH).average
         vals = [
-            pure_state_fidelity(tw, QUBIT_GRAPH, [haar_state(2, stream)])
+            group_fidelity(tw, [haar_state(2, stream)], QUBIT_GRAPH)
             for stream in make_rng(77).spawn(100)
         ]
         assert max(vals) - min(vals) <= 1e-8
@@ -149,7 +148,7 @@ class TestTwirl:
         target = channel_fidelity_report(ch, PAIR_GRAPH).average
         for stream in make_rng(3).spawn(10):
             states = [haar_state(2, stream), haar_state(2, stream)]
-            assert abs(pure_state_fidelity(tw, PAIR_GRAPH, states) - target) <= 1e-8
+            assert abs(group_fidelity(tw, states, PAIR_GRAPH) - target) <= 1e-8
 
     def test_twirl_preserves_average_fidelity(self, rng):
         ch = random_channel(2, 2, 3, rng)
@@ -162,7 +161,7 @@ class TestTwirl:
         graph = ConnectionGraph.single(3)
         ch = random_channel(3, 3, 2, rng)
         tw = twirl_channel(ch, graph, [ens])
-        assert validate(tw).passed
+        assert completeness_defect(tw) <= 1e-9
         assert abs(channel_fidelity_report(tw, graph).average
                    - channel_fidelity_report(ch, graph).average) < 1e-9
 
@@ -194,7 +193,7 @@ class TestTwirl:
             ensembles = [haar_ensemble(16, 4, rng)]
         tw = twirl_channel(ch, graph, ensembles)
         assert tw.num_kraus <= ch.in_dim * ch.out_dim
-        assert validate(tw).passed
+        assert completeness_defect(tw) <= 1e-9
         oracle = choi_matrix(mixture_twirl(ch, graph, ensembles))
         assert np.max(np.abs(choi_matrix(tw) - oracle)) <= 1e-12
 
@@ -211,7 +210,7 @@ class TestTwirl:
         tw = twirl_channel(ch, graph, [clifford_1q()] * graph.size)
         assert tw.num_kraus <= ch.in_dim * ch.out_dim
         target = channel_fidelity_report(ch, graph).average
-        vals = [pure_state_fidelity(tw, graph, [haar_state(d, s) for d in graph.dims])
+        vals = [group_fidelity(tw, [haar_state(d, s) for d in graph.dims], graph)
                 for s in rng.spawn(10)]
         assert max(vals) - min(vals) <= 1e-8
         assert max(abs(v - target) for v in vals) <= 1e-8
@@ -225,7 +224,7 @@ class TestTeleport:
     def test_perfect_resource_gives_identity(self, rng):
         res = DensityOperator.from_vector(maximally_entangled_vector(2), SystemLayout([2, 2]))
         tele = teleport_channel(res)
-        assert validate(tele).passed
+        assert completeness_defect(tele) <= 1e-9
         for basis in (np.eye(2), None):
             for k in range(2):
                 v = np.eye(2, dtype=complex)[:, k]
@@ -245,7 +244,7 @@ class TestTeleport:
 
     def test_maximally_mixed_resource_depolarizes(self, rng):
         tele = teleport_channel(DensityOperator.maximally_mixed([2, 2]))
-        assert validate(tele).passed
+        assert completeness_defect(tele) <= 1e-9
         for _ in range(5):
             rho = random_density(2, rng)
             assert np.max(np.abs(apply(tele, rho).matrix - np.eye(2) / 2)) < 1e-10

@@ -121,7 +121,7 @@ LIBRARY_ONLY = {
     # the dense oracles the tests check the commands' routes against
     "channels.apply", "channels.tensor_power", "channels._leg_grouping_index",
     "linalg.partial_trace", "linalg._as_dims", "linalg.entropy",
-    "linalg.DensityOperator.reduced", "fidelities.mixed_fidelity", "fidelities._pure_amp",
+    "linalg.DensityOperator.reduced", "fidelities._pure_amp",
     # the greedy extraction of well-transmitted subspaces (acceptance criterion 7)
     "protocols.extract_subspace", "protocols._support_basis",
     "protocols._min_support_fidelity", "protocols._largest_removable_weight",
