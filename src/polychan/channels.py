@@ -513,11 +513,13 @@ def read_channel(text: str, check_completeness: bool = True
                 for k, d in enumerate(_require(doc, "out_dims", list))]
     conns_raw = _require(doc, "connections", list)
     kraus_raw = _require(doc, "kraus", list)
-    try:
-        in_layout = SystemLayout(in_dims)
-        out_layout = SystemLayout(out_dims)
-    except (ValueError, TypeError) as exc:
-        raise ChannelFormatError(f"bad leg dimensions: {exc}") from exc
+    layouts = {}
+    for key, dims in (("in_dims", in_dims), ("out_dims", out_dims)):
+        try:
+            layouts[key] = SystemLayout(dims)
+        except ValueError as exc:
+            raise ChannelFormatError(f"field '{key}': {exc}") from exc
+    in_layout, out_layout = layouts["in_dims"], layouts["out_dims"]
 
     ops = []
     for k, mat in enumerate(kraus_raw):

@@ -340,6 +340,14 @@ class TestChannelIO:
         with pytest.raises(ChannelFormatError, match=re.escape(f"'{field}'")):
             read_channel(text.replace(old, new))
 
+    @pytest.mark.parametrize("field", ["in_dims", "out_dims"])
+    @pytest.mark.parametrize("dims", [[], [0]], ids=["empty", "zero"])
+    def test_bad_leg_dimensions_name_their_field(self, field, dims):
+        doc = json.loads(write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2)))
+        doc[field] = dims
+        with pytest.raises(ChannelFormatError, match=re.escape(f"field '{field}': ")):
+            read_channel(json.dumps(doc))
+
     @pytest.mark.parametrize("entry, field", [
         ([True, False], "kraus[1][0][1]"),
         (["1.0", "0"], "kraus[1][0][1]"),
