@@ -21,9 +21,8 @@ _EXPORTS = {
     "fidelities": ["FidelityReport", "average_fidelity_mc", "channel_fidelity",
                    "channel_fidelity_report", "group_fidelity", "min_subspace_fidelity",
                    "pure_state_fidelity"],
-    "linalg": ["DensityOperator", "SystemLayout", "eigh", "entropy", "haar_state",
-               "haar_unitary", "kron", "make_rng", "maximally_entangled_vector",
-               "partial_trace", "uhlmann_fidelity"],
+    "linalg": ["eigh", "entropy", "haar_state", "haar_unitary", "kron", "make_rng",
+               "maximally_entangled_vector", "partial_trace", "uhlmann_fidelity"],
     "protocols": ["ExtractionResult", "PhaseAverageReport", "SubspaceBasis",
                   "UnitaryEnsemble", "clifford_1q", "extract_subspace", "haar_ensemble",
                   "phase_average_bound", "teleport_channel", "twirl_channel"],

@@ -39,6 +39,7 @@ from .linalg import (
     MAX_DIM,
     _adjoint,
     block_rows,
+    check_array_rank,
     check_factor,
     clip_spectrum,
     contract_rows_except,
@@ -175,6 +176,8 @@ class _RegionProblem:
         if n > BLOCKLENGTH_CAP or graph.total_dim() ** n > MAX_DIM:
             raise CapExceededError(f"blocklength {n} exceeds the cap {BLOCKLENGTH_CAP} or takes "
                                    f"the input dimension past {MAX_DIM}")
+        # the n-use superoperators below have 2n + 2gn axes
+        check_array_rank(2 * n * (1 + graph.size), f"connections ({graph.size}) at n = {n}")
         self.graph = graph.powered(n)
         g = self.graph.size
         self.block_dims = self.graph.dims  # per-connection dims at blocklength n

@@ -21,6 +21,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,8 +34,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityOperator,
-    SystemLayout,
+    check_array_rank,
     check_finite,
     kron,
     permute_legs_vector,
@@ -145,23 +145,32 @@ class ConnectionGraph:
         )
 
 
+def _leg_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Leg dimensions as a tuple of ints: at least one leg, each of dimension >= 1."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("a system needs at least one leg")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"leg dimensions must be >= 1, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators."""
+    """A completely positive map given by its Kraus operators, between systems with
+    the leg dimensions ``in_layout`` and ``out_layout``."""
 
     kraus_ops: tuple[np.ndarray, ...]
-    in_layout: SystemLayout
-    out_layout: SystemLayout
+    in_layout: tuple[int, ...]
+    out_layout: tuple[int, ...]
 
-    def __init__(self, kraus_ops: Sequence[np.ndarray], in_layout, out_layout):
+    def __init__(self, kraus_ops: Sequence[np.ndarray], in_layout: Iterable[int],
+                 out_layout: Iterable[int]):
         ops = tuple(np.asarray(a, dtype=complex) for a in kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        in_layout = in_layout if isinstance(in_layout, SystemLayout) else SystemLayout(in_layout)
-        out_layout = (
-            out_layout if isinstance(out_layout, SystemLayout) else SystemLayout(out_layout)
-        )
-        shape = (out_layout.total_dim, in_layout.total_dim)
+        in_layout, out_layout = _leg_dims(in_layout), _leg_dims(out_layout)
+        shape = (math.prod(out_layout), math.prod(in_layout))
         for a in ops:
             if a.shape != shape:
                 raise ValueError(f"Kraus operator shape {a.shape} does not match {shape}")
@@ -176,11 +185,11 @@ class KrausChannel:
 
     @property
     def in_dim(self) -> int:
-        return self.in_layout.total_dim
+        return math.prod(self.in_layout)
 
     @property
     def out_dim(self) -> int:
-        return self.out_layout.total_dim
+        return math.prod(self.out_layout)
 
     @property
     def num_kraus(self) -> int:
@@ -200,7 +209,7 @@ def completeness_defect(ch: KrausChannel) -> float:
 
 
 def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
-    """Verify that the graph's per-connection blocks tile the channel's layouts."""
+    """Verify that the graph's per-connection blocks tile the channel's legs."""
     if int(np.prod(graph.in_block_dims)) != ch.in_dim:
         raise ValueError(
             f"graph input blocks {graph.in_block_dims} do not multiply to channel "
@@ -211,68 +220,61 @@ def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
             f"graph output blocks {graph.out_block_dims} do not multiply to channel "
             f"output dimension {ch.out_dim}"
         )
-    if ch.in_layout.num_legs == graph.num_senders:
+    if len(ch.in_layout) == graph.num_senders:
         for j, group in enumerate(graph.sender_groups()):
             prod = int(np.prod([graph.connections[i].dim for i in group])) if group else 1
-            if prod != ch.in_layout.leg_dims[j]:
+            if prod != ch.in_layout[j]:
                 raise ValueError(
-                    f"sender {j} leg dimension {ch.in_layout.leg_dims[j]} does not match "
+                    f"sender {j} leg dimension {ch.in_layout[j]} does not match "
                     f"its connections' product {prod}"
                 )
-    if ch.out_layout.num_legs == graph.num_receivers:
+    if len(ch.out_layout) == graph.num_receivers:
         for j, group in enumerate(graph.receiver_groups()):
             prod = int(np.prod([graph.connections[i].dim for i in group])) if group else 1
-            if prod != ch.out_layout.leg_dims[j]:
+            if prod != ch.out_layout[j]:
                 raise ValueError(
-                    f"receiver {j} leg dimension {ch.out_layout.leg_dims[j]} does not match "
+                    f"receiver {j} leg dimension {ch.out_layout[j]} does not match "
                     f"its connections' product {prod}"
                 )
 
 
-def apply(ch: KrausChannel, rho) -> DensityOperator:
+def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel: sum_K A_K rho A_K^dag."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     if m.shape != (ch.in_dim, ch.in_dim):
-        raise ValueError(f"state dimension {m.shape[0]} does not match channel input {ch.in_dim}")
+        raise ValueError(f"state shape {m.shape} does not match channel input {ch.in_dim}")
     out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
     for a in ch.kraus_ops:
         out += a @ m @ a.conj().T
-    return DensityOperator(out, ch.out_layout)
+    return out
 
 
-def apply_with_reference(ch: KrausChannel, rho: DensityOperator, ref_legs: int
-                         ) -> DensityOperator:
-    """Apply (I_ref x channel) to a state whose first ``ref_legs`` legs are untouched."""
+def apply_with_reference(ch: KrausChannel, rho: np.ndarray, d_ref: int) -> np.ndarray:
+    """Apply (I_ref x channel) to a matrix on (reference, input), the reference of
+    dimension ``d_ref`` untouched."""
     a = ch.kraus_stack()
-    dims = rho.layout.leg_dims
-    if ref_legs < 0 or ref_legs > len(dims):
-        raise ValueError(f"ref_legs {ref_legs} out of range for {len(dims)} legs")
-    d_ref = int(np.prod(dims[:ref_legs])) if ref_legs else 1
-    d_in = int(np.prod(dims[ref_legs:])) if ref_legs < len(dims) else 1
-    num_kraus, d_out = a.shape[:2]
-    if d_in != ch.in_dim:
-        raise ValueError(
-            f"state legs after the reference have dimension {d_in}, channel expects {ch.in_dim}"
-        )
+    num_kraus, d_out, d_in = a.shape
+    rho = np.asarray(rho, dtype=complex)
+    if d_ref < 1 or rho.shape != (d_ref * d_in, d_ref * d_in):
+        raise ValueError(f"state shape {rho.shape} is not a reference of dimension {d_ref} "
+                         f"times the channel input {d_in}")
     # A_k on the input legs of the rows: [(k, b), (r, s, y)] from rho[r, x, s, y]
-    m = np.moveaxis(rho.matrix.reshape(d_ref, d_in, d_ref * d_in), 1, 0)
+    m = np.moveaxis(rho.reshape(d_ref, d_in, d_ref * d_in), 1, 0)
     m = a.reshape(-1, d_in) @ m.reshape(d_in, -1)
     # then A_k^dag on those of the columns, summed over (k, y): [(b, r, s), c]
     m = np.moveaxis(m.reshape(num_kraus, -1, d_in), 0, 1)
     m = m.reshape(-1, num_kraus * d_in) @ a.conj().swapaxes(1, 2).reshape(-1, d_out)
     m = m.reshape(d_out, d_ref, d_ref * d_out).swapaxes(0, 1)
-    layout = SystemLayout(dims[:ref_legs] + ch.out_layout.leg_dims)
-    return DensityOperator(m.reshape(d_ref * d_out, -1), layout)
+    return m.reshape(d_ref * d_out, -1)
 
 
 def tensor(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
-    """Parallel composition; layouts concatenate, Kraus sets multiply."""
+    """Parallel composition; legs concatenate, Kraus sets multiply."""
     count = ch1.num_kraus * ch2.num_kraus
     if count > MAX_KRAUS:
         raise CapExceededError(f"tensor would need {count} Kraus operators (cap {MAX_KRAUS})")
     ops = [kron(a, b) for a in ch1.kraus_ops for b in ch2.kraus_ops]
-    return KrausChannel(ops, ch1.in_layout.concat(ch2.in_layout),
-                        ch1.out_layout.concat(ch2.out_layout))
+    return KrausChannel(ops, ch1.in_layout + ch2.in_layout, ch1.out_layout + ch2.out_layout)
 
 
 def copy_grouping(legs: int, n: int) -> list[int]:
@@ -300,18 +302,17 @@ def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
         )
     if ch.in_dim**n > MAX_DIM or ch.out_dim**n > MAX_DIM:
         raise CapExceededError(f"tensor power dimension exceeds the configured maximum {MAX_DIM}")
-    row_map = _leg_grouping_index(ch.out_layout.leg_dims, n)
-    col_map = _leg_grouping_index(ch.in_layout.leg_dims, n)
+    row_map = _leg_grouping_index(ch.out_layout, n)
+    col_map = _leg_grouping_index(ch.in_layout, n)
     ops = [functools.reduce(np.kron, combo)[np.ix_(row_map, col_map)]
            for combo in itertools.product(ch.kraus_ops, repeat=n)]
-    in_dims = tuple(d for d in ch.in_layout.leg_dims for _ in range(n))
-    out_dims = tuple(d for d in ch.out_layout.leg_dims for _ in range(n))
-    return KrausChannel(ops, SystemLayout(in_dims), SystemLayout(out_dims))
+    in_dims = [d for d in ch.in_layout for _ in range(n)]
+    out_dims = [d for d in ch.out_layout for _ in range(n)]
+    return KrausChannel(ops, in_dims, out_dims)
 
 
-def identity_channel(layout) -> KrausChannel:
-    layout = layout if isinstance(layout, SystemLayout) else SystemLayout(layout)
-    return KrausChannel([np.eye(layout.total_dim, dtype=complex)], layout, layout)
+def identity_channel(dims: Sequence[int]) -> KrausChannel:
+    return KrausChannel([np.eye(math.prod(dims), dtype=complex)], dims, dims)
 
 
 def _shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +342,6 @@ def depolarizing(d: int, p: float) -> KrausChannel:
     """rho -> (1-p) rho + p I/d on one d-dimensional leg."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
-    layout = SystemLayout([d])
     if d == 2:
         ops = [
             np.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex),
@@ -349,20 +349,19 @@ def depolarizing(d: int, p: float) -> KrausChannel:
             np.sqrt(p / 4) * PAULI_Y,
             np.sqrt(p / 4) * PAULI_Z,
         ]
-        return KrausChannel(ops, layout, layout)
+        return KrausChannel(ops, [d], [d])
     ops = [np.sqrt(1 - p * (d * d - 1) / (d * d)) * np.eye(d, dtype=complex)]
     for w in weyl_operators(d)[1:]:
         ops.append(np.sqrt(p) / d * w)
-    return KrausChannel(ops, layout, layout)
+    return KrausChannel(ops, [d], [d])
 
 
 def dephasing(p: float) -> KrausChannel:
     """Qubit phase noise rho -> (1-p) rho + p Z rho Z."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing strength must be in [0, 1], got {p}")
-    layout = SystemLayout([2])
     return KrausChannel(
-        [np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * PAULI_Z], layout, layout
+        [np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * PAULI_Z], [2], [2]
     )
 
 
@@ -371,10 +370,12 @@ def connection_kraus(ch: KrausChannel, graph: ConnectionGraph) -> np.ndarray:
 
     The result has shape ``(K, d_0, ..., d_{g-1}, d_0, ..., d_{g-1})``: output
     legs, then input legs, each side in connection-index order.  Raises
-    ``ValueError`` when the graph's blocks do not tile the channel's layouts.
+    ``ValueError`` when the graph's blocks do not tile the channel's legs, and
+    ``CapExceededError`` when the result would have more axes than numpy takes.
     """
     check_graph_compatible(ch, graph)
     g = graph.size
+    check_array_rank(1 + 2 * g, f"connections ({g})")
     blocks = ch.kraus_stack().reshape(-1, *graph.out_block_dims, *graph.in_block_dims)
     axes = [1 + graph.output_order.index(c) for c in range(g)]
     axes += [1 + g + graph.input_order.index(c) for c in range(g)]
@@ -410,7 +411,7 @@ def product_channel(parts: Sequence[KrausChannel], graph: ConnectionGraph) -> Kr
         combined = tensor(combined, part)
     # combined legs are in connection order on both sides
     ops = block_kraus(combined.kraus_stack(), graph)
-    return KrausChannel(ops, SystemLayout(graph.in_block_dims), SystemLayout(graph.out_block_dims))
+    return KrausChannel(ops, graph.in_block_dims, graph.out_block_dims)
 
 
 def random_kraus(in_dim: int, out_dim: int, num_kraus: int,
@@ -434,7 +435,7 @@ def random_channel(in_dim: int, out_dim: int, num_kraus: int,
                    rng: np.random.Generator) -> KrausChannel:
     """Random CPTP map from an isometry: Gaussian matrix, orthonormalized, sliced."""
     ops = random_kraus(in_dim, out_dim, num_kraus, [rng])[0]
-    return KrausChannel(ops, SystemLayout([in_dim]), SystemLayout([out_dim]))
+    return KrausChannel(ops, [in_dim], [out_dim])
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +489,8 @@ def write_channel(ch: KrausChannel, graph: ConnectionGraph | None = None) -> str
         ]
     stack = ch.kraus_stack()
     doc = {
-        "in_dims": list(ch.in_layout.leg_dims),
-        "out_dims": list(ch.out_layout.leg_dims),
+        "in_dims": list(ch.in_layout),
+        "out_dims": list(ch.out_layout),
         "connections": conns,
         # each entry [re, im], as Python floats
         "kraus": np.stack([stack.real, stack.imag], axis=-1).tolist(),
@@ -513,26 +514,24 @@ def read_channel(text: str, check_completeness: bool = True
                 for k, d in enumerate(_require(doc, "out_dims", list))]
     conns_raw = _require(doc, "connections", list)
     kraus_raw = _require(doc, "kraus", list)
-    layouts = {}
     for key, dims in (("in_dims", in_dims), ("out_dims", out_dims)):
         try:
-            layouts[key] = SystemLayout(dims)
+            _leg_dims(dims)
         except ValueError as exc:
             raise ChannelFormatError(f"field '{key}': {exc}") from exc
-    in_layout, out_layout = layouts["in_dims"], layouts["out_dims"]
+    d_in, d_out = math.prod(in_dims), math.prod(out_dims)
 
     ops = []
     for k, mat in enumerate(kraus_raw):
-        if not isinstance(mat, list) or len(mat) != out_layout.total_dim:
+        if not isinstance(mat, list) or len(mat) != d_out:
             raise ChannelFormatError(
-                f"field 'kraus[{k}]' must have {out_layout.total_dim} rows "
-                f"(the product of out_dims)"
+                f"field 'kraus[{k}]' must have {d_out} rows (the product of out_dims)"
             )
         rows = []
         for r, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != in_layout.total_dim:
+            if not isinstance(row, list) or len(row) != d_in:
                 raise ChannelFormatError(
-                    f"field 'kraus[{k}][{r}]' must have {in_layout.total_dim} entries "
+                    f"field 'kraus[{k}][{r}]' must have {d_in} entries "
                     f"(the product of in_dims)"
                 )
             try:
@@ -560,7 +559,7 @@ def read_channel(text: str, check_completeness: bool = True
                 raise ChannelFormatError(f"field '{where}': {exc}") from exc
         graph = ConnectionGraph(conns)
 
-    ch = KrausChannel(ops, in_layout, out_layout)
+    ch = KrausChannel(ops, in_dims, out_dims)
     if graph is not None:
         try:
             check_graph_compatible(ch, graph)

@@ -33,14 +33,7 @@ import numpy as np
 from . import channels
 from .channels import ChannelCompletenessError, ConnectionGraph, KrausChannel
 from .errors import CapExceededError, ChannelFormatError
-from .linalg import (
-    DensityOperator,
-    SystemLayout,
-    block_rows,
-    haar_state,
-    make_rng,
-    maximally_entangled_vector,
-)
+from .linalg import block_rows, haar_state, make_rng, maximally_entangled_vector
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,8 +116,8 @@ def cmd_validate(args) -> int:
     passed = defect <= args.tol_completeness
     conns = "none" if graph is None else [(c.sender, c.receiver, c.dim) for c in graph.connections]
     _write("\n".join([
-        f"in_dims: {list(ch.in_layout.leg_dims)}",
-        f"out_dims: {list(ch.out_layout.leg_dims)}",
+        f"in_dims: {list(ch.in_layout)}",
+        f"out_dims: {list(ch.out_layout)}",
         f"kraus_count: {ch.num_kraus}",
         f"connections (sender, receiver, dim): {conns}",
         f"completeness_defect: {defect!r}",
@@ -240,7 +233,7 @@ def _check_route_equality(ch, graph, report, tol_exact):
 
     # the definitional route against the report's Kraus-route group fidelities
     worst = 0.0
-    inputs = [DensityOperator.maximally_mixed([d]) for d in graph.dims]
+    inputs = [np.eye(d, dtype=complex) / d for d in graph.dims]
     for kept, kraus_value in report.group_values.items():
         a = fidelities.group_fidelity(ch, inputs, graph, kept)
         worst = max(worst, abs(a - kraus_value))
@@ -430,11 +423,11 @@ def cmd_teleport(args) -> int:
             "teleport needs a single-connection channel with equal in/out dimensions"
         )
     d = graph.dims[0]
-    resource_in = DensityOperator.from_vector(
-        maximally_entangled_vector(d), SystemLayout([d, d])
-    )
-    resource = channels.apply_with_reference(ch, resource_in, ref_legs=1)
-    effective = protocols.teleport_channel(resource)
+    # renormalized: the vector's norm is off 1 by round-off at some d (2 and 5)
+    phi = maximally_entangled_vector(d)
+    phi = phi / np.linalg.norm(phi)
+    resource = channels.apply_with_reference(ch, np.outer(phi, phi.conj()), d)
+    effective = protocols.teleport_channel(resource, d)
     _write(channels.write_channel(effective, ConnectionGraph.single(d)), args.out)
     return EXIT_OK
 
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a channel file and its completeness")
     p.add_argument("channel")
-    p.add_argument("--tol-completeness", type=float, default=1e-9)
+    p.add_argument("--tol-completeness", type=float, default=channels.COMPLETENESS_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("fidelity", help="fidelity table for a channel")

@@ -43,10 +43,9 @@ from .channels import ConnectionGraph, KrausChannel, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
     UNITARITY_TOL,
-    DensityOperator,
-    SystemLayout,
     _adjoint,
     block_rows,
+    check_density,
     check_einsum_labels,
     check_finite,
     clip_spectrum,
@@ -70,21 +69,17 @@ GEMM_ALIGN = 8
 MC_DRAW_ROWS = 20000
 
 
-def _as_matrix(state) -> np.ndarray:
-    return state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
-
-
 def _purification_amp(rho, i: int) -> np.ndarray:
     """Amplitude matrix M[r, a] of the canonical purification of a density operator,
     the input of connection i."""
-    m = check_finite(_as_matrix(rho), f"density for connection {i}")
+    m = check_finite(np.asarray(rho, dtype=complex), f"density for connection {i}")
     w, v = eigh(m)
     w = clip_spectrum(w)
     return (v * np.sqrt(w)).T
 
 
-def _pure_amp(psi, i: int) -> np.ndarray:
-    v = check_finite(np.asarray(psi, dtype=complex).reshape(-1), f"state for connection {i}")
+def _pure_amp(psi) -> np.ndarray:
+    v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("zero vector is not a state")
@@ -142,13 +137,13 @@ def group_fidelity(ch: KrausChannel, inputs: Sequence, graph: ConnectionGraph,
     """Fidelity of a product input sent through the channel, on the kept connections
     (all by default) with everything else traced out.
 
-    A 2-D input (an array or a ``DensityOperator``) is a density, purified with an
-    entangled reference; a 1-D input is a pure state sent with no reference.
+    A 2-D input is a density matrix, checked by ``linalg.check_density`` and purified
+    with an entangled reference; a 1-D input is a pure state sent with no reference.
     """
     amps = []
     for i, x in enumerate(inputs):
-        m = _as_matrix(x)
-        amps.append(_pure_amp(m, i) if m.ndim == 1 else _purification_amp(m, i))
+        m = check_finite(np.asarray(x, dtype=complex), f"input for connection {i}")
+        amps.append(_pure_amp(m) if m.ndim == 1 else _purification_amp(check_density(m), i))
     return _overlap_fidelity(ch, graph, amps, keep=keep)
 
 
@@ -264,15 +259,11 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[0]
-
     def projector(self) -> np.ndarray:
         return self.vectors @ self.vectors.conj().T
 
-    def uniform_state(self) -> DensityOperator:
-        return DensityOperator(self.projector() / self.dim, SystemLayout([self.ambient_dim]))
+    def uniform_state(self) -> np.ndarray:
+        return self.projector() / self.dim
 
 
 class QuadraticOverlap:

@@ -1,17 +1,15 @@
 """Dense complex linear algebra over multi-leg tensor systems.
 
-Everything here works on plain complex numpy arrays.  States carry their
-subsystem structure through a :class:`SystemLayout` (an ordered list of leg
-dimensions); density operators pair a matrix with a layout and enforce the
-usual positivity/trace invariants at construction time.
+Everything here works on plain complex numpy arrays.  A state is a density
+matrix (or a factor of one); the structure of its system is a tuple of leg
+dimensions, passed alongside wherever legs matter, as to :func:`partial_trace`.
+:func:`check_density` and :func:`check_factor` state the density invariants.
 
 All entropic quantities are in bits (log base 2).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,38 +43,6 @@ def block_rows(row_bytes: int, align: int = 1) -> int:
     """Rows per block of a batched kernel whose rows hold ``row_bytes`` each: the most
     that fit in ``BLOCK_BYTES``, a multiple of ``align``, and at least ``align``."""
     return align * max(1, BLOCK_BYTES // align // row_bytes)
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Ordered list of subsystem (leg) dimensions."""
-
-    leg_dims: tuple[int, ...]
-
-    def __init__(self, leg_dims: Iterable[int]):
-        dims = tuple(int(d) for d in leg_dims)
-        if not dims:
-            raise ValueError("layout needs at least one leg")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"leg dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "leg_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.leg_dims)
-
-    @property
-    def num_legs(self) -> int:
-        return len(self.leg_dims)
-
-    def concat(self, other: "SystemLayout") -> "SystemLayout":
-        return SystemLayout(self.leg_dims + other.leg_dims)
-
-
-def _as_dims(layout) -> tuple[int, ...]:
-    if isinstance(layout, SystemLayout):
-        return layout.leg_dims
-    return tuple(int(d) for d in layout)
 
 
 def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -134,17 +100,31 @@ def check_einsum_labels(count: int, what: str) -> None:
         raise CapExceededError(f"too many {what} for one einsum ({count} labels, numpy takes 52)")
 
 
-def partial_trace(m: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
-    """Trace out all legs except ``keep``; kept legs stay in their original relative order."""
-    dims = _as_dims(layout)
+# The most axes numpy gives one array.
+MAX_ARRAY_RANK = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
+
+def check_array_rank(rank: int, what: str) -> None:
+    """Raise ``CapExceededError`` naming ``what`` when an array needs ``rank`` axes,
+    more than ``MAX_ARRAY_RANK``."""
+    if rank > MAX_ARRAY_RANK:
+        raise CapExceededError(
+            f"too many {what} for one array ({rank} axes, numpy takes {MAX_ARRAY_RANK})")
+
+
+def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Trace out all legs of a matrix on legs of dimensions ``dims`` except ``keep``;
+    kept legs stay in their original relative order."""
+    dims = tuple(dims)
     n = len(dims)
     d = int(np.prod(dims))
     if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match layout dimension {d}")
+        raise ValueError(f"matrix shape {m.shape} does not match leg dimension {d}")
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError(f"keep indices {keep} out of range for {n} legs")
     check_einsum_labels(n + len(keep), f"legs ({n})")
+    check_array_rank(2 * n, f"legs ({n})")
     # row legs 0..n-1; a traced column leg shares its row leg's label, a kept one
     # takes the next of n, n + 1, ...
     col = list(range(n))
@@ -189,11 +169,13 @@ def clip_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def check_density(m: np.ndarray) -> np.ndarray:
-    """Check that a square matrix is a density matrix: finite, Hermitian, unit trace
+    """Check that a matrix is a density matrix: square, finite, Hermitian, unit trace
     and positive semidefinite.
 
     Raises ``ValueError`` naming the first failed check; returns ``m``.
     """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"density operator must be a square matrix, got shape {m.shape}")
     check_finite(m, "density operator")
     adj = _adjoint(m)
     defect = float(np.max(np.abs(m - adj)))
@@ -223,48 +205,6 @@ def check_factor(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """A positive semidefinite unit-trace matrix tagged with its leg layout."""
-
-    matrix: np.ndarray
-    layout: SystemLayout = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be a square matrix, got shape {m.shape}")
-        layout = self.layout or SystemLayout([m.shape[0]])
-        object.__setattr__(self, "layout", layout)
-        if layout.total_dim != m.shape[0]:
-            raise ValueError(
-                f"layout dimension {layout.total_dim} does not match matrix dimension {m.shape[0]}"
-            )
-        check_density(m)
-
-    @classmethod
-    def from_vector(cls, psi: np.ndarray, layout=None) -> "DensityOperator":
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(psi)
-        if nrm == 0:
-            raise ValueError("cannot build a state from the zero vector")
-        psi = psi / nrm
-        layout = layout if layout is not None else SystemLayout([psi.size])
-        return cls(np.outer(psi, psi.conj()), layout)
-
-    @classmethod
-    def maximally_mixed(cls, layout) -> "DensityOperator":
-        layout = layout if isinstance(layout, SystemLayout) else SystemLayout(layout)
-        d = layout.total_dim
-        return cls(np.eye(d, dtype=complex) / d, layout)
-
-    def reduced(self, keep: Iterable[int]) -> "DensityOperator":
-        keep = sorted(set(int(k) for k in keep))
-        sub = partial_trace(self.matrix, self.layout, keep)
-        return DensityOperator(sub, SystemLayout([self.layout.leg_dims[k] for k in keep]))
-
-
 def maximally_entangled_vector(d: int) -> np.ndarray:
     """(1/sqrt(d)) sum_g |g>|g> on d x d."""
     v = np.zeros(d * d, dtype=complex)
@@ -284,10 +224,9 @@ def entropy_of_spectrum(w: np.ndarray) -> float | np.ndarray:
     return float_or_stack(-np.sum(w * np.log2(np.where(w > 0, w, 1.0)), axis=-1))
 
 
-def entropy(rho) -> float | np.ndarray:
+def entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits, with 0*log(0) = 0; one value per member of a stack."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    return entropy_of_spectrum(eigh(m, vectors=False)[0])
+    return entropy_of_spectrum(eigh(np.asarray(rho, dtype=complex), vectors=False)[0])
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,8 +33,7 @@ from .fidelities import (
 from .linalg import (
     MAX_DIM,
     UNITARITY_TOL,
-    DensityOperator,
-    SystemLayout,
+    check_array_rank,
     check_finite,
     clip_spectrum,
     eigh,
@@ -150,6 +149,7 @@ def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
     side = ch.in_dim * ch.out_dim
     if side > MAX_DIM:
         raise CapExceededError(f"twirl needs a {side}x{side} Choi matrix (cap {MAX_DIM})")
+    check_array_rank(4 * graph.size, f"connections ({graph.size})")
 
     vecs = connection_kraus(ch, graph).reshape(ch.num_kraus, side)
     # legs of J: (outputs, inputs) of the row vector, then of the column vector
@@ -177,22 +177,22 @@ def twirl_channel(ch: KrausChannel, graph: ConnectionGraph,
     return KrausChannel(block_kraus(ops, graph), ch.in_layout, ch.out_layout)
 
 
-def teleport_channel(resource: DensityOperator) -> KrausChannel:
-    """Effective channel of generalized-Bell-measurement teleportation over a resource.
+def teleport_channel(resource: np.ndarray, d: int) -> KrausChannel:
+    """Effective channel of generalized-Bell-measurement teleportation over a resource
+    state on two legs of dimension d.
 
     The sender measures (input, first resource leg) in the shifted maximally
     entangled basis; the receiver applies the matching shift-and-clock
     correction.  A maximally entangled resource yields the identity map.
     """
-    dims = resource.layout.leg_dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise ValueError(f"teleportation resource must live on d x d legs, got {dims}")
-    d = dims[0]
-    chis = _scaled_eigenvectors(resource.matrix).reshape(-1, d, d)
+    resource = np.asarray(resource, dtype=complex)
+    if d < 1 or resource.shape != (d * d, d * d):
+        raise ValueError(f"teleportation resource must live on {d} x {d} legs, "
+                         f"got shape {resource.shape}")
+    chis = _scaled_eigenvectors(resource).reshape(-1, d, d)
     # u / sqrt(d) is the amplitude matrix of (U x I) |Phi+> over (input, resource A)
     ops = [u @ ((u / np.sqrt(d)).conj() @ chi).T for u in weyl_operators(d) for chi in chis]
-    layout = SystemLayout([d])
-    return KrausChannel(ops, layout, layout)
+    return KrausChannel(ops, [d], [d])
 
 
 def _support_basis(rho: np.ndarray) -> np.ndarray:
@@ -240,15 +240,15 @@ def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
     current support with the largest weight that keeps the operator positive
     semidefinite, so the peeled pairs plus the remainder reconstruct the input.
     Each worst-case search runs at most 200 descent iterations per restart; more
-    than half of a connection's weight removed is an ``ExtractionError``.
+    than half of a connection's weight removed is an ``ExtractionError``.  A
+    negative or NaN ``target_eta`` is a ``ValueError``.
     """
     if len(inputs) != graph.size:
         raise ValueError(f"need one input per connection ({graph.size})")
+    if not target_eta >= 0.0:
+        raise ValueError(f"target_eta must be >= 0, got {target_eta}")
     # connections not yet processed enter as given, processed ones as their remainders
-    states = [
-        (s.matrix if isinstance(s, DensityOperator) else np.asarray(s, dtype=complex)).copy()
-        for s in inputs
-    ]
+    states = [np.array(s, dtype=complex) for s in inputs]
 
     subspaces: list[SubspaceBasis] = []
     alphas: list[float] = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polychan import DensityOperator, SystemLayout, entropy, make_rng, partial_trace
+from polychan import entropy, make_rng, partial_trace
 
 
 @pytest.fixture
@@ -17,15 +17,23 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     return m / np.trace(m).real
 
 
-def density_factor(rho) -> np.ndarray:
+def density_factor(rho: np.ndarray) -> np.ndarray:
     """A factor phi with rho = phi phi^dag: the eigenvectors scaled by the root eigenvalues."""
-    w, v = np.linalg.eigh(rho.matrix if isinstance(rho, DensityOperator) else rho)
+    w, v = np.linalg.eigh(rho)
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def dense_coherent_information(rho: DensityOperator, b_legs) -> float:
-    """I_c(A>B) = S(rho_B) - S(rho_AB) through the density matrix and its partial trace."""
-    return entropy(partial_trace(rho.matrix, rho.layout, b_legs)) - entropy(rho)
+def pure_density(psi: np.ndarray) -> np.ndarray:
+    """The density matrix |psi><psi| / <psi|psi> of a state vector."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def dense_coherent_information(rho: np.ndarray, dims, b_legs) -> float:
+    """I_c(A>B) = S(rho_B) - S(rho_AB) through the density matrix on legs of dimensions
+    ``dims`` and its partial trace."""
+    return entropy(partial_trace(rho, dims, b_legs)) - entropy(rho)
 
 
 def dense_uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -40,11 +48,6 @@ def dense_uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     s[s < 1e-14 * max(1.0, s[-1])] = 0.0
     val = float(np.sum(np.sqrt(s)) ** 2)
     return min(val, 1.0) if val <= 1.0 + 1e-9 else val
-
-
-def random_density_operator(dims, rng: np.random.Generator) -> DensityOperator:
-    layout = SystemLayout(dims)
-    return DensityOperator(random_density(layout.total_dim, rng), layout)
 
 
 def unit_parts(rows: np.ndarray, dims) -> list[np.ndarray]:

@@ -10,12 +10,10 @@ import sys
 
 import numpy as np
 
-from conftest import dense_coherent_information, density_factor, random_density
+from conftest import dense_coherent_information, density_factor, pure_density, random_density
 from polychan import (
     ConnectionGraph,
-    DensityOperator,
     KrausChannel,
-    SystemLayout,
     apply_with_reference,
     average_fidelity_mc,
     channel_fidelity,
@@ -93,7 +91,7 @@ def test_criterion_2_route_equality():
     worst = 0.0
     for k in range(50):
         ch, graph = random_case(k, rng)
-        inputs = [DensityOperator.maximally_mixed([d]) for d in graph.dims]
+        inputs = [np.eye(d) / d for d in graph.dims]
         worst = max(worst, abs(channel_fidelity(ch, graph, "definition")
                                - channel_fidelity(ch, graph, "kraus_trace")))
         groups = channel_fidelity_report(ch, graph).group_values
@@ -181,10 +179,8 @@ def test_criterion_6_region_sampler():
     for t in np.linspace(0.0, np.pi / 2, 2001):
         v = np.zeros(4, dtype=complex)
         v[0], v[3] = np.cos(t), np.sin(t)
-        out = apply_with_reference(
-            dep, DensityOperator.from_vector(v, SystemLayout([2, 2])), ref_legs=1
-        )
-        scan_best = max(scan_best, dense_coherent_information(out, [1]))
+        out = apply_with_reference(dep, pure_density(v), 2)
+        scan_best = max(scan_best, dense_coherent_information(out, [2, 2], [1]))
     rt_dep = region_sample(dep, single, 1, (1.0,), make_rng(607))
     dep_err = abs(rt_dep.rates[0] - scan_best)
 
@@ -209,7 +205,7 @@ def test_criterion_7_extraction_and_phase_bound():
     k2[0, 2] = 1.0
     killer = KrausChannel([p01, k2], [3], [3])
     res = extract_subspace(
-        killer, ConnectionGraph.single(3), [DensityOperator.maximally_mixed([3])],
+        killer, ConnectionGraph.single(3), [np.eye(3) / 3],
         target_eta=0.01, rng=make_rng(701),
     )
     v = res.subspaces[0].vectors
@@ -255,16 +251,16 @@ def test_criterion_8_convexity_and_monotonicity():
         ch = random_channel(2, 2, 2, rng)
         a, b = random_density(2, rng), random_density(2, rng)
         lam = float(rng.uniform())
-        mix = DensityOperator(lam * a + (1 - lam) * b)
-        gap = (lam * group_fidelity(ch, [DensityOperator(a)], single)
-               + (1 - lam) * group_fidelity(ch, [DensityOperator(b)], single)
+        mix = lam * a + (1 - lam) * b
+        gap = (lam * group_fidelity(ch, [a], single)
+               + (1 - lam) * group_fidelity(ch, [b], single)
                - group_fidelity(ch, [mix], single))
         worst = max(worst, -gap)
         if gap < -1e-9:
             violations += 1
     for _ in range(500):
         ch = random_channel(4, 4, 3, rng)
-        inputs = [DensityOperator(random_density(2, rng)) for _ in range(2)]
+        inputs = [random_density(2, rng) for _ in range(2)]
         full = group_fidelity(ch, inputs, PAIR, [0, 1])
         for kept in ([0], [1]):
             gap = group_fidelity(ch, inputs, PAIR, kept) - full

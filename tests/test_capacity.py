@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from conftest import (
     dense_coherent_information,
     dense_uhlmann_fidelity,
     density_factor,
+    pure_density,
     random_density,
     tangent_gradient,
     unit_parts,
 )
 from polychan import (
     ConnectionGraph,
-    DensityOperator,
     RateTuple,
-    SystemLayout,
     apply_with_reference,
     check_dpi,
     coherent_information,
@@ -25,6 +25,7 @@ from polychan import (
     identity_channel,
     make_rng,
     maximally_entangled_vector,
+    partial_trace,
     product_channel,
     random_channel,
     region_sample,
@@ -39,7 +40,7 @@ from polychan.linalg import BLOCK_BYTES, eigh, entropy_of_spectrum, kron_rows, p
 
 
 def bell_state(d=2):
-    return DensityOperator.from_vector(maximally_entangled_vector(d), SystemLayout([d, d]))
+    return pure_density(maximally_entangled_vector(d))
 
 
 def bell_factor(d=2):
@@ -77,7 +78,7 @@ class TestCoherentInformation:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_depolarized_bell_scalar_oracle(self, p):
-        out = apply_with_reference(depolarizing(2, p), bell_state(), ref_legs=1)
+        out = apply_with_reference(depolarizing(2, p), bell_state(), 2)
         # spectrum of the depolarized maximally entangled state
         eigs = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
         want = 1.0 - scalar_entropy(eigs)
@@ -160,8 +161,7 @@ class TestStacks:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("a_leg", [0, 1])
     def test_members_match_single_calls(self, dims, a_leg, rng):
-        layout = SystemLayout(dims)
-        d, da, db = layout.total_dim, dims[a_leg], dims[1 - a_leg]
+        d, da, db = math.prod(dims), dims[a_leg], dims[1 - a_leg]
         phis, chis = (rows_a_first(self.random_stack(d, rng), dims, a_leg) for _ in range(2))
         posts = [random_channel(db, db, 2, stream) for stream in rng.spawn(len(phis))]
         infos = coherent_information(phis, da)
@@ -196,21 +196,19 @@ class TestFactorRoute:
     @pytest.mark.parametrize("a_leg", [0, 1])
     @pytest.mark.parametrize("rank", [1, 2, 6])
     def test_matches_density_matrices(self, dims, a_leg, rank, rng):
-        layout = SystemLayout(dims)
-        d, da, db = layout.total_dim, dims[a_leg], dims[1 - a_leg]
+        d, da, db = math.prod(dims), dims[a_leg], dims[1 - a_leg]
         g = [rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
              for _ in range(2)]
         phi, chi = (x / np.linalg.norm(x) for x in g)
         post = random_channel(db, 3, 2, rng)
-        rho, sigma = (DensityOperator(x @ x.conj().T, layout) for x in (phi, chi))
-        before = dense_coherent_information(rho, [1 - a_leg])
+        rho, sigma = (x @ x.conj().T for x in (phi, chi))
+        before = dense_coherent_information(rho, dims, [1 - a_leg])
         # the B leg last, then (I_A (x) post) on it
-        moved = rho.matrix.reshape(dims * 2).transpose(
+        a_first = rho.reshape(dims * 2).transpose(
             a_leg, 1 - a_leg, 2 + a_leg, 3 - a_leg).reshape(d, d)
-        a_first = DensityOperator(moved, SystemLayout([dims[a_leg], db]))
-        after = dense_coherent_information(apply_with_reference(post, a_first, 1), [1])
-        fid = dense_uhlmann_fidelity(rho.matrix, sigma.matrix)
-        gap = abs(before - dense_coherent_information(sigma, [1 - a_leg]))
+        after = dense_coherent_information(apply_with_reference(post, a_first, da), [da, 3], [1])
+        fid = dense_uhlmann_fidelity(rho, sigma)
+        gap = abs(before - dense_coherent_information(sigma, dims, [1 - a_leg]))
         bound = 4 * np.sqrt(max(0.0, 1 - fid)) * np.log2(dims[a_leg]) + 2
         # the factors with A's rows first, as the factor functions read them
         phi_a, chi_a = rows_a_first(phi, dims, a_leg), rows_a_first(chi, dims, a_leg)
@@ -231,9 +229,8 @@ def isotropic_scan_best_rate(ch, points=2001):
     for t in np.linspace(0.0, np.pi / 2, points):
         v = np.zeros(4, dtype=complex)
         v[0], v[3] = np.cos(t), np.sin(t)
-        state = DensityOperator.from_vector(v, SystemLayout([2, 2]))
-        out = apply_with_reference(ch, state, ref_legs=1)
-        best = max(best, dense_coherent_information(out, [1]))
+        out = apply_with_reference(ch, pure_density(v), 2)
+        best = max(best, dense_coherent_information(out, [2, 2], [1]))
     return best
 
 
@@ -265,10 +262,10 @@ class TestRegionSample:
         joint = np.kron(rt.sender_states[0], rt.sender_states[1])
         # sender-major legs (R0, A0, R1, A1) -> (R0, R1, A0, A1)
         joint = permute_legs_vector(joint, [2, 2, 2, 2], [0, 2, 1, 3])
-        state = DensityOperator.from_vector(joint, SystemLayout([2, 2, 2, 2]))
-        out = apply_with_reference(ch, state, ref_legs=2)
+        out = apply_with_reference(ch, pure_density(joint), 4)
         for i in range(2):
-            ic = dense_coherent_information(out.reduced([i, 2 + i]), [1])
+            ic = dense_coherent_information(partial_trace(out, [2, 2, 2, 2], [i, 2 + i]), [2, 2],
+                                            [1])
             assert abs(ic - rt.rates[i]) < 1e-9
 
     def test_blocklength_two_seeded_regression(self):
@@ -387,15 +384,16 @@ def oracle_coherent_infos(ch, graph, n, sender_states):
     order = [tags.index(("R", i)) for i in range(g)] + [
         tags.index(("A", i)) for i in graph.input_order]
     joint = permute_legs_vector(functools.reduce(np.kron, sender_states), leg_dims, order)
-    layout = SystemLayout([leg_dims[o] for o in order])
-    block = KrausChannel(ch.kraus_ops, graph.in_block_dims, graph.out_block_dims)
-    out = apply_with_reference(tensor_power(block, n), DensityOperator.from_vector(joint, layout),
-                               ref_legs=g)
+    block = tensor_power(KrausChannel(ch.kraus_ops, graph.in_block_dims, graph.out_block_dims), n)
+    out = apply_with_reference(block, pure_density(joint), math.prod(dims))
+    out_dims = dims + list(block.out_layout)
     infos = []
     for i in range(g):
         first = g + n * graph.output_order.index(i)
-        marg = out.reduced([i] + list(range(first, first + n)))
-        infos.append(dense_coherent_information(marg, range(1, n + 1)))
+        keep = [i] + list(range(first, first + n))
+        marg = partial_trace(out, out_dims, keep)
+        infos.append(dense_coherent_information(marg, [out_dims[k] for k in keep],
+                                                range(1, n + 1)))
     return infos
 
 

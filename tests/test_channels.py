@@ -6,14 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_density, random_density_operator
+from conftest import pure_density, random_density
 import polychan as pc
 from polychan import (
     Connection,
     ConnectionGraph,
-    DensityOperator,
     KrausChannel,
-    SystemLayout,
     apply,
     apply_with_reference,
     dephasing,
@@ -38,7 +36,7 @@ from polychan.channels import (
     connection_kraus,
 )
 from polychan.errors import CapExceededError, ChannelFormatError
-from polychan.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from polychan.linalg import PAULI_X, PAULI_Y, PAULI_Z, check_density
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
@@ -71,45 +69,45 @@ class TestValidate:
 
 class TestApply:
     def test_identity(self, rng):
-        rho = random_density_operator([2], rng)
-        assert np.allclose(apply(identity_channel([2]), rho).matrix, rho.matrix)
+        rho = random_density(2, rng)
+        assert np.allclose(apply(identity_channel([2]), rho), rho)
 
     def test_fully_depolarizing(self, rng):
         ch = depolarizing(2, 1.0)
         for _ in range(5):
-            rho = random_density_operator([2], rng)
-            assert np.allclose(apply(ch, rho).matrix, np.eye(2) / 2, atol=1e-12)
+            rho = random_density(2, rng)
+            assert np.allclose(apply(ch, rho), np.eye(2) / 2, atol=1e-12)
 
     def test_dephasing_off_diagonal(self):
         # 2x2 oracle: rho -> (1-p) rho + p Z rho Z scales off-diagonals by 1-2p
         p = 0.3
-        rho = DensityOperator(np.outer(PLUS, PLUS.conj()))
+        rho = np.outer(PLUS, PLUS.conj())
         out = apply(dephasing(p), rho)
         want = np.array([[0.5, 0.5 * (1 - 2 * p)], [0.5 * (1 - 2 * p), 0.5]])
-        assert np.allclose(out.matrix, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_trace_and_psd_preserved(self, rng):
         for _ in range(10):
             ch = random_channel(3, 4, 2, rng)
-            rho = random_density_operator([3], rng)
-            out = apply(ch, rho)  # DensityOperator construction checks both
-            assert out.layout.total_dim == 4
+            rho = random_density(3, rng)
+            out = check_density(apply(ch, rho))  # unit trace and positive semidefinite
+            assert out.shape == (4, 4)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            apply(identity_channel([2]), random_density_operator([3], rng))
+            apply(identity_channel([2]), random_density(3, rng))
 
 
 class TestApplyWithReference:
     def test_identity_keeps_entanglement(self):
-        phi = DensityOperator.from_vector(maximally_entangled_vector(2), SystemLayout([2, 2]))
-        out = apply_with_reference(identity_channel([2]), phi, ref_legs=1)
-        assert np.allclose(out.matrix, phi.matrix, atol=1e-12)
+        phi = pure_density(maximally_entangled_vector(2))
+        out = apply_with_reference(identity_channel([2]), phi, 2)
+        assert np.allclose(out, phi, atol=1e-12)
 
     def test_fully_depolarizing_second_leg(self):
-        phi = DensityOperator.from_vector(maximally_entangled_vector(2), SystemLayout([2, 2]))
-        out = apply_with_reference(depolarizing(2, 1.0), phi, ref_legs=1)
-        assert np.allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
+        phi = pure_density(maximally_entangled_vector(2))
+        out = apply_with_reference(depolarizing(2, 1.0), phi, 2)
+        assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
     def test_dephasing_mixes_bell_states(self):
         # 4x4 oracle: (1-p) Phi+ + p Phi-
@@ -117,21 +115,19 @@ class TestApplyWithReference:
         phi_plus = maximally_entangled_vector(2)
         phi_minus = phi_plus.copy()
         phi_minus[3] *= -1
-        state = DensityOperator.from_vector(phi_plus, SystemLayout([2, 2]))
-        out = apply_with_reference(dephasing(p), state, ref_legs=1)
+        out = apply_with_reference(dephasing(p), pure_density(phi_plus), 2)
         want = (1 - p) * np.outer(phi_plus, phi_plus.conj()) + p * np.outer(
             phi_minus, phi_minus.conj()
         )
-        assert np.allclose(out.matrix, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_commutes_with_tracing_reference(self, rng):
         ch = random_channel(3, 3, 2, rng)
         rho_r = random_density(2, rng)
         rho_a = random_density(3, rng)
-        joint = DensityOperator(np.kron(rho_r, rho_a), SystemLayout([2, 3]))
-        out = apply_with_reference(ch, joint, ref_legs=1)
-        got = partial_trace(out.matrix, out.layout, {1})
-        want = apply(ch, rho_a).matrix
+        out = apply_with_reference(ch, np.kron(rho_r, rho_a), 2)
+        got = partial_trace(out, [2, 3], {1})
+        want = apply(ch, rho_a)
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -140,12 +136,17 @@ class TestApplyWithReference:
         # oracle: each Kraus operator lifted to I_ref (x) A_k; input 3 -> output 2
         ch = random_channel(3, 2, 3, rng)
         ref_dims = [2, 3][:ref_legs]
-        rho = random_density_operator(ref_dims + [3], rng)
-        eye = np.eye(int(np.prod(ref_dims)))
-        want = sum(np.kron(eye, a) @ rho.matrix @ np.kron(eye, a).conj().T for a in ch.kraus_ops)
-        out = apply_with_reference(ch, rho, ref_legs)
-        assert out.layout.leg_dims == tuple(ref_dims) + (2,)
-        assert np.max(np.abs(out.matrix - want)) < 1e-14
+        d_ref = int(np.prod(ref_dims))
+        rho = random_density(3 * d_ref, rng)
+        eye = np.eye(d_ref)
+        want = sum(np.kron(eye, a) @ rho @ np.kron(eye, a).conj().T for a in ch.kraus_ops)
+        out = apply_with_reference(ch, rho, d_ref)
+        assert out.shape == (2 * d_ref, 2 * d_ref)
+        assert np.max(np.abs(out - want)) < 1e-14
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="not a reference of dimension 2"):
+            apply_with_reference(identity_channel([2]), np.eye(6) / 6, 2)
 
 
 class TestTensorAndCompose:
@@ -158,7 +159,7 @@ class TestTensorAndCompose:
         ch2 = tensor_power(depolarizing(2, 0.3), 2)
         assert ch2.num_kraus == 16
         assert completeness_defect(ch2) <= 1e-9
-        assert ch2.in_layout.leg_dims == (2, 2)
+        assert ch2.in_layout == (2, 2)
 
     def test_tensor_power_one_is_same_object(self):
         ch = dephasing(0.2)
@@ -169,27 +170,27 @@ class TestTensorAndCompose:
         ch2 = random_channel(3, 3, 2, rng)
         a = random_density(2, rng)
         b = random_density(3, rng)
-        joint = apply(tensor(ch1, ch2), DensityOperator(np.kron(a, b), SystemLayout([2, 3])))
-        want = np.kron(apply(ch1, a).matrix, apply(ch2, b).matrix)
-        assert np.max(np.abs(joint.matrix - want)) < 1e-10
+        joint = apply(tensor(ch1, ch2), np.kron(a, b))
+        want = np.kron(apply(ch1, a), apply(ch2, b))
+        assert np.max(np.abs(joint - want)) < 1e-10
 
     def test_tensor_power_groups_leg_copies(self, rng):
         # oracle: conjugate the plain 2-fold tensor by the copy-grouping permutation
         base = tensor(dephasing(0.25), random_channel(3, 3, 2, rng))  # legs (2, 3)
         powered = tensor_power(base, 2)
-        assert powered.in_layout.leg_dims == (2, 2, 3, 3)
+        assert powered.in_layout == (2, 2, 3, 3)
         plain = tensor(base, base)  # legs (2, 3, 2, 3)
-        rho = random_density_operator([2, 2, 3, 3], rng)
+        rho = random_density(36, rng)
         def swap_middle_legs(m, dims):
             # legs (0, 1, 2, 3) -> (0, 2, 1, 3) on rows and columns together
             return m.reshape(dims * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(m.shape)
 
         # grouped order (2, 2, 3, 3) -> copy-major order (2, 3, 2, 3)
-        to_plain = swap_middle_legs(rho.matrix, [2, 2, 3, 3])
-        out_plain = apply(plain, DensityOperator(to_plain, SystemLayout([2, 3, 2, 3])))
-        want = swap_middle_legs(out_plain.matrix, [2, 3, 2, 3])
+        to_plain = swap_middle_legs(rho, [2, 2, 3, 3])
+        out_plain = apply(plain, to_plain)
+        want = swap_middle_legs(out_plain, [2, 3, 2, 3])
         got = apply(powered, rho)
-        assert np.max(np.abs(got.matrix - want)) < 1e-10
+        assert np.max(np.abs(got - want)) < 1e-10
 
     def test_power_caps(self):
         with pytest.raises(CapExceededError):
@@ -197,24 +198,29 @@ class TestTensorAndCompose:
 
 
 class TestBuilders:
+    @pytest.mark.parametrize("dims", [[], [2, 0]], ids=["empty", "zero"])
+    def test_channel_rejects_bad_leg_dimensions(self, dims):
+        with pytest.raises(ValueError, match="leg"):
+            KrausChannel([np.eye(2)], dims, [2])
+
     def test_depolarizing_zero_is_identity(self, rng):
         ch = depolarizing(2, 0.0)
         rho = random_density(2, rng)
-        assert np.allclose(apply(ch, rho).matrix, rho, atol=1e-12)
+        assert np.allclose(apply(ch, rho), rho, atol=1e-12)
 
     def test_depolarizing_one_is_constant(self, rng):
         for d in (2, 3):
             ch = depolarizing(d, 1.0)
             assert completeness_defect(ch) <= 1e-9
             rho = random_density(d, rng)
-            assert np.allclose(apply(ch, rho).matrix, np.eye(d) / d, atol=1e-10)
+            assert np.allclose(apply(ch, rho), np.eye(d) / d, atol=1e-10)
 
     def test_depolarizing_general_d_action(self, rng):
         d, p = 3, 0.4
         ch = depolarizing(d, p)
         rho = random_density(d, rng)
         want = (1 - p) * rho + p * np.eye(d) / d
-        assert np.max(np.abs(apply(ch, rho).matrix - want)) < 1e-10
+        assert np.max(np.abs(apply(ch, rho) - want)) < 1e-10
 
     def test_product_of_identities(self):
         g = ConnectionGraph.diagonal([2, 2])
@@ -410,8 +416,8 @@ class TestConnectionOrder:
     def test_product_channel_matches_hand_built(self, rng):
         parts = self.parts(rng)
         ch = product_channel(parts, self.GRAPH)
-        assert ch.in_layout.leg_dims == (3, 2, 2)
-        assert ch.out_layout.leg_dims == (3, 2, 2)
+        assert ch.in_layout == (3, 2, 2)
+        assert ch.out_layout == (3, 2, 2)
         assert np.max(np.abs(ch.kraus_stack() - self.hand_built(parts))) < 1e-15
 
     def test_connection_kraus_returns_the_factors(self, rng):

@@ -9,13 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_coherent_information, dense_uhlmann_fidelity
+from conftest import dense_coherent_information, dense_uhlmann_fidelity, pure_density
 import polychan
 from polychan import (
     ConnectionGraph,
-    DensityOperator,
     KrausChannel,
-    SystemLayout,
     apply_with_reference,
     clifford_1q,
     depolarizing,
@@ -349,37 +347,38 @@ def oracle_output_state(conn_ch, graph, rng):
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         amps.append(z / np.linalg.norm(z))
     amp = kron_all(amps)
-    state = DensityOperator.from_vector(amp.reshape(-1), SystemLayout((len(amp),) + graph.dims))
-    return apply_with_reference(conn_ch, state, ref_legs=1)
+    return apply_with_reference(conn_ch, pure_density(amp), len(amp))
 
 
-def dense_info(rho):
-    """I_c(R > outputs) of a sweep state, its reference being leg 0."""
-    return dense_coherent_information(rho, range(1, rho.layout.num_legs))
+def dense_info(rho, d):
+    """I_c(R > outputs) of a sweep state, its reference and its outputs each of dimension d."""
+    return dense_coherent_information(rho, [d, d], [1])
 
 
 def oracle_dpi_sweep(ch, graph, rng, trials):
     """The data-processing sweep as a loop of single density-matrix checks."""
     conn_ch = connection_channel(ch, graph)
+    d = graph.total_dim()
     worst = float("inf")
     for stream in rng.spawn(trials):
         out = oracle_output_state(conn_ch, graph, stream)
         post = random_channel(ch.out_dim, ch.out_dim, 2, stream)
-        after = apply_with_reference(post, out, ref_legs=1)
-        worst = min(worst, dense_info(out) - dense_info(after))
+        after = apply_with_reference(post, out, d)
+        worst = min(worst, dense_info(out, d) - dense_info(after, d))
     return -worst
 
 
 def oracle_lemma_sweep(ch, graph, rng, trials):
     """The continuity sweep as a loop of single density-matrix checks."""
     conn_ch = connection_channel(ch, graph)
+    d = graph.total_dim()
     worst = -float("inf")
     for stream in rng.spawn(trials):
         a = oracle_output_state(conn_ch, graph, stream)
         b = oracle_output_state(conn_ch, graph, stream)
-        lhs = abs(dense_info(a) - dense_info(b))
-        f = max(0.0, 1.0 - dense_uhlmann_fidelity(a.matrix, b.matrix))
-        rhs = 4.0 * np.sqrt(f) * np.log2(a.layout.leg_dims[0]) + 2.0
+        lhs = abs(dense_info(a, d) - dense_info(b, d))
+        f = max(0.0, 1.0 - dense_uhlmann_fidelity(a, b))
+        rhs = 4.0 * np.sqrt(f) * np.log2(d) + 2.0
         worst = max(worst, lhs - rhs)
     return worst
 
@@ -445,7 +444,7 @@ def test_random_output_states_keep_each_streams_draws():
     for t, stream in enumerate(fresh):
         # a stream's second state is drawn after its first
         for stack in (first, second):
-            want = oracle_output_state(conn_ch, graph, stream).matrix
+            want = oracle_output_state(conn_ch, graph, stream)
             assert np.max(np.abs(stack[t] @ stack[t].conj().T - want)) < 1e-14
 
 
@@ -509,6 +508,34 @@ class TestTwirlCommand:
         assert capsys.readouterr().err == f"error: --ensemble-size must be >= 1, got {size}\n"
 
 
+class TestArrayRankLimit:
+    """Dimension-1 connections pass every dimension cap, so numpy's limit on the axes
+    of one array bounds their count: region's one-use superoperator has 2 + 2g axes."""
+
+    AT_LIMIT = (linalg.MAX_ARRAY_RANK - 2) // 2
+
+    @staticmethod
+    def ones_file(tmp_path, g):
+        path = tmp_path / f"ones{g}.json"
+        graph = ConnectionGraph.diagonal([1] * g)
+        path.write_text(write_channel(identity_channel([1] * g), graph))
+        return str(path)
+
+    def test_region_at_the_limit_runs(self, tmp_path, capsys):
+        g = self.AT_LIMIT
+        assert main(["region", self.ones_file(tmp_path, g), "--weights", ",".join(["1"] * g),
+                     "--restarts", "1"]) == 0
+
+    @pytest.mark.parametrize("command", [["region", "--grid", "1", "--restarts", "1"],
+                                         ["twirl"]], ids=["region", "twirl"])
+    def test_one_connection_past_the_limit_exits_3(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = self.ones_file(tmp_path, self.AT_LIMIT + 1)
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 3
+        assert f"numpy takes {linalg.MAX_ARRAY_RANK})" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTeleportCommand:
     def test_identity_channel_gives_identity_teleport(self, identity_file, tmp_path,
                                                       capsys):
@@ -522,6 +549,18 @@ class TestTeleportCommand:
 
     def test_rejects_multi_connection(self, pair_file):
         assert main(["teleport", pair_file, "--out", "/tmp/unused.json"]) == 2
+
+    def test_a_channel_that_loads_runs(self, tmp_path, capsys):
+        # completeness defect 6e-10, under the load gate: the resource it sends has
+        # trace 1 + 3e-10, past a density check's 1e-10, and is taken as it is
+        ops = [a.copy() for a in depolarizing(2, 0.3).kraus_ops]
+        ops[0][:, 0] *= np.sqrt(1 + 6e-10 / abs(ops[0][0, 0]) ** 2)
+        src, out = tmp_path / "near.json", tmp_path / "tele.json"
+        src.write_text(write_channel(KrausChannel(ops, [2], [2]), ConnectionGraph.single(2)))
+        assert main(["validate", str(src)]) == 0
+        assert main(["teleport", str(src), "--out", str(out)]) == 0
+        ch, _ = read_channel(out.read_text())
+        assert ch.in_layout == ch.out_layout == (2,)
 
 
 @pytest.mark.parametrize("command", [

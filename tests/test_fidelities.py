@@ -7,7 +7,6 @@ import pytest
 from conftest import quadratic_overlap_oracle, random_density, tangent_gradient, unit_parts
 from polychan import (
     ConnectionGraph,
-    DensityOperator,
     average_fidelity_mc,
     channel_fidelity,
     channel_fidelity_report,
@@ -32,15 +31,15 @@ PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
 
 
 def mixed_inputs(graph):
-    return [DensityOperator.maximally_mixed([d]) for d in graph.dims]
+    return [np.eye(d) / d for d in graph.dims]
 
 
 def trace_form_fidelity(ch, graph, inputs):
     """Independent oracle: F_e = sum_K |tr(rho_prod A_K)|^2 with connection-ordered
     Kraus tensors (no purification machinery)."""
-    rho = inputs[0].matrix if hasattr(inputs[0], "matrix") else inputs[0]
+    rho = inputs[0]
     for extra in inputs[1:]:
-        rho = np.kron(rho, extra.matrix if hasattr(extra, "matrix") else extra)
+        rho = np.kron(rho, extra)
     g = graph.size
     d = int(np.prod(graph.dims))
     total = 0.0
@@ -73,7 +72,7 @@ def subset_average_oracle(ch, graph):
 class TestEntanglementFidelity:
     def test_identity(self, rng):
         for _ in range(3):
-            rho = DensityOperator(random_density(2, rng))
+            rho = random_density(2, rng)
             assert abs(group_fidelity(identity_channel([2]), [rho], QUBIT_GRAPH) - 1) < 1e-10
 
     def test_fully_depolarizing(self):
@@ -90,7 +89,7 @@ class TestEntanglementFidelity:
         for d in (2, 3):
             graph = ConnectionGraph.single(d)
             ch = random_channel(d, d, 3, rng)
-            rho = DensityOperator(random_density(d, rng))
+            rho = random_density(d, rng)
             got = group_fidelity(ch, [rho], graph)
             want = trace_form_fidelity(ch, graph, [rho])
             assert abs(got - want) < 1e-12
@@ -101,18 +100,18 @@ class TestEntanglementFidelity:
             ch = random_channel(2, 2, 2, rng)
             a, b = random_density(2, rng), random_density(2, rng)
             lam = rng.uniform()
-            mix = DensityOperator(lam * a + (1 - lam) * b)
+            mix = lam * a + (1 - lam) * b
             lhs = group_fidelity(ch, [mix], QUBIT_GRAPH)
-            rhs = lam * group_fidelity(ch, [DensityOperator(a)], QUBIT_GRAPH) + (
+            rhs = lam * group_fidelity(ch, [a], QUBIT_GRAPH) + (
                 1 - lam
-            ) * group_fidelity(ch, [DensityOperator(b)], QUBIT_GRAPH)
+            ) * group_fidelity(ch, [b], QUBIT_GRAPH)
             assert lhs <= rhs + 1e-9
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_densities(self, bad):
         # named before the purification's eigendecomposition, which would warn or
-        # return NaN; raw matrices, since DensityOperator rejects them itself
+        # return NaN
         ch = identity_channel([2, 2])
         density = np.array([[bad, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="connection 0 contains non-finite"):
@@ -137,7 +136,7 @@ class TestGroupFidelities:
 
     def test_full_group_equals_global(self, rng):
         ch, graph = random_pair_channel(rng)
-        inputs = [DensityOperator(random_density(2, rng)) for _ in range(2)]
+        inputs = [random_density(2, rng) for _ in range(2)]
         a = group_fidelity(ch, inputs, graph, [0, 1])
         b = group_fidelity(ch, inputs, graph)
         assert abs(a - b) < 1e-10
@@ -146,7 +145,7 @@ class TestGroupFidelities:
         # F^[G'] <= F^[G] + tol whenever G subset of G' (tracing cannot decrease)
         for _ in range(10):
             ch, graph = random_pair_channel(rng)
-            inputs = [DensityOperator(random_density(2, rng)) for _ in range(2)]
+            inputs = [random_density(2, rng) for _ in range(2)]
             full = group_fidelity(ch, inputs, graph, [0, 1])
             for single in ([0], [1]):
                 assert group_fidelity(ch, inputs, graph, single) >= full - 1e-9

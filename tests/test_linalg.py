@@ -5,8 +5,6 @@ import pytest
 
 from conftest import dense_uhlmann_fidelity, density_factor, random_density
 from polychan import (
-    DensityOperator,
-    SystemLayout,
     eigh,
     entropy,
     haar_unitary,
@@ -19,6 +17,8 @@ from polychan import (
 from polychan.errors import CapExceededError
 from polychan.linalg import (
     EIGENVALUE_TOL,
+    MAX_ARRAY_RANK,
+    check_density,
     check_factor,
     PAULI_X,
     entropy_of_spectrum,
@@ -103,14 +103,24 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.array([random_density(4, rng)] * 2), [2, 2], {0})
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not match leg dimension 3"):
+            partial_trace(np.eye(4) / 4, [3], [0])
+
     def test_label_cap_before_work(self):
         # 27 legs, all kept: 54 einsum labels, past numpy's 52; raised before the
         # 54-axis reshape, which numpy < 2 would refuse with its own ValueError
         with pytest.raises(CapExceededError, match="too many legs"):
             partial_trace(np.eye(1), [1] * 27, range(27))
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="numpy < 2 reshapes to at most 32 dimensions")
+    def test_rank_cap_before_work(self):
+        # one leg more than half of numpy's axis limit: the reshape to row and column
+        # legs would take two axes past it
+        legs = MAX_ARRAY_RANK // 2 + 1
+        with pytest.raises(CapExceededError, match=f"too many legs \\({legs}\\) for one array"):
+            partial_trace(np.eye(1), [1] * legs, [0])
+
+    @pytest.mark.skipif(MAX_ARRAY_RANK < 54, reason="numpy < 2 reshapes to at most 32 axes")
     def test_27_legs_keeping_one(self):
         # 28 labels: one per row leg and one for the kept column leg
         assert np.array_equal(partial_trace(np.eye(1), [1] * 27, [0]), [[1.0]])
@@ -289,38 +299,6 @@ class TestUhlmannFidelity:
             assert abs(uhlmann_fidelity(phi, chi) - want) < 1e-9
 
 
-class TestDensityOperator:
-    def test_valid(self, rng):
-        rho = DensityOperator(random_density(4, rng), SystemLayout([2, 2]))
-        assert rho.matrix.shape[0] == 4
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            DensityOperator(m)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.eye(2, dtype=complex))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.eye(4) / 4, SystemLayout([3]))
-
-    def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            SystemLayout([2, 0])
-
-    def test_rejects_a_stack(self, rng):
-        with pytest.raises(ValueError, match="must be a square matrix"):
-            DensityOperator(np.array([random_density(4, rng) for _ in range(3)]),
-                            SystemLayout([2, 2]))
-
-
 def bad_density(defect: str) -> np.ndarray:
     """A 3x3 matrix that fails exactly one density-operator check."""
     m = np.diag([0.5, 0.3, 0.2]).astype(complex)
@@ -343,10 +321,18 @@ class TestCheckDensity:
         "nan": "density operator contains non-finite entries",
     }
 
+    def test_valid(self, rng):
+        rho = random_density(4, rng)
+        assert check_density(rho) is rho
+
     @pytest.mark.parametrize("defect", sorted(MESSAGES))
     def test_single_bad_matrix_fails(self, defect):
         with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGES[defect])}$"):
-            DensityOperator(bad_density(defect))
+            check_density(bad_density(defect))
+
+    def test_rejects_a_stack(self, rng):
+        with pytest.raises(ValueError, match="must be a square matrix"):
+            check_density(np.array([random_density(4, rng) for _ in range(3)]))
 
 
 def bad_factor(defect: str) -> np.ndarray:

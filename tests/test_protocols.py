@@ -4,13 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import pure_density, random_density
 from polychan import (
     ConnectionGraph,
-    DensityOperator,
     KrausChannel,
     SubspaceBasis,
-    SystemLayout,
     UnitaryEnsemble,
     apply,
     channel_fidelity,
@@ -94,7 +92,7 @@ class TestClifford:
         want = q * rho + (1 - q) * np.eye(2) / 2
         acc = np.zeros((2, 2), dtype=complex)
         for u in clifford_1q().elements:
-            acc += u.conj().T @ apply(ch, u @ rho @ u.conj().T).matrix @ u
+            acc += u.conj().T @ apply(ch, u @ rho @ u.conj().T) @ u
         acc /= 24
         assert np.max(np.abs(acc - want)) < 1e-10
 
@@ -106,11 +104,11 @@ class TestClifford:
         n = 20000
         for _ in range(n):
             u = haar_unitary(2, rng)
-            acc += u.conj().T @ apply(ch, u @ rho @ u.conj().T).matrix @ u
+            acc += u.conj().T @ apply(ch, u @ rho @ u.conj().T) @ u
         acc /= n
         cliff = np.zeros((2, 2), dtype=complex)
         for u in clifford_1q().elements:
-            cliff += u.conj().T @ apply(ch, u @ rho @ u.conj().T).matrix @ u
+            cliff += u.conj().T @ apply(ch, u @ rho @ u.conj().T) @ u
         cliff /= 24
         assert np.max(np.abs(acc - cliff)) < 4.0 / np.sqrt(n)
 
@@ -125,7 +123,7 @@ class TestTwirl:
         tw = twirl_channel(identity_channel([2]), QUBIT_GRAPH, [clifford_1q()])
         for _ in range(5):
             rho = random_density(2, rng)
-            assert np.max(np.abs(apply(tw, rho).matrix - rho)) < 1e-12
+            assert np.max(np.abs(apply(tw, rho) - rho)) < 1e-12
 
     def test_output_validates(self, rng):
         ch = random_channel(2, 2, 2, rng)
@@ -222,47 +220,46 @@ class TestTwirl:
 
 class TestTeleport:
     def test_perfect_resource_gives_identity(self, rng):
-        res = DensityOperator.from_vector(maximally_entangled_vector(2), SystemLayout([2, 2]))
-        tele = teleport_channel(res)
+        res = pure_density(maximally_entangled_vector(2))
+        tele = teleport_channel(res, 2)
         assert completeness_defect(tele) <= 1e-9
         for basis in (np.eye(2), None):
             for k in range(2):
                 v = np.eye(2, dtype=complex)[:, k]
-                out = apply(tele, DensityOperator.from_vector(v))
-                assert np.max(np.abs(out.matrix - np.outer(v, v.conj()))) < 1e-10
+                out = apply(tele, pure_density(v))
+                assert np.max(np.abs(out - np.outer(v, v.conj()))) < 1e-10
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        out = apply(tele, DensityOperator.from_vector(plus))
-        assert np.max(np.abs(out.matrix - np.outer(plus, plus.conj()))) < 1e-10
+        out = apply(tele, pure_density(plus))
+        assert np.max(np.abs(out - np.outer(plus, plus.conj()))) < 1e-10
 
     def test_perfect_resource_qutrit(self):
-        res = DensityOperator.from_vector(maximally_entangled_vector(3), SystemLayout([3, 3]))
-        tele = teleport_channel(res)
+        res = pure_density(maximally_entangled_vector(3))
+        tele = teleport_channel(res, 3)
         for _ in range(3):
             v = haar_state(3, make_rng(4))
-            out = apply(tele, DensityOperator.from_vector(v))
-            assert np.max(np.abs(out.matrix - np.outer(v, v.conj()))) < 1e-10
+            out = apply(tele, pure_density(v))
+            assert np.max(np.abs(out - np.outer(v, v.conj()))) < 1e-10
 
     def test_maximally_mixed_resource_depolarizes(self, rng):
-        tele = teleport_channel(DensityOperator.maximally_mixed([2, 2]))
+        tele = teleport_channel(np.eye(4) / 4, 2)
         assert completeness_defect(tele) <= 1e-9
         for _ in range(5):
             rho = random_density(2, rng)
-            assert np.max(np.abs(apply(tele, rho).matrix - np.eye(2) / 2)) < 1e-10
+            assert np.max(np.abs(apply(tele, rho) - np.eye(2) / 2)) < 1e-10
 
     def test_fidelity_improves_toward_pure_resource(self):
         phi = maximally_entangled_vector(2)
         proj = np.outer(phi, phi.conj())
         vals = []
         for eps in np.linspace(0.0, 1.0, 6):
-            res = DensityOperator((1 - eps) * proj + eps * np.eye(4) / 4,
-                                  SystemLayout([2, 2]))
-            vals.append(channel_fidelity(teleport_channel(res), QUBIT_GRAPH, "kraus_trace"))
+            res = (1 - eps) * proj + eps * np.eye(4) / 4
+            vals.append(channel_fidelity(teleport_channel(res, 2), QUBIT_GRAPH, "kraus_trace"))
         assert abs(vals[0] - 1.0) < 1e-10
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_layout(self, rng):
         with pytest.raises(ValueError):
-            teleport_channel(DensityOperator.maximally_mixed([2, 3]))
+            teleport_channel(np.eye(6) / 6, 2)
 
 
 def killer_qutrit():
@@ -290,7 +287,7 @@ class TestExtraction:
     def test_identity_returns_full_support(self):
         ch = identity_channel([3])
         graph = ConnectionGraph.single(3)
-        res = extract_subspace(ch, graph, [DensityOperator.maximally_mixed([3])],
+        res = extract_subspace(ch, graph, [np.eye(3) / 3],
                                target_eta=0.001, rng=make_rng(5))
         assert res.subspaces[0].dim == 3
         assert res.alphas == [0.0]
@@ -298,7 +295,7 @@ class TestExtraction:
 
     def test_qutrit_killer_recovers_good_subspace(self):
         ch, graph = killer_qutrit()
-        res = extract_subspace(ch, graph, [DensityOperator.maximally_mixed([3])],
+        res = extract_subspace(ch, graph, [np.eye(3) / 3],
                                target_eta=0.01, rng=make_rng(29))
         v = res.subspaces[0].vectors
         assert v.shape == (3, 2)
@@ -308,18 +305,18 @@ class TestExtraction:
 
     def test_peels_one_dimension_per_step(self):
         ch, graph = killer_qutrit()
-        res = extract_subspace(ch, graph, [DensityOperator.maximally_mixed([3])],
+        res = extract_subspace(ch, graph, [np.eye(3) / 3],
                                target_eta=0.01, rng=make_rng(29))
         assert len(res.peeled[0]) == 3 - res.subspaces[0].dim
 
     def test_ensemble_reconstructs_input(self):
         ch, graph = killer_qutrit()
-        rho_in = DensityOperator.maximally_mixed([3])
+        rho_in = np.eye(3) / 3
         res = extract_subspace(ch, graph, [rho_in], target_eta=0.01, rng=make_rng(29))
         rec = res.remainders[0].copy()
         for q, phi in res.peeled[0]:
             rec += q * np.outer(phi, phi.conj())
-        assert np.max(np.abs(rec - rho_in.matrix)) < 1e-8
+        assert np.max(np.abs(rec - rho_in)) < 1e-8
 
     def test_two_connections_peel_and_reconstruct(self):
         # connection 0's worst state is not an eigenvector of its input, so the removed
@@ -345,8 +342,15 @@ class TestExtraction:
         res_rng = make_rng(3)
         ch = depolarizing(2, 1.0)
         with pytest.raises(ExtractionError):
-            extract_subspace(ch, QUBIT_GRAPH, [DensityOperator.maximally_mixed([2])],
+            extract_subspace(ch, QUBIT_GRAPH, [np.eye(2) / 2],
                              target_eta=0.001, rng=res_rng)
+
+    @pytest.mark.parametrize("eta", [-0.1, np.nan])
+    def test_rejects_a_negative_or_nan_target(self, eta):
+        # the identity transmits everything, so a search would run and peel weight
+        with pytest.raises(ValueError, match="target_eta must be >= 0"):
+            extract_subspace(identity_channel([3]), ConnectionGraph.single(3), [np.eye(3) / 3],
+                             target_eta=eta, rng=make_rng(5))
 
 
 def near_identity_channel(dim, weight, rng, kraus=3):
@@ -411,4 +415,4 @@ class TestSubspaceBasis:
     def test_uniform_state(self):
         basis = SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
         rho = basis.uniform_state()
-        assert np.allclose(rho.matrix, np.diag([0.5, 0.5, 0.0]))
+        assert np.allclose(rho, np.diag([0.5, 0.5, 0.0]))
