@@ -8,6 +8,7 @@ import pytest
 
 from conftest import pure_density, random_density
 import polychan as pc
+from polychan import linalg
 from polychan import (
     Connection,
     ConnectionGraph,
@@ -428,6 +429,14 @@ class TestConnectionOrder:
         for k, combo in enumerate(itertools.product(*[p.kraus_ops for p in parts])):
             want = np.einsum("ad,be,cf->abcdef", *combo)
             assert np.max(np.abs(got[k] - want)) < 1e-15
+
+    def test_connection_kraus_checks_the_array_rank(self, monkeypatch):
+        # numpy < 2 takes 32 axes: the Kraus legs of 16 connections need 33
+        monkeypatch.setattr(linalg, "MAX_ARRAY_RANK", 32)
+        ones = [1] * 15
+        assert connection_kraus(identity_channel(ones), ConnectionGraph.diagonal(ones)).ndim == 31
+        with pytest.raises(CapExceededError, match=r"\(33 axes, numpy takes 32\)"):
+            connection_kraus(identity_channel(ones + [1]), ConnectionGraph.diagonal(ones + [1]))
 
     def test_block_kraus_inverts_connection_kraus(self, rng):
         ch = random_channel(12, 12, 3, rng)

@@ -510,30 +510,33 @@ class TestTwirlCommand:
 
 class TestArrayRankLimit:
     """Dimension-1 connections pass every dimension cap, so numpy's limit on the axes
-    of one array bounds their count: region's one-use superoperator has 2 + 2g axes."""
+    of one array bounds their count: region's n-use superoperators have 2n + 2gn
+    axes and twirl's Choi matrix 4g.  Each case gives the most connections it runs."""
 
-    AT_LIMIT = (linalg.MAX_ARRAY_RANK - 2) // 2
+    RANK = linalg.MAX_ARRAY_RANK
+    CASES = {
+        "region_n1": (RANK // 2 - 1, ["region", "--n", "1", "--restarts", "1"]),
+        "region_n2": (RANK // 4 - 1, ["region", "--n", "2", "--restarts", "1"]),
+        "twirl": (RANK // 4, ["twirl", "--ensemble-size", "1"]),
+    }
 
-    @staticmethod
-    def ones_file(tmp_path, g):
-        path = tmp_path / f"ones{g}.json"
+    def run(self, case, g, tmp_path):
+        argv = self.CASES[case][1]
+        path = tmp_path / "ones.json"
         graph = ConnectionGraph.diagonal([1] * g)
         path.write_text(write_channel(identity_channel([1] * g), graph))
-        return str(path)
+        weights = ["--weights", ",".join(["1"] * g)] if argv[0] == "region" else []
+        return main([argv[0], str(path), *argv[1:], *weights, "--out", str(tmp_path / "out")])
 
-    def test_region_at_the_limit_runs(self, tmp_path, capsys):
-        g = self.AT_LIMIT
-        assert main(["region", self.ones_file(tmp_path, g), "--weights", ",".join(["1"] * g),
-                     "--restarts", "1"]) == 0
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_at_the_limit_runs(self, case, tmp_path, capsys):
+        assert self.run(case, self.CASES[case][0], tmp_path) == 0
 
-    @pytest.mark.parametrize("command", [["region", "--grid", "1", "--restarts", "1"],
-                                         ["twirl"]], ids=["region", "twirl"])
-    def test_one_connection_past_the_limit_exits_3(self, command, tmp_path, capsys):
-        out = tmp_path / "out"
-        path = self.ones_file(tmp_path, self.AT_LIMIT + 1)
-        assert main([command[0], path, *command[1:], "--out", str(out)]) == 3
-        assert f"numpy takes {linalg.MAX_ARRAY_RANK})" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_connection_past_the_limit_exits_3(self, case, tmp_path, capsys):
+        assert self.run(case, self.CASES[case][0] + 1, tmp_path) == 3
+        assert f"numpy takes {self.RANK})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTeleportCommand:

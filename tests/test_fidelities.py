@@ -119,6 +119,14 @@ class TestEntanglementFidelity:
         with pytest.raises(ValueError, match="connection 1 contains non-finite"):
             group_fidelity(ch, [np.eye(2) / 2, density], PAIR_GRAPH)
 
+    @pytest.mark.parametrize("density, check", [
+        (np.eye(2), "trace"), (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.ones((1, 2)) / 2, "square"),
+    ], ids=["trace", "negative", "not_square"])
+    def test_rejects_a_non_density_matrix(self, density, check):
+        with pytest.raises(ValueError, match=check):
+            group_fidelity(identity_channel([2]), [density], QUBIT_GRAPH)
+
 
 class TestGroupFidelities:
     def test_identity_local_values(self, rng):
