@@ -347,7 +347,7 @@ class TestExtraction:
 
     @pytest.mark.parametrize("eta", [-0.1, np.nan])
     def test_rejects_a_negative_or_nan_target(self, eta):
-        # the identity transmits everything, so a search would run and peel weight
+        # no fidelity reaches 1 - eta > 1, so on the identity a search would peel weight
         with pytest.raises(ValueError, match="target_eta must be >= 0"):
             extract_subspace(identity_channel([3]), ConnectionGraph.single(3), [np.eye(3) / 3],
                              target_eta=eta, rng=make_rng(5))
