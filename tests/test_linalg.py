@@ -299,6 +299,24 @@ class TestUhlmannFidelity:
             assert abs(uhlmann_fidelity(phi, chi) - want) < 1e-9
 
 
+class TestDensityOperator:
+    """Gross defects in a 2x2 matrix; TestCheckDensity probes each check at its
+    tolerance."""
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(m)
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            check_density(np.eye(2, dtype=complex))
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_density(np.diag([1.5, -0.5]).astype(complex))
+
+
 def bad_density(defect: str) -> np.ndarray:
     """A 3x3 matrix that fails exactly one density-operator check."""
     m = np.diag([0.5, 0.3, 0.2]).astype(complex)
