@@ -18,7 +18,7 @@ tries the 17-step ``LADDER`` 8 ... 2^-13 times its gradient step in one more
 call; it stops ``no_decrease`` only when that finds none either.  A decrease
 is a value lower by more than max(``FTOL`` |f|, 1e-16), ``FTOL`` = 1e-13: the
 objective's own rounding is not a decrease, so a row that has converged to
-rounding stops instead of creeping on until ``max_iters``.
+rounding stops instead of creeping on for ``MAX_ITERS`` iterations.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class SphereResult:
     ``stops[r]`` says why restart r ended: ``grad_norm`` (tangent gradient
     below 1e-12), ``no_decrease`` (neither the window along the L-BFGS direction
     nor the 17 gradient ladder steps lowered the value by more than
-    max(``FTOL`` |f|, 1e-16)) or ``max_iters``.
+    max(``FTOL`` |f|, 1e-16)) or ``max_iters`` (``MAX_ITERS`` iterations taken).
     ``value`` lies within 1e-12 of the lowest of ``values``.  ``agreement``
     counts the restarts within 1e-9 of the best value, the only evidence of how
     far a heuristic minimum can be trusted.
@@ -66,7 +66,6 @@ def minimize_product_states(
     rng: np.random.Generator,
     gradient: Callable[[list[np.ndarray]], list[np.ndarray]],
     restarts: int = 32,
-    max_iters: int = MAX_ITERS,
     warm_starts: Sequence[Sequence[np.ndarray]] = (),
 ) -> SphereResult:
     """Minimize a smooth objective over product pure states.
@@ -94,7 +93,7 @@ def minimize_product_states(
     starts += [_parts(z, part_dims) for z in draws]
     x = [np.array([c / np.linalg.norm(c) for c in part]) for part in zip(*starts)]
 
-    values, iterations, stops = _descend(objective_batch, gradient, x, max_iters)
+    values, iterations, stops = _descend(objective_batch, gradient, x)
     best = int(np.argmax(values <= np.min(values) + 1e-12))
     return SphereResult(
         value=float(values[best]), states=[p[best] for p in x], restart_index=best,
@@ -103,8 +102,9 @@ def minimize_product_states(
     )
 
 
-def _descend(objective_batch, gradient, x, max_iters):
-    """Descend every row of the per-part arrays ``x`` (updated in place) together.
+def _descend(objective_batch, gradient, x):
+    """Descend every row of the per-part arrays ``x`` (updated in place) together, for
+    at most ``MAX_ITERS`` iterations.
 
     Returns each row's final value, its number of accepted steps and why it stopped.
     """
@@ -120,7 +120,7 @@ def _descend(objective_batch, gradient, x, max_iters):
     mem, last = np.zeros((2, rows, MEMORY, size), complex), np.zeros((2, rows, size), complex)
     rho, gamma = np.zeros((rows, MEMORY)), np.zeros(rows)
     active = np.arange(rows)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         za = z[active]
         grad = _tangent(za, 2.0 * np.concatenate(gradient(_parts(za, dims)), axis=1), dims)
         flat = np.sqrt(_dot(grad, grad)) < 1e-12

@@ -201,11 +201,13 @@ class KrausChannel:
 
 
 def completeness_defect(ch: KrausChannel) -> float:
-    """How far sum_K A_K^dag A_K is from the identity, as its largest entry difference."""
+    """How far sum_K A_K^dag A_K is from the identity, as its largest entry difference;
+    inf or NaN where huge finite entries overflow the sum."""
     s = np.zeros((ch.in_dim, ch.in_dim), dtype=complex)
-    for a in ch.kraus_ops:
-        s += a.conj().T @ a
-    return float(np.max(np.abs(s - np.eye(ch.in_dim))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in ch.kraus_ops:
+            s += a.conj().T @ a
+        return float(np.max(np.abs(s - np.eye(ch.in_dim))))
 
 
 def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
@@ -506,6 +508,8 @@ def read_channel(text: str, check_completeness: bool = True
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                                  f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ChannelFormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ChannelFormatError("top-level value must be an object")
     in_dims = [_json_int(d, f"in_dims[{k}]")
@@ -567,7 +571,7 @@ def read_channel(text: str, check_completeness: bool = True
             raise ChannelFormatError(f"field 'connections': {exc}") from exc
     if check_completeness:
         defect = completeness_defect(ch)
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:
             raise ChannelCompletenessError(
                 f"Kraus set is not trace preserving (completeness defect {defect:.6e})"
             )

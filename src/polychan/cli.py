@@ -508,8 +508,8 @@ def main(argv=None) -> int:
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,8 @@ reference.
 
 Every product-state fidelity on a stack of rows goes through one kernel,
 :class:`QuadraticOverlap`: the Monte Carlo average,
-:func:`pure_state_fidelity` and both worst-case searches (over product
-states of subspaces, :func:`min_subspace_fidelity`, and over one connection's
-support with the others held fixed).  Its values are taken in real coordinates:
+:func:`pure_state_fidelity` and the worst-case search over product states of
+subspaces, :func:`min_subspace_fidelity`.  Its values are taken in real coordinates:
 each state enters through the ``d_i^2`` real numbers of its density matrix, and a
 row costs ``2 K D^2`` real multiply-adds, one real GEMM per row block.  The kernel
 takes per-connection states and forms their coordinates (for the gradient, their
@@ -38,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._optim import MAX_ITERS, minimize_product_states
+from ._optim import minimize_product_states
 from .channels import ConnectionGraph, KrausChannel, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
@@ -166,7 +165,7 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
     norms = [np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
     if any(np.any(nrm == 0) for nrm in norms):
         raise ValueError("zero vector is not a state")
-    problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
+    problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
     return problem._values([v / nrm for v, nrm in zip(vecs, norms)])
 
 
@@ -221,7 +220,7 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)}, {})
+    problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
     vals = np.empty(samples)
     for lo in range(0, samples, MC_DRAW_ROWS):
         b = min(MC_DRAW_ROWS, samples - lo)
@@ -269,14 +268,12 @@ class SubspaceBasis:
 class QuadraticOverlap:
     """The one kernel for product-state fidelities, and its exact gradient.
 
-    For fixed inputs elsewhere, each Kraus overlap is ``m_K = phi^dag R_K phi``
-    with ``phi`` the product ket of the varying connections' states (in
-    connection-index order).  ``R_K`` is the connection-ordered Kraus tensor
-    with every fixed connection's Gram matrix ``amp^dag amp`` folded into its
-    legs; the Kraus tensors are stacked and folded once, at construction, in a
-    single einsum, into ``red`` of shape ``(K, D_var, D_var)``.
+    Each Kraus overlap is ``m_K = phi^dag R_K phi`` with ``phi`` the product ket
+    of the connections' states (in connection-index order) and ``R_K`` the
+    connection-ordered Kraus operator; the operators are stacked once, at
+    construction, into ``red`` of shape ``(K, D, D)``.
 
-    Values are taken in real coordinates.  A varying connection's state
+    Values are taken in real coordinates.  A connection's state
     ``psi_i`` enters only through ``rho_i = psi_i psi_i^dag``, and its real
     coordinates ``s_i`` (``d_i^2`` of them) are ``Re rho_i[p, q]`` for
     ``p <= q`` and ``Im rho_i[p, q]`` for ``p > q``.  So
@@ -284,8 +281,8 @@ class QuadraticOverlap:
     traces of ``red`` against each connection's basis of Hermitian matrices
     (:func:`_hermitian_trace`), built once, connection by connection.  The
     fidelity is ``sum_K |m_K|^2 = sum_j (C_r y)_j^2``, where ``C_r`` stacks
-    ``Re C`` over ``Im C`` and ``y = (x)_i s_i``: ``2 K D_var^2`` real
-    multiply-adds per row.  The varying connections are split into a leading
+    ``Re C`` over ``Im C`` and ``y = (x)_i s_i``: ``2 K D^2`` real
+    multiply-adds per row.  The connections are split into a leading
     group and a trailing group, the trailing one the fewest last connections
     with ``2 K s_R >= s_L`` (``s_L`` and ``s_R`` the groups' coordinate
     counts).  A row block is then one real GEMM of the ``(2 K s_R, s_L)``
@@ -303,58 +300,46 @@ class QuadraticOverlap:
     in row blocks whose temporaries stay under ``linalg.BLOCK_BYTES``
     (``value_rows``, a multiple of ``GEMM_ALIGN``, and ``gradient_rows``).
 
-    With every connection varying over its whole space (identity bases, no
-    fixed amplitudes), ``_values`` on per-connection state stacks (each
-    ``(rows, d_i)``) gives the pure-state fidelities of
-    :func:`average_fidelity_mc` and of :func:`pure_state_fidelity`.
-    :meth:`minimize` runs the worst-case search over the bases' product states,
-    used by :func:`min_subspace_fidelity` and, with the other connections
-    fixed, by ``protocols.extract_subspace``.
+    ``bases`` holds one basis per connection, its columns spanning the states
+    the connection varies over.  ``_values`` on per-connection state stacks
+    (each ``(rows, d_i)``) gives the pure-state fidelities of
+    :func:`average_fidelity_mc` and of :func:`pure_state_fidelity`, which pass
+    identity bases.  :meth:`minimize` runs the worst-case search over the bases'
+    product states, used by :func:`min_subspace_fidelity`.
     """
 
-    def __init__(self, ch: KrausChannel, graph: ConnectionGraph,
-                 bases: dict[int, np.ndarray], fixed_amps: dict[int, np.ndarray]):
-        g = graph.size
-        check_einsum_labels(2 * g + 1, f"connections ({g})")
-        if set(bases) | set(fixed_amps) != set(range(g)) or set(bases) & set(fixed_amps):
-            raise ValueError("bases and fixed_amps must partition the connections")
-        for i, basis in bases.items():
+    def __init__(self, ch: KrausChannel, graph: ConnectionGraph, bases: Sequence[np.ndarray]):
+        if len(bases) != graph.size:
+            raise ValueError(f"need one subspace per connection ({graph.size})")
+        # no more connections than the definitional route, which every value is checked
+        # against, takes in its overlap einsum
+        check_einsum_labels(2 * graph.size + 1, f"connections ({graph.size})")
+        for i, basis in enumerate(bases):
             if np.ndim(basis) != 2 or np.shape(basis)[0] != graph.dims[i]:
                 raise ValueError(f"subspace basis for connection {i} has shape "
                                  f"{np.shape(basis)}, connection needs {graph.dims[i]} rows")
-        for j, amp in fixed_amps.items():
-            if np.ndim(amp) != 2 or np.shape(amp)[1] != graph.dims[j]:
-                raise ValueError(f"fixed amplitude for connection {j} has shape "
-                                 f"{np.shape(amp)}, connection needs {graph.dims[j]} columns")
-        self.varying = sorted(bases)
-        self.bases = [np.asarray(bases[i], dtype=complex) for i in self.varying]
+        self.bases = [np.asarray(b, dtype=complex) for b in bases]
         self.part_dims = [b.shape[1] for b in self.bases]
-        self.var_dims = tuple(graph.dims[i] for i in self.varying)
-        d_var = int(np.prod(self.var_dims))
-
-        # einsum labels: connection i's output leg i, its input leg g + i, the Kraus index 2g
-        grams = [arg for j in sorted(fixed_amps)
-                 for arg in (fixed_amps[j].conj().T @ fixed_amps[j], [j, g + j])]
-        fold = [2 * g, *self.varying, *(g + i for i in self.varying)]
-        self.red = np.einsum(connection_kraus(ch, graph), [2 * g, *range(2 * g)], *grams,
-                             fold).reshape(-1, d_var, d_var)
+        self.dims = graph.dims
+        d_total = graph.total_dim()
+        self.red = connection_kraus(ch, graph).reshape(-1, d_total, d_total)
         self._real_stack = None
 
-        # C[K, (a_0, a_1, ...)] = tr(R_K (x)_i B_{a_i}), one varying connection's leg pair
-        # at a time; its coordinate a joins the end of the last axis
+        # C[K, (a_0, a_1, ...)] = tr(R_K (x)_i B_{a_i}), one connection's leg pair at a
+        # time; its coordinate a joins the end of the last axis
         k = self.red.shape[0]
-        coef, rest, coords = self.red[..., None], d_var, 1
-        for d in self.var_dims:
+        coef, rest, coords = self.red[..., None], d_total, 1
+        for d in self.dims:
             rest //= d
             coef = _hermitian_trace(coef.reshape(k, d, rest, d, rest, coords))
             coef = coef.transpose(0, 2, 4, 5, 1, 3)
             coords *= d * d
         # the trailing group: the fewest last connections with 2 K s_R >= s_L, leaving
         # at least one connection in the leading group
-        self.lead, s_r = len(self.var_dims), 1
+        self.lead, s_r = len(self.dims), 1
         while self.lead > 1 and 2 * k * s_r < coords // s_r:
             self.lead -= 1
-            s_r *= self.var_dims[self.lead] ** 2
+            s_r *= self.dims[self.lead] ** 2
         s_l = coords // s_r
         coef = coef.reshape(k, s_l, s_r)
         coef = np.concatenate([coef.real, coef.imag]).transpose(0, 2, 1).reshape(-1, s_l)
@@ -362,14 +347,14 @@ class QuadraticOverlap:
         self.coef = _align(coef, axis=0)
 
         # a value row holds the GEMM's 2 K s_R results, y_L, y_R and the largest
-        # connection's complex rho; a gradient row holds u and w (2 K D_var), phi and
+        # connection's complex rho; a gradient row holds u and w (2 K D), phi and
         # its derivative
         self.value_rows = block_rows(
-            8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.var_dims) ** 2, GEMM_ALIGN)
-        self.gradient_rows = block_rows(16 * (2 * k + 2) * d_var, GEMM_ALIGN)
+            8 * (2 * k * s_r + s_l + s_r) + 16 * max(self.dims) ** 2, GEMM_ALIGN)
+        self.gradient_rows = block_rows(16 * (2 * k + 2) * d_total, GEMM_ALIGN)
         # per connection: each coordinate's entry of rho, and 1 where it is Im (p > q)
         self.gathers = [(np.arange(d * d), np.greater(*np.divmod(np.arange(d * d), d))
-                         .astype(np.intp)) for d in self.var_dims]
+                         .astype(np.intp)) for d in self.dims]
 
     def _coords(self, psis: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The leading and trailing groups' real coordinates y_L and y_R, shaped
@@ -402,36 +387,36 @@ class QuadraticOverlap:
     def packed_gradient(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
         """dF/d conj(c_i) per part, for per-part coordinate batches of shape
         (rows, part_dims[i]); the result has the same shapes."""
-        k, d_var = self.red.shape[:2]
+        k, d_total = self.red.shape[:2]
         if self._real_stack is None:
             # the real form of the (2 K D, D) stack S of red over red^dag: the float view
             # of a row phi times it is the float view of the row (S phi)^T
-            stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_var).T
+            stack = np.concatenate([self.red, _adjoint(self.red)]).reshape(-1, d_total).T
             real = np.stack([np.stack([stack.real, stack.imag], axis=-1),
                              np.stack([-stack.imag, stack.real], axis=-1)], axis=1)
-            self._real_stack = _align(real.reshape(2 * d_var, -1), axis=1)
+            self._real_stack = _align(real.reshape(2 * d_total, -1), axis=1)
         psis = [c @ b.T for c, b in zip(parts, self.bases)]
-        v = np.empty((psis[0].shape[0], d_var), dtype=complex)
+        v = np.empty((psis[0].shape[0], d_total), dtype=complex)
         for lo in range(0, v.shape[0], self.gradient_rows):
             block = slice(lo, lo + self.gradient_rows)
             phi = kron_rows([p[block] for p in psis])
             b = len(phi)
-            uw = (_align(phi, axis=0).view(float) @ self._real_stack)[:b, : 4 * k * d_var]
-            uw = uw.view(complex).reshape(b, 2, k, d_var)
+            uw = (_align(phi, axis=0).view(float) @ self._real_stack)[:b, : 4 * k * d_total]
+            uw = uw.view(complex).reshape(b, 2, k, d_total)
             m = np.einsum("bkd,bd->bk", uw[:, 0], phi.conj())
             v[block] = np.einsum("bjk,bjkd->bd", np.stack([m.conj(), m], axis=1), uw)
-        v = v.reshape(-1, *self.var_dims)
+        v = v.reshape(-1, *self.dims)
         bras = [p.conj() for p in psis]
         return [contract_rows_except(v, bras, i) @ b.conj() for i, b in enumerate(self.bases)]
 
-    def minimize(self, rng: np.random.Generator, restarts: int, max_iters: int
+    def minimize(self, rng: np.random.Generator, restarts: int
                  ) -> tuple[float, list[np.ndarray]]:
-        """Heuristic minimum over the varying parts' product states: the best of a
+        """Heuristic minimum over the bases' product states: the best of a
         multi-restart descent.  Returns the value and the minimizing states in the
-        ambient spaces, one per varying connection in index order."""
+        ambient spaces, one per connection in index order."""
         result = minimize_product_states(
             self.batch_values, self.part_dims, rng, restarts=restarts,
-            max_iters=max_iters, gradient=self.packed_gradient,
+            gradient=self.packed_gradient,
         )
         return result.value, [b @ c for b, c in zip(self.bases, result.states)]
 
@@ -480,10 +465,8 @@ def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: S
     states in the ambient spaces.  Deterministic for a fixed rng state.
     """
     bases = [(s if isinstance(s, SubspaceBasis) else SubspaceBasis(s)).vectors for s in subspaces]
-    if len(bases) != graph.size:
-        raise ValueError(f"need one subspace per connection ({graph.size})")
-    problem = QuadraticOverlap(ch, graph, dict(enumerate(bases)), {})
-    return problem.minimize(rng, restarts, MAX_ITERS)
+    problem = QuadraticOverlap(ch, graph, bases)
+    return problem.minimize(rng, restarts)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Covers classically-assisted twirled channels (finite unitary ensembles stand
 in for the continuous average, the single-qubit Clifford group exactly; the
 twirl is taken on the Choi matrix), teleportation over a shared resource
-state, and the greedy extraction of well-transmitted subspaces together with
-the phase-averaging fidelity bound.
+state, and the phase-averaging fidelity bound on well-transmitted subspaces.
 """
 
 from __future__ import annotations
@@ -22,14 +21,8 @@ from .channels import (
     connection_kraus,
     weyl_operators,
 )
-from .errors import CapExceededError, PolychanError
-from .fidelities import (
-    QuadraticOverlap,
-    SubspaceBasis,
-    _purification_amp,
-    group_fidelity,
-    min_subspace_fidelity,
-)
+from .errors import CapExceededError
+from .fidelities import SubspaceBasis, group_fidelity, min_subspace_fidelity
 from .linalg import (
     MAX_DIM,
     UNITARITY_TOL,
@@ -43,10 +36,6 @@ from .linalg import (
 
 # Eigenvalues of a Choi matrix or resource state below this carry no Kraus operator.
 SPECTRUM_FLOOR = 1e-14
-
-
-class ExtractionError(PolychanError):
-    """Greedy subspace extraction could not reach the requested fidelity."""
 
 
 @dataclass(frozen=True)
@@ -193,100 +182,6 @@ def teleport_channel(resource: np.ndarray, d: int) -> KrausChannel:
     # u / sqrt(d) is the amplitude matrix of (U x I) |Phi+> over (input, resource A)
     ops = [u @ ((u / np.sqrt(d)).conj() @ chi).T for u in weyl_operators(d) for chi in chis]
     return KrausChannel(ops, [d], [d])
-
-
-def _support_basis(rho: np.ndarray) -> np.ndarray:
-    w, v = eigh(rho)
-    return v[:, w > 1e-9]
-
-
-def _min_support_fidelity(ch, graph, conn, support, states, rng, restarts
-                          ) -> tuple[float, np.ndarray]:
-    """Lowest fidelity over pure states of a support, sent bare on one connection,
-    with every other connection purified from its state in ``states``."""
-    fixed = {j: _purification_amp(m, j) for j, m in enumerate(states) if j != conn}
-    problem = QuadraticOverlap(ch, graph, {conn: support}, fixed)
-    value, worst = problem.minimize(rng, restarts, 200)
-    return value, worst[0]
-
-
-def _largest_removable_weight(rho: np.ndarray, phi: np.ndarray) -> float:
-    """Largest q keeping rho - q |phi><phi| positive semidefinite: 1 / <phi|rho^+|phi>
-    for phi in the support of rho (the eigenvalues above 1e-9, as in
-    :func:`_support_basis`, up to a weight 1e-9 outside it), else 0."""
-    w, v = eigh(rho)
-    c = v.conj().T @ phi
-    inside = w > 1e-9
-    if np.sum(np.abs(c[~inside]) ** 2) > 1e-9:
-        return 0.0
-    return 1.0 / float(np.sum(np.abs(c[inside]) ** 2 / w[inside]))
-
-
-@dataclass
-class ExtractionResult:
-    subspaces: list[SubspaceBasis]
-    alphas: list[float]
-    peeled: list[list[tuple[float, np.ndarray]]]
-    remainders: list[np.ndarray]
-
-
-def extract_subspace(ch: KrausChannel, graph: ConnectionGraph, inputs: Sequence,
-                     target_eta: float, rng: np.random.Generator,
-                     restarts: int = 8) -> ExtractionResult:
-    """Greedily peel worst-case directions until each connection's remaining support
-    transmits with fidelity at least 1 - target_eta.
-
-    Each step removes the (heuristically) lowest-fidelity pure state from the
-    current support with the largest weight that keeps the operator positive
-    semidefinite, so the peeled pairs plus the remainder reconstruct the input.
-    Each worst-case search runs at most 200 descent iterations per restart; more
-    than half of a connection's weight removed is an ``ExtractionError``.  A
-    negative or NaN ``target_eta`` is a ``ValueError``.
-    """
-    if len(inputs) != graph.size:
-        raise ValueError(f"need one input per connection ({graph.size})")
-    if not target_eta >= 0.0:
-        raise ValueError(f"target_eta must be >= 0, got {target_eta}")
-    # connections not yet processed enter as given, processed ones as their remainders
-    states = [np.array(s, dtype=complex) for s in inputs]
-
-    subspaces: list[SubspaceBasis] = []
-    alphas: list[float] = []
-    peeled_all: list[list[tuple[float, np.ndarray]]] = []
-    remainders: list[np.ndarray] = []
-
-    for c in range(graph.size):
-        rho = states[c].copy()
-        removed: list[tuple[float, np.ndarray]] = []
-        removed_weight = 0.0
-        while True:
-            support = _support_basis(rho)
-            if support.shape[1] == 0:
-                raise ExtractionError(
-                    f"connection {c}: support exhausted before reaching eta={target_eta}"
-                )
-            value, worst = _min_support_fidelity(
-                ch, graph, c, support, states, rng, restarts
-            )
-            if value >= 1.0 - target_eta:
-                break
-            if removed_weight > 0.5:
-                raise ExtractionError(
-                    f"connection {c}: removed weight {removed_weight:.3f} exceeds "
-                    f"0.5 without reaching eta={target_eta}"
-                )
-            q = _largest_removable_weight(rho, worst)
-            rho = rho - q * np.outer(worst, worst.conj())
-            rho = (rho + rho.conj().T) / 2
-            removed.append((q, worst))
-            removed_weight += q
-        subspaces.append(SubspaceBasis(support))
-        alphas.append(removed_weight)
-        peeled_all.append(removed)
-        remainders.append(rho)
-        # later connections see this one through its trimmed remaining state
-        states[c] = rho / np.real(np.trace(rho))
-    return ExtractionResult(subspaces, alphas, peeled_all, remainders)
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,6 @@ class TestConnectionGraph:
         lambda ch, g, rng: pc.min_subspace_fidelity(ch, g, [np.eye(2), np.eye(3)], rng),
         lambda ch, g, rng: pc.twirl_channel(ch, g, [pc.clifford_1q(),
                                                     pc.haar_ensemble(3, 2, rng)]),
-        lambda ch, g, rng: pc.extract_subspace(ch, g, [np.eye(2) / 2, np.eye(3) / 3], 0.1, rng),
     ])
     def test_entry_points_reject_a_graph_that_does_not_tile(self, call, rng):
         # each reaches the check through connection_kraus, before any optimizer or twirl work
@@ -333,6 +332,23 @@ class TestChannelIO:
         text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))
         with pytest.raises(ChannelFormatError, match="line"):
             read_channel(text[: len(text) // 2])
+
+    def test_rejects_a_deeply_nested_document(self):
+        # past the parser's recursion limit: a RecursionError, not a JSONDecodeError
+        with pytest.raises(ChannelFormatError, match="nested too deeply"):
+            read_channel("[" * 100000 + "]" * 100000)
+
+    @pytest.mark.parametrize("entries, defect", [
+        ({(0, 0): [1e308, 0.0]}, "inf"),
+        ({(0, 0): [1e308, 1e308], (1, 0): [-1e308, 1e308]}, "nan"),
+    ], ids=["inf", "nan"])
+    def test_huge_finite_entries_fail_the_completeness_gate(self, entries, defect):
+        # the sum of A^dag A overflows without a warning; a NaN defect fails the gate too
+        doc = json.loads(write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2)))
+        for (row, col), entry in entries.items():
+            doc["kraus"][0][row][col] = entry
+        with pytest.raises(ChannelCompletenessError, match=f"defect {defect}"):
+            read_channel(json.dumps(doc))
 
     @pytest.mark.parametrize("old, new, field", [
         ('"in_dims": [\n  2\n ]', '"in_dims": [2.7]', "in_dims[0]"),

@@ -110,6 +110,21 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: JSON nested too deeply\n"
+
+    def test_huge_finite_entry_is_invalid_without_a_warning(self, dep_file, tmp_path, capsys):
+        doc = json.loads(open(dep_file).read())
+        doc["kraus"][0][0][0] = [1e308, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "completeness_defect: inf\nstatus: invalid" in out and err == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     def test_bad_tolerance_is_a_usage_error(self, dep_file, value, capsys):
         # a NaN tolerance called every channel invalid
@@ -135,6 +150,12 @@ class TestFidelityCommand:
                                       ConnectionGraph.diagonal([1] * 26)))
         assert main(["fidelity", str(path), "--seed", "0"]) == 3
         assert "too many connections" in capsys.readouterr().err
+
+    def test_unallocatable_samples_exit_3(self, pair_file, capsys):
+        # 8e15 bytes of values, past a 48-bit address space under any overcommit setting
+        assert main(["fidelity", pair_file, "--samples", str(10 ** 15)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate")
 
     def test_fully_depolarizing_values(self, dep_file, capsys):
         code = main(["fidelity", dep_file, "--seed", "5", "--samples", "2000",
@@ -662,7 +683,7 @@ class TestProcessSetup:
                 "states = [rng.standard_normal((1001, 2)) + 1j * rng.standard_normal((1001, 2))"
                 " for _ in range(5)]\nstates = [s / np.linalg.norm(s, axis=1, keepdims=True)"
                 " for s in states]\nproblem = QuadraticOverlap(ch, ConnectionGraph.diagonal([2] * 5),"
-                " {i: np.eye(2) for i in range(5)}, {})\n"
+                " [np.eye(2)] * 5)\n"
                 "out = [problem.batch_values(states), *problem.packed_gradient(states)]\n"
                 "print(json.dumps(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest()))")
         assert self.fresh(code, OPENBLAS_NUM_THREADS="1") == self.fresh(
@@ -673,7 +694,7 @@ class TestProcessSetup:
             "import polychan\n"
             "print(json.dumps([polychan.__all__, [n for n in polychan.__all__ "
             "if getattr(polychan, n, None) is None], dir(polychan)]))")
-        assert len(names) > 50 and missing == [] and set(names) <= set(listed)
+        assert len(names) == 49 and missing == [] and set(names) <= set(listed)
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

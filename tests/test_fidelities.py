@@ -24,7 +24,7 @@ from polychan import (
 from polychan import fidelities
 from polychan.channels import KrausChannel, connection_kraus
 from polychan.errors import CapExceededError
-from polychan.fidelities import MC_DRAW_ROWS, SUBSET_CAP, QuadraticOverlap, _purification_amp
+from polychan.fidelities import MC_DRAW_ROWS, SUBSET_CAP, QuadraticOverlap
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -242,8 +242,8 @@ class TestChannelFidelityRoutes:
     @pytest.mark.parametrize("entry", ["stacked pure_state_fidelity", "average_fidelity_mc",
                                        "min_subspace_fidelity"])
     def test_kernel_connection_cap_before_work(self, entry, monkeypatch):
-        # the kernel's fold einsum takes the same 2g + 1 labels; at 26 connections it
-        # raised IndexError from its label string, after the Kraus stack was built
+        # the kernel takes no more connections than the definitional route it is checked
+        # against (2g + 1 einsum labels), and says so before the Kraus stack is built
         def run(g):
             graph, ch = ConnectionGraph.diagonal([1] * g), identity_channel([1] * g)
             if entry == "average_fidelity_mc":
@@ -506,53 +506,35 @@ def random_basis(d, cols, rng):
 
 
 class TestQuadraticOverlap:
-    """Values, gradients and local models of the fixed-input fidelity problem,
-    against the definitional overlap route and finite differences."""
+    """Values and gradients of the product-state fidelity kernel, against the
+    definitional overlap route, a complex-arithmetic oracle and finite differences."""
 
-    def problem(self, case, rng):
-        """(channel, graph, bases, fixed density matrices) for a named case."""
-        if case == "cross5":
-            # input order != output order; connection 3 confined to one direction
-            bases = {i: np.eye(2, dtype=complex) for i in range(5)}
-            bases[3] = random_basis(2, 1, rng)
-            return random_channel(32, 32, 3, rng), CROSS5_GRAPH, bases, {}
-        if case == "cross5_fixed":
-            bases = {i: random_basis(2, 2, rng) for i in (0, 1, 3, 4)}
-            return random_channel(32, 32, 2, rng), CROSS5_GRAPH, bases, {
-                2: random_density(2, rng)}
-        if case == "pair_fixed_mixed":
-            graph = ConnectionGraph.diagonal([2, 3])
-            return random_channel(6, 6, 3, rng), graph, {1: random_basis(3, 2, rng)}, {
-                0: random_density(2, rng)}
-        graph = ConnectionGraph.diagonal([2, 2, 2])  # "middle_fixed"
-        bases = {0: np.eye(2, dtype=complex), 2: random_basis(2, 2, rng)}
-        return random_channel(8, 8, 2, rng), graph, bases, {1: random_density(2, rng)}
+    # the one case, named in the test ids: input order != output order, connection 3
+    # confined to one direction
+    CASES = ["cross5"]
 
-    def build(self, case, rng):
-        ch, graph, bases, fixed = self.problem(case, rng)
-        amps = {j: _purification_amp(rho, j) for j, rho in fixed.items()}
-        return ch, graph, bases, fixed, QuadraticOverlap(ch, graph, bases, amps)
-
-    CASES = ["cross5", "cross5_fixed", "pair_fixed_mixed", "middle_fixed"]
+    def build(self, rng):
+        """(channel, graph, bases, kernel) for the case."""
+        bases = [np.eye(2, dtype=complex) for _ in range(5)]
+        bases[3] = random_basis(2, 1, rng)
+        ch = random_channel(32, 32, 3, rng)
+        return ch, CROSS5_GRAPH, bases, QuadraticOverlap(ch, CROSS5_GRAPH, bases)
 
     @pytest.mark.parametrize("rows", [1, 17])
     @pytest.mark.parametrize("case", CASES)
     def test_batch_values_match_overlap_route(self, case, rows, rng):
-        ch, graph, bases, fixed, problem = self.build(case, rng)
+        ch, graph, bases, problem = self.build(rng)
         coords = unit_parts(rng.standard_normal((rows, 2 * sum(problem.part_dims))),
                             problem.part_dims)
         got = problem.batch_values(coords)
         assert got.shape == (rows,)
         for r in range(rows):
-            states = {i: bases[i] @ coords[k][r] for k, i in enumerate(sorted(bases))}
-            # fixed connections as densities, varying ones as 1-D pure states
-            want = group_fidelity(ch, [fixed[j] if j in fixed else states[j]
-                                       for j in range(graph.size)], graph)
+            want = group_fidelity(ch, [b @ c[r] for b, c in zip(bases, coords)], graph)
             assert abs(got[r] - want) < 1e-12
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradient_matches_central_differences(self, case, rng):
-        *_, problem = self.build(case, rng)
+        *_, problem = self.build(rng)
         dims = problem.part_dims
         n = 2 * sum(dims)
         # sixth-order central stencil: truncation and round-off both near 1e-14 here
@@ -570,11 +552,10 @@ class TestQuadraticOverlap:
                            - problem.batch_values(unit_parts(x - step, dims))) / h
             assert np.max(np.abs(grad - fd.view(complex))) < 1e-12
 
-    @pytest.mark.parametrize("case", ["cross5_fixed", "pair_fixed_mixed", "middle_fixed"])
+    @pytest.mark.parametrize("case", CASES)
     def test_ragged_blocks_match_one_block(self, case, rng):
-        # non-identity bases and a fixed amplitude, as protocols.extract_subspace builds;
-        # blocks of 3 over 7 rows leave a short last block
-        *_, problem = self.build(case, rng)
+        # a non-identity basis; blocks of 3 over 7 rows leave a short last block
+        *_, problem = self.build(rng)
         coords = unit_parts(rng.standard_normal((7, 2 * sum(problem.part_dims))),
                             problem.part_dims)
         assert min(problem.value_rows, problem.gradient_rows) >= 7
@@ -591,37 +572,18 @@ class TestQuadraticOverlap:
         graph = ConnectionGraph.diagonal(list(dims))
         d = graph.total_dim()
         problem = QuadraticOverlap(random_channel(d, d, 3, rng), graph,
-                                   {i: np.eye(n) for i, n in enumerate(dims)}, {})
+                                   [np.eye(n) for n in dims])
         rows = 3 * problem.value_rows + 5
         psis = unit_parts(rng.standard_normal((rows, 2 * sum(dims))), dims)
         want = quadratic_overlap_oracle(problem.red, psis)
         assert np.max(np.abs(problem._values(psis) - want)) < 1e-13
         assert np.max(np.abs(problem.batch_values(psis) - want)) < 1e-13
 
-    @pytest.mark.parametrize("case", ["cross5_fixed", "pair_fixed_mixed", "middle_fixed"])
-    def test_fixed_amplitude_values_match_complex_oracle(self, case, rng):
-        # subspace bases and a folded fixed amplitude, as protocols.extract_subspace
-        # builds; two whole row blocks and a short last one
-        *_, problem = self.build(case, rng)
-        rows = 2 * problem.value_rows + 3
-        coords = unit_parts(rng.standard_normal((rows, 2 * sum(problem.part_dims))),
-                            problem.part_dims)
-        psis = [c @ b.T for c, b in zip(coords, problem.bases)]
-        want = quadratic_overlap_oracle(problem.red, psis)
-        assert np.max(np.abs(problem.batch_values(coords) - want)) < 1e-13
-
-    def test_rejects_fixed_amplitude_of_wrong_width(self, rng):
-        graph = ConnectionGraph.diagonal([2, 3])
-        ch = random_channel(6, 6, 2, rng)
-        with pytest.raises(ValueError, match="connection 1"):
-            QuadraticOverlap(ch, graph, {0: np.eye(2)}, {1: _purification_amp(np.eye(2) / 2, 1)})
-
     def test_rejects_basis_with_wrong_row_count(self, rng):
         graph = ConnectionGraph.diagonal([2, 3])
         ch = random_channel(6, 6, 2, rng)
         with pytest.raises(ValueError, match="connection 0"):
-            QuadraticOverlap(ch, graph, {0: np.eye(3)[:, :2]},
-                             {1: _purification_amp(np.eye(3) / 3, 1)})
+            QuadraticOverlap(ch, graph, [np.eye(3)[:, :2], np.eye(3)])
 
 
 class TestCrossedGraph:
@@ -673,8 +635,7 @@ class TestCrossedGraph:
         # the stacked call runs the Monte Carlo kernel: two whole row blocks and a short
         # tail, and a batch shorter than one block, against the single-vector route
         for ch, graph, _ in self.crossed(rng):
-            problem = QuadraticOverlap(ch, graph, {i: np.eye(d) for i, d in enumerate(graph.dims)},
-                                       {})
+            problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
             for rows in (2 * problem.value_rows + 5, 3):
                 states = [np.array([haar_state(dim, rng) for _ in range(rows)])
                           for dim in graph.dims]

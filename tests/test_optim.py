@@ -91,9 +91,10 @@ def test_objective_sees_only_unit_rows():
     assert rows > 4 * 17  # the starts and at least a few line searches
 
 
-def test_random_starts_draw_interleaved_re_im():
+def test_random_starts_draw_interleaved_re_im(monkeypatch):
+    monkeypatch.setattr(_optim, "MAX_ITERS", 0)
     problem = ProductEnergy(np.diag(np.arange(6.0)).astype(complex), [2, 3])
-    problem.minimize(14, restarts=1, max_iters=0)
+    problem.minimize(14, restarts=1)
     x = make_rng(14).standard_normal(10)
     z = x[0::2] + 1j * x[1::2]
     for got, want in zip(problem.seen[0], (z[:2], z[2:])):
@@ -101,10 +102,11 @@ def test_random_starts_draw_interleaved_re_im():
 
 
 @pytest.mark.parametrize("dims", [[4], [2, 3]])
-def test_same_seed_same_result(dims):
+def test_same_seed_same_result(dims, monkeypatch):
+    monkeypatch.setattr(_optim, "MAX_ITERS", 20)
     h = random_hermitian(int(np.prod(dims)), make_rng(7))
-    first = ProductEnergy(h, dims).minimize(15, restarts=5, max_iters=20)
-    second = ProductEnergy(h, dims).minimize(15, restarts=5, max_iters=20)
+    first = ProductEnergy(h, dims).minimize(15, restarts=5)
+    second = ProductEnergy(h, dims).minimize(15, restarts=5)
     assert first.value == second.value
     assert first.restart_index == second.restart_index
     for a, b in zip(first.states, second.states):
@@ -226,7 +228,7 @@ def cross5_problem():
     ops = [np.sqrt(0.95) * r]
     ops += [np.sqrt(0.05) * m @ r for m in random_channel(32, 32, 3, make_rng(1)).kraus_ops]
     ch = KrausChannel(ops, routing.in_layout, routing.out_layout)
-    return QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+    return QuadraticOverlap(ch, graph, [np.eye(2)] * graph.size)
 
 
 def test_batched_descent_matches_sequential_on_cross5():
@@ -251,7 +253,7 @@ def test_batched_descent_matches_sequential_near_identity(k):
     ops = [np.sqrt(1 - 1e-3) * np.eye(d, dtype=complex)]
     ops += [np.sqrt(1e-3) * m for m in random_channel(d, d, 3, rng).kraus_ops]
     ch = KrausChannel(ops, graph.dims, graph.dims)
-    problem = QuadraticOverlap(ch, graph, {i: np.eye(2) for i in range(graph.size)}, {})
+    problem = QuadraticOverlap(ch, graph, [np.eye(2)] * graph.size)
     assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims,
                           340 + k)
 
@@ -285,9 +287,10 @@ WINDOW_POWERS = np.arange(2, -3, -1)
 LADDER_POWERS = np.arange(3, -14, -1)
 
 
-def test_decreasing_windows_send_five_rows_per_active_row():
+def test_decreasing_windows_send_five_rows_per_active_row(monkeypatch):
+    monkeypatch.setattr(_optim, "MAX_ITERS", 1)
     problem = ProductEnergy(random_hermitian(6, make_rng(21)), [2, 3])
-    res = problem.minimize(22, restarts=4, max_iters=1)
+    res = problem.minimize(22, restarts=4)
     # every window lowered its row's value, so the iteration made no second call
     assert list(res.iterations) == [1] * 4
     starts, window = problem.seen
@@ -333,8 +336,10 @@ def step_to_two_to_the_minus_six(start_value, target_value):
         return np.where(at_target, target_value,
                         np.where(at_start, start_value, abs(start_value) + 1.0))
 
-    res = minimize_product_states(objective, [3], make_rng(26), problem.gradient, restarts=0,
-                                  max_iters=1, warm_starts=[[start]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_optim, "MAX_ITERS", 1)
+        res = minimize_product_states(objective, [3], make_rng(26), problem.gradient,
+                                      restarts=0, warm_starts=[[start]])
     return res, target, [parts[0].shape[0] for parts in problem.seen]
 
 
@@ -370,29 +375,32 @@ def test_rounding_level_decreases_end_the_descent(monkeypatch):
     # step, so the rows stop within a few steps instead of creeping on
     q = np.linalg.qr(random_hermitian(3, make_rng(5)) + 1j * np.eye(3))[0]
     problem = ProductEnergy((q * np.array([1.0, 1.0 + 1e-8, 1.5])) @ q.conj().T, [3])
-    res = problem.minimize(41, restarts=4, max_iters=10)
+    monkeypatch.setattr(_optim, "MAX_ITERS", 10)
+    res = problem.minimize(41, restarts=4)
     assert res.stops == ("no_decrease",) * 4 and max(res.iterations) < 10
     assert np.all(res.values - 1.0 < 1e-8)
     # counting every decrease above 1e-16, the same rows are still descending at 10 steps
     monkeypatch.setattr(_optim, "FTOL", 0.0)
-    assert problem.minimize(41, restarts=4, max_iters=10).stops == ("max_iters",) * 4
+    assert problem.minimize(41, restarts=4).stops == ("max_iters",) * 4
 
 
 @pytest.mark.parametrize("offsets, best", [([0.0, 1e-13], 0), ([0.0, 1e-11], 1),
                                            ([0.0, 0.9e-12, 1.8e-12], 1)])
-def test_restarts_within_1e12_of_the_lowest_go_to_the_lowest_index(offsets, best):
+def test_restarts_within_1e12_of_the_lowest_go_to_the_lowest_index(offsets, best, monkeypatch):
     # with no iterations each restart keeps its start's value, 1 - offsets[r]
+    monkeypatch.setattr(_optim, "MAX_ITERS", 0)
     d = len(offsets)
     problem = ProductEnergy(np.diag(1.0 - np.array(offsets)).astype(complex), [d])
-    res = problem.minimize(27, restarts=0, max_iters=0, warm_starts=[[e] for e in np.eye(d)])
+    res = problem.minimize(27, restarts=0, warm_starts=[[e] for e in np.eye(d)])
     assert res.restart_index == best
     assert res.value == res.values[best]
     assert np.array_equal(res.states[0], np.eye(d)[best])
 
 
-def test_max_iters_is_reported():
+def test_max_iters_is_reported(monkeypatch):
+    monkeypatch.setattr(_optim, "MAX_ITERS", 1)
     problem = ProductEnergy(random_hermitian(6, make_rng(9)), [2, 3])
-    res = problem.minimize(17, restarts=3, max_iters=1)
+    res = problem.minimize(17, restarts=3)
     assert res.stops == ("max_iters",) * 3
     assert list(res.iterations) == [1, 1, 1]
 

@@ -16,7 +16,6 @@ from polychan import (
     clifford_1q,
     dephasing,
     depolarizing,
-    extract_subspace,
     group_fidelity,
     haar_ensemble,
     haar_state,
@@ -32,7 +31,6 @@ from polychan import (
 )
 from polychan.channels import block_kraus, completeness_defect, connection_kraus
 from polychan.errors import CapExceededError
-from polychan.protocols import ExtractionError, _largest_removable_weight
 
 QUBIT_GRAPH = ConnectionGraph.single(2)
 PAIR_GRAPH = ConnectionGraph.diagonal([2, 2])
@@ -260,97 +258,6 @@ class TestTeleport:
     def test_rejects_bad_layout(self, rng):
         with pytest.raises(ValueError):
             teleport_channel(np.eye(6) / 6, 2)
-
-
-def killer_qutrit():
-    p01 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[0, 2] = 1.0
-    return KrausChannel([p01, k2], [3], [3]), ConnectionGraph.single(3)
-
-
-class TestLargestRemovableWeight:
-    def test_closed_form(self):
-        # <phi|rho^-1|phi> = (2 + 10/3) / 2, so q = 3/8; the remainder keeps a zero eigenvalue
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        phi = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-        q = _largest_removable_weight(rho, phi)
-        assert abs(q - 0.375) < 1e-15
-        assert abs(np.linalg.eigvalsh(rho - q * np.outer(phi, phi.conj()))[0]) < 1e-15
-
-    def test_outside_the_support(self):
-        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        assert _largest_removable_weight(rho, np.array([0.0, 0.6, 0.8], dtype=complex)) == 0.0
-
-
-class TestExtraction:
-    def test_identity_returns_full_support(self):
-        ch = identity_channel([3])
-        graph = ConnectionGraph.single(3)
-        res = extract_subspace(ch, graph, [np.eye(3) / 3],
-                               target_eta=0.001, rng=make_rng(5))
-        assert res.subspaces[0].dim == 3
-        assert res.alphas == [0.0]
-        assert res.peeled[0] == []
-
-    def test_qutrit_killer_recovers_good_subspace(self):
-        ch, graph = killer_qutrit()
-        res = extract_subspace(ch, graph, [np.eye(3) / 3],
-                               target_eta=0.01, rng=make_rng(29))
-        v = res.subspaces[0].vectors
-        assert v.shape == (3, 2)
-        overlap = np.real(np.trace(v @ v.conj().T @ np.diag([1.0, 1.0, 0.0]))) / 2
-        assert overlap >= 1 - 1e-6
-        assert abs(res.alphas[0] - 1 / 3) < 1e-9
-
-    def test_peels_one_dimension_per_step(self):
-        ch, graph = killer_qutrit()
-        res = extract_subspace(ch, graph, [np.eye(3) / 3],
-                               target_eta=0.01, rng=make_rng(29))
-        assert len(res.peeled[0]) == 3 - res.subspaces[0].dim
-
-    def test_ensemble_reconstructs_input(self):
-        ch, graph = killer_qutrit()
-        rho_in = np.eye(3) / 3
-        res = extract_subspace(ch, graph, [rho_in], target_eta=0.01, rng=make_rng(29))
-        rec = res.remainders[0].copy()
-        for q, phi in res.peeled[0]:
-            rec += q * np.outer(phi, phi.conj())
-        assert np.max(np.abs(rec - rho_in)) < 1e-8
-
-    def test_two_connections_peel_and_reconstruct(self):
-        # connection 0's worst state is not an eigenvector of its input, so the removed
-        # weight is 1 / <phi|rho^+|phi>, below <phi|rho|phi>; connection 1 then sees
-        # connection 0's remainder and peels |2>
-        ch, _ = killer_qutrit()
-        graph = ConnectionGraph.diagonal([3, 3])
-        rho0 = np.array([[0.4, 0.1, 0.05], [0.1, 0.35, 0.02], [0.05, 0.02, 0.25]], dtype=complex)
-        inputs = [rho0, np.diag([0.45, 0.45, 0.1]).astype(complex)]
-        res = extract_subspace(product_channel([ch, ch], graph), graph, inputs,
-                               target_eta=0.3, rng=make_rng(3))
-        for c, rho_in in enumerate(inputs):
-            assert len(res.peeled[c]) >= 1
-            rec = res.remainders[c].copy()
-            for q, phi in res.peeled[c]:
-                rec += q * np.outer(phi, phi.conj())
-            assert np.max(np.abs(rec - rho_in)) < 1e-12
-            assert np.linalg.eigvalsh(res.remainders[c])[0] > -1e-15
-        q, phi = res.peeled[0][0]
-        assert q < np.real(phi.conj() @ rho0 @ phi) - 1e-3
-
-    def test_too_noisy_raises(self):
-        res_rng = make_rng(3)
-        ch = depolarizing(2, 1.0)
-        with pytest.raises(ExtractionError):
-            extract_subspace(ch, QUBIT_GRAPH, [np.eye(2) / 2],
-                             target_eta=0.001, rng=res_rng)
-
-    @pytest.mark.parametrize("eta", [-0.1, np.nan])
-    def test_rejects_a_negative_or_nan_target(self, eta):
-        # no fidelity reaches 1 - eta > 1, so on the identity a search would peel weight
-        with pytest.raises(ValueError, match="target_eta must be >= 0"):
-            extract_subspace(identity_channel([3]), ConnectionGraph.single(3), [np.eye(3) / 3],
-                             target_eta=eta, rng=make_rng(5))
 
 
 def near_identity_channel(dim, weight, rng, kraus=3):

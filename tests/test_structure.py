@@ -121,16 +121,11 @@ LIBRARY_ONLY = {
     # the dense oracles the tests check the commands' routes against
     "channels.apply", "channels.tensor_power", "channels._leg_grouping_index",
     "linalg.partial_trace", "linalg.entropy", "fidelities._pure_amp",
-    # the greedy extraction of well-transmitted subspaces (acceptance criterion 7)
-    "protocols.extract_subspace", "protocols._support_basis",
-    "protocols._min_support_fidelity", "protocols._largest_removable_weight",
     # module protocol: dir(polychan)
     "__init__.__dir__",
 }
 # Parameters with defaults, of functions a command reaches, that no command sets, by reason.
 LIBRARY_OPTIONS = {
-    # extract_subspace's searches stop at 200, and the optimizer tests check that stop
-    "_optim.minimize_product_states.max_iters",
     # the Kraus-route entry the README shows and the tests take as their reference
     "fidelities.channel_fidelity.mode",
 }
