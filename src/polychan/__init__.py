@@ -23,8 +23,8 @@ _EXPORTS = {
                    "pure_state_fidelity"],
     "linalg": ["eigh", "entropy", "haar_state", "haar_unitary", "kron", "make_rng",
                "maximally_entangled_vector", "partial_trace", "uhlmann_fidelity"],
-    "protocols": ["PhaseAverageReport", "SubspaceBasis", "UnitaryEnsemble", "clifford_1q",
-                  "haar_ensemble", "phase_average_bound", "teleport_channel", "twirl_channel"],
+    "protocols": ["PhaseAverageReport", "UnitaryEnsemble", "clifford_1q", "haar_ensemble",
+                  "phase_average_bound", "teleport_channel", "twirl_channel"],
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SUBMODULE)

@@ -136,7 +136,7 @@ class ConnectionGraph:
         return groups
 
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def powered(self, n: int) -> "ConnectionGraph":
         """Graph of the n-fold tensor power: same links, dimensions raised to n."""
@@ -212,19 +212,19 @@ def completeness_defect(ch: KrausChannel) -> float:
 
 def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
     """Verify that the graph's per-connection blocks tile the channel's legs."""
-    if int(np.prod(graph.in_block_dims)) != ch.in_dim:
+    if math.prod(graph.in_block_dims) != ch.in_dim:
         raise ValueError(
             f"graph input blocks {graph.in_block_dims} do not multiply to channel "
             f"input dimension {ch.in_dim}"
         )
-    if int(np.prod(graph.out_block_dims)) != ch.out_dim:
+    if math.prod(graph.out_block_dims) != ch.out_dim:
         raise ValueError(
             f"graph output blocks {graph.out_block_dims} do not multiply to channel "
             f"output dimension {ch.out_dim}"
         )
     if len(ch.in_layout) == graph.num_senders:
         for j, group in enumerate(graph.sender_groups()):
-            prod = int(np.prod([graph.connections[i].dim for i in group])) if group else 1
+            prod = math.prod(graph.connections[i].dim for i in group)
             if prod != ch.in_layout[j]:
                 raise ValueError(
                     f"sender {j} leg dimension {ch.in_layout[j]} does not match "
@@ -232,7 +232,7 @@ def check_graph_compatible(ch: KrausChannel, graph: ConnectionGraph) -> None:
                 )
     if len(ch.out_layout) == graph.num_receivers:
         for j, group in enumerate(graph.receiver_groups()):
-            prod = int(np.prod([graph.connections[i].dim for i in group])) if group else 1
+            prod = math.prod(graph.connections[i].dim for i in group)
             if prod != ch.out_layout[j]:
                 raise ValueError(
                     f"receiver {j} leg dimension {ch.out_layout[j]} does not match "

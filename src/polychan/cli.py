@@ -156,10 +156,7 @@ def cmd_fidelity(args) -> int:
     mc_rng, opt_rng = rng.spawn(2)
     mean, stderr = fidelities.average_fidelity_mc(ch, graph, args.samples, mc_rng)
     add("average_fidelity", mean, "monte_carlo", stderr)
-    min_val, _ = fidelities.min_subspace_fidelity(
-        ch, graph, [np.eye(d, dtype=complex) for d in graph.dims], opt_rng,
-        restarts=args.restarts,
-    )
+    min_val, _ = fidelities.min_subspace_fidelity(ch, graph, opt_rng, restarts=args.restarts)
     add("min_fidelity_upper_bound", min_val, "optimizer")
     _emit(["name", "value", "method", "stderr"], rows, args.format, args.out, "fidelity")
     return EXIT_OK
@@ -333,8 +330,7 @@ def _check_two_design(ch, graph, report, rng, ensemble_size, tol_exact, tol_stat
 def _check_phase_average(ch, graph, rng, restarts, tol_exact):
     from . import protocols
 
-    report = protocols.phase_average_bound(
-        ch, graph, [np.eye(d, dtype=complex) for d in graph.dims], rng, restarts=restarts)
+    report = protocols.phase_average_bound(ch, graph, rng, restarts=restarts)
     return report.bound - report.entanglement_fidelity, tol_exact, "optimizer"
 
 

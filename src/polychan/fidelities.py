@@ -17,8 +17,8 @@ reference.
 
 Every product-state fidelity on a stack of rows goes through one kernel,
 :class:`QuadraticOverlap`: the Monte Carlo average,
-:func:`pure_state_fidelity` and the worst-case search over product states of
-subspaces, :func:`min_subspace_fidelity`.  Its values are taken in real coordinates:
+:func:`pure_state_fidelity` and the worst-case search over product pure inputs,
+:func:`min_subspace_fidelity`.  Its values are taken in real coordinates:
 each state enters through the ``d_i^2`` real numbers of its density matrix, and a
 row costs ``2 K D^2`` real multiply-adds, one real GEMM per row block.  The kernel
 takes per-connection states and forms their coordinates (for the gradient, their
@@ -41,7 +41,6 @@ from ._optim import minimize_product_states
 from .channels import ConnectionGraph, KrausChannel, connection_kraus
 from .errors import CapExceededError
 from .linalg import (
-    UNITARITY_TOL,
     _adjoint,
     block_rows,
     check_density,
@@ -165,8 +164,8 @@ def pure_state_fidelity(ch: KrausChannel, graph: ConnectionGraph, states: Sequen
     norms = [np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
     if any(np.any(nrm == 0) for nrm in norms):
         raise ValueError("zero vector is not a state")
-    problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
-    return problem._values([v / nrm for v, nrm in zip(vecs, norms)])
+    problem = QuadraticOverlap(ch, graph)
+    return problem.batch_values([v / nrm for v, nrm in zip(vecs, norms)])
 
 
 def _me_amps(graph: ConnectionGraph) -> list[np.ndarray]:
@@ -220,7 +219,7 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
+    problem = QuadraticOverlap(ch, graph)
     vals = np.empty(samples)
     for lo in range(0, samples, MC_DRAW_ROWS):
         b = min(MC_DRAW_ROWS, samples - lo)
@@ -232,37 +231,10 @@ def average_fidelity_mc(ch: KrausChannel, graph: ConnectionGraph, samples: int,
             z.imag = rng.standard_normal((b, d))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             states.append(z)
-        vals[lo : lo + b] = problem._values(states)
+        vals[lo : lo + b] = problem.batch_values(states)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
     return mean, stderr
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of an ambient space."""
-
-    vectors: np.ndarray
-
-    def __init__(self, vectors: np.ndarray):
-        v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[1] == 0:
-            raise ValueError("subspace basis must be a nonempty matrix of column vectors")
-        check_finite(v, "subspace basis")
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > UNITARITY_TOL:
-            raise ValueError("subspace basis columns are not orthonormal")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
-
-    def uniform_state(self) -> np.ndarray:
-        return self.projector() / self.dim
 
 
 class QuadraticOverlap:
@@ -293,33 +265,21 @@ class QuadraticOverlap:
     ``w = red^dag phi`` from one GEMM per row block against the stack of
     ``red`` over ``red^dag``, built on the first gradient call and taken in its
     real form, so that both paths' GEMMs are real and aligned to
-    ``GEMM_ALIGN``: part i's
-    derivative is ``B_i^dag (sum_K conj(m_K) u_{K,i} + m_K w_{K,i})``, where
-    ``u_{K,i}`` contracts ``u_K`` with the other parts' conjugated states.
-    Values and gradients both take stacks of rows, one product point per row,
-    in row blocks whose temporaries stay under ``linalg.BLOCK_BYTES``
-    (``value_rows``, a multiple of ``GEMM_ALIGN``, and ``gradient_rows``).
-
-    ``bases`` holds one basis per connection, its columns spanning the states
-    the connection varies over.  ``_values`` on per-connection state stacks
-    (each ``(rows, d_i)``) gives the pure-state fidelities of
-    :func:`average_fidelity_mc` and of :func:`pure_state_fidelity`, which pass
-    identity bases.  :meth:`minimize` runs the worst-case search over the bases'
-    product states, used by :func:`min_subspace_fidelity`.
+    ``GEMM_ALIGN``: connection i's derivative is
+    ``sum_K conj(m_K) u_{K,i} + m_K w_{K,i}``, where ``u_{K,i}`` contracts
+    ``u_K`` with the other connections' conjugated states.
+    Values and gradients both take per-connection state stacks, each
+    ``(rows, d_i)`` with one product state per row, in row blocks whose
+    temporaries stay under ``linalg.BLOCK_BYTES`` (``value_rows``, a multiple
+    of ``GEMM_ALIGN``, and ``gradient_rows``).  The values serve
+    :func:`average_fidelity_mc`, :func:`pure_state_fidelity` and, with the
+    gradient, the worst-case search of :func:`min_subspace_fidelity`.
     """
 
-    def __init__(self, ch: KrausChannel, graph: ConnectionGraph, bases: Sequence[np.ndarray]):
-        if len(bases) != graph.size:
-            raise ValueError(f"need one subspace per connection ({graph.size})")
+    def __init__(self, ch: KrausChannel, graph: ConnectionGraph):
         # no more connections than the definitional route, which every value is checked
         # against, takes in its overlap einsum
         check_einsum_labels(2 * graph.size + 1, f"connections ({graph.size})")
-        for i, basis in enumerate(bases):
-            if np.ndim(basis) != 2 or np.shape(basis)[0] != graph.dims[i]:
-                raise ValueError(f"subspace basis for connection {i} has shape "
-                                 f"{np.shape(basis)}, connection needs {graph.dims[i]} rows")
-        self.bases = [np.asarray(b, dtype=complex) for b in bases]
-        self.part_dims = [b.shape[1] for b in self.bases]
         self.dims = graph.dims
         d_total = graph.total_dim()
         self.red = connection_kraus(ch, graph).reshape(-1, d_total, d_total)
@@ -368,7 +328,8 @@ class QuadraticOverlap:
         rows = psis[0].shape[0]
         return _column_kron(cols[: self.lead], rows), _column_kron(cols[self.lead :], rows)
 
-    def _values(self, psis: Sequence[np.ndarray]) -> np.ndarray:
+    def batch_values(self, psis: Sequence[np.ndarray]) -> np.ndarray:
+        """Fidelities of per-connection state stacks of shape (rows, d_i)."""
         rows = psis[0].shape[0]
         out = np.empty(rows)
         for lo in range(0, rows, self.value_rows):
@@ -380,13 +341,9 @@ class QuadraticOverlap:
             out[block] = np.einsum("jb,jb->b", m, m)
         return out
 
-    def batch_values(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Fidelities for per-part coordinate batches of shape (rows, part_dims[i])."""
-        return self._values([c @ b.T for c, b in zip(parts, self.bases)])
-
-    def packed_gradient(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """dF/d conj(c_i) per part, for per-part coordinate batches of shape
-        (rows, part_dims[i]); the result has the same shapes."""
+    def packed_gradient(self, psis: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """dF/d conj(psi_i) per connection, for per-connection state stacks of shape
+        (rows, d_i); the result has the same shapes."""
         k, d_total = self.red.shape[:2]
         if self._real_stack is None:
             # the real form of the (2 K D, D) stack S of red over red^dag: the float view
@@ -395,7 +352,6 @@ class QuadraticOverlap:
             real = np.stack([np.stack([stack.real, stack.imag], axis=-1),
                              np.stack([-stack.imag, stack.real], axis=-1)], axis=1)
             self._real_stack = _align(real.reshape(2 * d_total, -1), axis=1)
-        psis = [c @ b.T for c, b in zip(parts, self.bases)]
         v = np.empty((psis[0].shape[0], d_total), dtype=complex)
         for lo in range(0, v.shape[0], self.gradient_rows):
             block = slice(lo, lo + self.gradient_rows)
@@ -407,18 +363,7 @@ class QuadraticOverlap:
             v[block] = np.einsum("bjk,bjkd->bd", np.stack([m.conj(), m], axis=1), uw)
         v = v.reshape(-1, *self.dims)
         bras = [p.conj() for p in psis]
-        return [contract_rows_except(v, bras, i) @ b.conj() for i, b in enumerate(self.bases)]
-
-    def minimize(self, rng: np.random.Generator, restarts: int
-                 ) -> tuple[float, list[np.ndarray]]:
-        """Heuristic minimum over the bases' product states: the best of a
-        multi-restart descent.  Returns the value and the minimizing states in the
-        ambient spaces, one per connection in index order."""
-        result = minimize_product_states(
-            self.batch_values, self.part_dims, rng, restarts=restarts,
-            gradient=self.packed_gradient,
-        )
-        return result.value, [b @ c for b, c in zip(self.bases, result.states)]
+        return [contract_rows_except(v, bras, i) for i in range(len(psis))]
 
 
 def _hermitian_trace(r: np.ndarray) -> np.ndarray:
@@ -453,20 +398,21 @@ def _column_kron(cols: Sequence[np.ndarray], rows: int) -> np.ndarray:
     return out
 
 
-def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
+def min_subspace_fidelity(ch: KrausChannel, graph: ConnectionGraph,
                           rng: np.random.Generator, restarts: int = 32
                           ) -> tuple[float, list[np.ndarray]]:
-    """Heuristic minimum of the pure-state fidelity over product states drawn from
-    the given subspaces.
+    """Heuristic minimum of the pure-state fidelity over product pure inputs.
 
     Multi-restart L-BFGS descent on the spheres, at most ``_optim.MAX_ITERS``
     iterations per restart; the returned value is an upper bound on the true
     minimum (up to optimizer slack).  Also returns the minimizing per-connection
-    states in the ambient spaces.  Deterministic for a fixed rng state.
+    states, one per connection in index order.  Deterministic for a fixed rng
+    state.
     """
-    bases = [(s if isinstance(s, SubspaceBasis) else SubspaceBasis(s)).vectors for s in subspaces]
-    problem = QuadraticOverlap(ch, graph, bases)
-    return problem.minimize(rng, restarts)
+    problem = QuadraticOverlap(ch, graph)
+    result = minimize_product_states(problem.batch_values, graph.dims, rng,
+                                     restarts=restarts, gradient=problem.packed_gradient)
+    return result.value, result.states
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Covers classically-assisted twirled channels (finite unitary ensembles stand
 in for the continuous average, the single-qubit Clifford group exactly; the
 twirl is taken on the Choi matrix), teleportation over a shared resource
-state, and the phase-averaging fidelity bound on well-transmitted subspaces.
+state, and the phase-averaging fidelity bound on a channel's worst-case pure-state
+fidelity.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .channels import (
     weyl_operators,
 )
 from .errors import CapExceededError
-from .fidelities import SubspaceBasis, group_fidelity, min_subspace_fidelity
+from .fidelities import group_fidelity, min_subspace_fidelity
 from .linalg import (
     MAX_DIM,
     UNITARITY_TOL,
@@ -191,14 +192,13 @@ class PhaseAverageReport:
     bound: float
 
 
-def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph, subspaces: Sequence,
+def phase_average_bound(ch: KrausChannel, graph: ConnectionGraph,
                         rng: np.random.Generator, restarts: int = 32) -> PhaseAverageReport:
-    """Check that uniform states on well-transmitting subspaces keep high
-    entanglement fidelity: F_e >= 1 - (3/2)^{|G|} eta."""
-    bases = [s if isinstance(s, SubspaceBasis) else SubspaceBasis(s) for s in subspaces]
-    value, _ = min_subspace_fidelity(ch, graph, bases, rng, restarts=restarts)
+    """Check that maximally mixed inputs keep high entanglement fidelity when every
+    product pure input is transmitted well: F_e >= 1 - (3/2)^{|G|} eta, with eta one
+    minus the worst-case pure-state fidelity."""
+    value, _ = min_subspace_fidelity(ch, graph, rng, restarts=restarts)
     eta = max(0.0, 1.0 - value)
-    uniform = [b.uniform_state() for b in bases]
-    fe = group_fidelity(ch, uniform, graph)
+    fe = group_fidelity(ch, [np.eye(d) / d for d in graph.dims], graph)
     bound = 1.0 - (1.5 ** graph.size) * eta
     return PhaseAverageReport(eta=eta, entanglement_fidelity=fe, bound=bound)

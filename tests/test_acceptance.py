@@ -207,8 +207,7 @@ def test_criterion_7_phase_bound():
         ops = [np.sqrt(1 - 1e-3) * np.eye(2, dtype=complex)]
         ops += [np.sqrt(1e-3) * m for m in mix.kraus_ops]
         ch = KrausChannel(ops, [2], [2])
-        rep = phase_average_bound(ch, ConnectionGraph.single(2), [np.eye(2)],
-                                  rng.spawn(1)[0])
+        rep = phase_average_bound(ch, ConnectionGraph.single(2), rng.spawn(1)[0])
         worst_gap = max(worst_gap, rep.bound - rep.entanglement_fidelity)
         failures += 0 if rep.bound - rep.entanglement_fidelity <= 1e-9 else 1
     for k in range(50):
@@ -216,8 +215,7 @@ def test_criterion_7_phase_bound():
         ops = [np.sqrt(1 - 1e-3) * np.eye(4, dtype=complex)]
         ops += [np.sqrt(1e-3) * m for m in mix.kraus_ops]
         ch = KrausChannel(ops, [2, 2], [2, 2])
-        rep = phase_average_bound(ch, PAIR, [np.eye(2), np.eye(2)],
-                                  rng.spawn(1)[0])
+        rep = phase_average_bound(ch, PAIR, rng.spawn(1)[0])
         worst_gap = max(worst_gap, rep.bound - rep.entanglement_fidelity)
         failures += 0 if rep.bound - rep.entanglement_fidelity <= 1e-9 else 1
     report(

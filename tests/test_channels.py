@@ -283,7 +283,7 @@ class TestConnectionGraph:
         lambda ch, g, rng: pc.channel_fidelity(ch, g, "kraus_trace"),
         lambda ch, g, rng: pc.pure_state_fidelity(ch, g, [np.ones((1, 2)), np.ones((1, 3))]),
         lambda ch, g, rng: pc.average_fidelity_mc(ch, g, 10, rng),
-        lambda ch, g, rng: pc.min_subspace_fidelity(ch, g, [np.eye(2), np.eye(3)], rng),
+        lambda ch, g, rng: pc.min_subspace_fidelity(ch, g, rng),
         lambda ch, g, rng: pc.twirl_channel(ch, g, [pc.clifford_1q(),
                                                     pc.haar_ensemble(3, 2, rng)]),
     ])
@@ -321,6 +321,14 @@ class TestChannelIO:
         broken = text.replace('"ref_dim": 2', '"ref_dim": 3')
         with pytest.raises(ChannelFormatError, match="connections"):
             read_channel(broken)
+
+    def test_rejects_dimension_product_that_overflows_int64(self):
+        # (2^62 + 1) * 4 wraps to 4 in int64, the channel's input dimension
+        doc = json.loads(write_channel(depolarizing(4, 0.1), ConnectionGraph.single(4)))
+        doc["connections"] = [{"sender": 0, "receiver": 0, "ref_dim": 2**62 + 1},
+                              {"sender": 1, "receiver": 0, "ref_dim": 4}]
+        with pytest.raises(ChannelFormatError, match="connections"):
+            read_channel(json.dumps(doc))
 
     def test_rejects_wrong_row_count(self):
         text = write_channel(depolarizing(2, 0.3), ConnectionGraph.single(2))

@@ -110,6 +110,17 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
 
+    def test_graph_whose_dimension_product_overflows_int64(self, tmp_path, capsys):
+        # (2^62 + 1) * 4 wraps to 4 in int64, the channel's input dimension
+        doc = json.loads(write_channel(depolarizing(4, 0.1), ConnectionGraph.single(4)))
+        doc["connections"] = [{"sender": 0, "receiver": 0, "ref_dim": 2**62 + 1},
+                              {"sender": 1, "receiver": 0, "ref_dim": 4}]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: field 'connections'")
+
     def test_deeply_nested_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -682,8 +693,8 @@ class TestProcessSetup:
                 "rng = make_rng(3)\nch = random_channel(32, 32, 4, rng)\n"
                 "states = [rng.standard_normal((1001, 2)) + 1j * rng.standard_normal((1001, 2))"
                 " for _ in range(5)]\nstates = [s / np.linalg.norm(s, axis=1, keepdims=True)"
-                " for s in states]\nproblem = QuadraticOverlap(ch, ConnectionGraph.diagonal([2] * 5),"
-                " [np.eye(2)] * 5)\n"
+                " for s in states]\n"
+                "problem = QuadraticOverlap(ch, ConnectionGraph.diagonal([2] * 5))\n"
                 "out = [problem.batch_values(states), *problem.packed_gradient(states)]\n"
                 "print(json.dumps(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest()))")
         assert self.fresh(code, OPENBLAS_NUM_THREADS="1") == self.fresh(
@@ -694,7 +705,7 @@ class TestProcessSetup:
             "import polychan\n"
             "print(json.dumps([polychan.__all__, [n for n in polychan.__all__ "
             "if getattr(polychan, n, None) is None], dir(polychan)]))")
-        assert len(names) == 49 and missing == [] and set(names) <= set(listed)
+        assert len(names) == 48 and missing == [] and set(names) <= set(listed)
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

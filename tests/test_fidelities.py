@@ -249,8 +249,7 @@ class TestChannelFidelityRoutes:
             if entry == "average_fidelity_mc":
                 return average_fidelity_mc(ch, graph, 2, make_rng(0))[0]
             if entry == "min_subspace_fidelity":
-                return min_subspace_fidelity(ch, graph, [np.eye(1)] * g, make_rng(0),
-                                             restarts=1)[0]
+                return min_subspace_fidelity(ch, graph, make_rng(0), restarts=1)[0]
             return pure_state_fidelity(ch, graph, [np.ones((3, 1))] * g)
 
         assert np.all(np.abs(run(25) - 1.0) < 1e-12)
@@ -431,9 +430,8 @@ class TestAverageFidelity:
 
 class TestMinSubspaceFidelity:
     def test_identity(self):
-        val, _ = min_subspace_fidelity(
-            identity_channel([2]), QUBIT_GRAPH, [np.eye(2)], make_rng(0), restarts=4
-        )
+        val, _ = min_subspace_fidelity(identity_channel([2]), QUBIT_GRAPH, make_rng(0),
+                                       restarts=4)
         assert abs(val - 1.0) < 1e-9
 
     def test_qutrit_killer_grid_oracle(self):
@@ -460,7 +458,7 @@ class TestMinSubspaceFidelity:
                     for v in phases:
                         psi = np.array([np.sqrt(a), np.sqrt(b) * u, np.sqrt(c) * v])
                         grid_best = min(grid_best, fid(psi))
-        val, states = min_subspace_fidelity(ch, graph, [np.eye(3)], make_rng(23), restarts=8)
+        val, states = min_subspace_fidelity(ch, graph, make_rng(23), restarts=8)
         assert val <= grid_best + 1e-9
         assert val < 1e-8
         assert abs(states[0][2]) ** 2 > 1 - 1e-6
@@ -468,9 +466,7 @@ class TestMinSubspaceFidelity:
     def test_dephasing_equator(self):
         # closed form: F(psi) = 1 - 2 p |alpha|^2 |beta|^2 * 2, minimized at the equator
         p = 0.25
-        val, states = min_subspace_fidelity(
-            dephasing(p), QUBIT_GRAPH, [np.eye(2)], make_rng(1), restarts=8
-        )
+        val, states = min_subspace_fidelity(dephasing(p), QUBIT_GRAPH, make_rng(1), restarts=8)
         grid = [
             1 - 2 * p * (t * (1 - t)) * 2
             for t in np.linspace(0, 1, 2001)
@@ -479,63 +475,37 @@ class TestMinSubspaceFidelity:
         assert abs(val - (1 - p)) < 1e-9
         assert abs(abs(states[0][0]) ** 2 - 0.5) < 1e-4
 
-    def test_restricted_subspace(self):
-        # restricted to the good subspace the killer channel looks perfect
-        p01 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        k2 = np.zeros((3, 3), dtype=complex)
-        k2[0, 2] = 1.0
-        ch = KrausChannel([p01, k2], [3], [3])
-        graph = ConnectionGraph.single(3)
-        basis = np.eye(3, dtype=complex)[:, :2]
-        val, _ = min_subspace_fidelity(ch, graph, [basis], make_rng(2), restarts=4)
-        assert abs(val - 1.0) < 1e-9
-
-    def test_empty_subspace_rejected(self):
-        with pytest.raises(ValueError):
-            min_subspace_fidelity(
-                identity_channel([2]), QUBIT_GRAPH, [np.zeros((2, 0))], make_rng(0)
-            )
-
 
 CROSS5_GRAPH = ConnectionGraph([(s, r, 2) for s, r in [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)]])
-
-
-def random_basis(d, cols, rng):
-    z = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
-    return np.linalg.qr(z)[0]
 
 
 class TestQuadraticOverlap:
     """Values and gradients of the product-state fidelity kernel, against the
     definitional overlap route, a complex-arithmetic oracle and finite differences."""
 
-    # the one case, named in the test ids: input order != output order, connection 3
-    # confined to one direction
+    # the one case, named in the test ids: input order != output order
     CASES = ["cross5"]
 
     def build(self, rng):
-        """(channel, graph, bases, kernel) for the case."""
-        bases = [np.eye(2, dtype=complex) for _ in range(5)]
-        bases[3] = random_basis(2, 1, rng)
+        """(channel, graph, kernel) for the case."""
         ch = random_channel(32, 32, 3, rng)
-        return ch, CROSS5_GRAPH, bases, QuadraticOverlap(ch, CROSS5_GRAPH, bases)
+        return ch, CROSS5_GRAPH, QuadraticOverlap(ch, CROSS5_GRAPH)
 
     @pytest.mark.parametrize("rows", [1, 17])
     @pytest.mark.parametrize("case", CASES)
     def test_batch_values_match_overlap_route(self, case, rows, rng):
-        ch, graph, bases, problem = self.build(rng)
-        coords = unit_parts(rng.standard_normal((rows, 2 * sum(problem.part_dims))),
-                            problem.part_dims)
-        got = problem.batch_values(coords)
+        ch, graph, problem = self.build(rng)
+        psis = unit_parts(rng.standard_normal((rows, 2 * sum(problem.dims))), problem.dims)
+        got = problem.batch_values(psis)
         assert got.shape == (rows,)
         for r in range(rows):
-            want = group_fidelity(ch, [b @ c[r] for b, c in zip(bases, coords)], graph)
+            want = group_fidelity(ch, [p[r] for p in psis], graph)
             assert abs(got[r] - want) < 1e-12
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradient_matches_central_differences(self, case, rng):
         *_, problem = self.build(rng)
-        dims = problem.part_dims
+        dims = problem.dims
         n = 2 * sum(dims)
         # sixth-order central stencil: truncation and round-off both near 1e-14 here
         h, stencil = 2e-3, [(1, 3 / 4), (2, -3 / 20), (3, 1 / 60)]
@@ -554,15 +524,14 @@ class TestQuadraticOverlap:
 
     @pytest.mark.parametrize("case", CASES)
     def test_ragged_blocks_match_one_block(self, case, rng):
-        # a non-identity basis; blocks of 3 over 7 rows leave a short last block
+        # blocks of 3 over 7 rows leave a short last block
         *_, problem = self.build(rng)
-        coords = unit_parts(rng.standard_normal((7, 2 * sum(problem.part_dims))),
-                            problem.part_dims)
+        psis = unit_parts(rng.standard_normal((7, 2 * sum(problem.dims))), problem.dims)
         assert min(problem.value_rows, problem.gradient_rows) >= 7
-        values, grads = problem.batch_values(coords), problem.packed_gradient(coords)
+        values, grads = problem.batch_values(psis), problem.packed_gradient(psis)
         problem.value_rows = problem.gradient_rows = 3
-        assert np.max(np.abs(problem.batch_values(coords) - values)) < 1e-14
-        for got, want in zip(problem.packed_gradient(coords), grads):
+        assert np.max(np.abs(problem.batch_values(psis) - values)) < 1e-14
+        for got, want in zip(problem.packed_gradient(psis), grads):
             assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("dims", [(1,), (3,), (1, 2, 3), (2,) * 6])
@@ -571,19 +540,11 @@ class TestQuadraticOverlap:
         # arithmetic, over three whole row blocks and a short last one
         graph = ConnectionGraph.diagonal(list(dims))
         d = graph.total_dim()
-        problem = QuadraticOverlap(random_channel(d, d, 3, rng), graph,
-                                   [np.eye(n) for n in dims])
+        problem = QuadraticOverlap(random_channel(d, d, 3, rng), graph)
         rows = 3 * problem.value_rows + 5
         psis = unit_parts(rng.standard_normal((rows, 2 * sum(dims))), dims)
         want = quadratic_overlap_oracle(problem.red, psis)
-        assert np.max(np.abs(problem._values(psis) - want)) < 1e-13
         assert np.max(np.abs(problem.batch_values(psis) - want)) < 1e-13
-
-    def test_rejects_basis_with_wrong_row_count(self, rng):
-        graph = ConnectionGraph.diagonal([2, 3])
-        ch = random_channel(6, 6, 2, rng)
-        with pytest.raises(ValueError, match="connection 0"):
-            QuadraticOverlap(ch, graph, [np.eye(3)[:, :2], np.eye(3)])
 
 
 class TestCrossedGraph:
@@ -635,7 +596,7 @@ class TestCrossedGraph:
         # the stacked call runs the Monte Carlo kernel: two whole row blocks and a short
         # tail, and a batch shorter than one block, against the single-vector route
         for ch, graph, _ in self.crossed(rng):
-            problem = QuadraticOverlap(ch, graph, [np.eye(d) for d in graph.dims])
+            problem = QuadraticOverlap(ch, graph)
             for rows in (2 * problem.value_rows + 5, 3):
                 states = [np.array([haar_state(dim, rng) for _ in range(rows)])
                           for dim in graph.dims]

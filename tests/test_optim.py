@@ -228,18 +228,18 @@ def cross5_problem():
     ops = [np.sqrt(0.95) * r]
     ops += [np.sqrt(0.05) * m @ r for m in random_channel(32, 32, 3, make_rng(1)).kraus_ops]
     ch = KrausChannel(ops, routing.in_layout, routing.out_layout)
-    return QuadraticOverlap(ch, graph, [np.eye(2)] * graph.size)
+    return QuadraticOverlap(ch, graph)
 
 
 def test_batched_descent_matches_sequential_on_cross5():
     problem = cross5_problem()
-    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims, 32)
+    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.dims, 32)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_no_cross5_restart_stops_at_max_iters(seed):
     problem = cross5_problem()
-    res = minimize_product_states(problem.batch_values, problem.part_dims, make_rng(seed),
+    res = minimize_product_states(problem.batch_values, problem.dims, make_rng(seed),
                                   problem.packed_gradient)
     assert len(res.stops) == 32 and "max_iters" not in res.stops
 
@@ -253,8 +253,8 @@ def test_batched_descent_matches_sequential_near_identity(k):
     ops = [np.sqrt(1 - 1e-3) * np.eye(d, dtype=complex)]
     ops += [np.sqrt(1e-3) * m for m in random_channel(d, d, 3, rng).kraus_ops]
     ch = KrausChannel(ops, graph.dims, graph.dims)
-    problem = QuadraticOverlap(ch, graph, [np.eye(2)] * graph.size)
-    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.part_dims,
+    problem = QuadraticOverlap(ch, graph)
+    assert_matches_oracle(problem.batch_values, problem.packed_gradient, problem.dims,
                           340 + k)
 
 

@@ -8,7 +8,6 @@ from conftest import pure_density, random_density
 from polychan import (
     ConnectionGraph,
     KrausChannel,
-    SubspaceBasis,
     UnitaryEnsemble,
     apply,
     channel_fidelity,
@@ -269,16 +268,14 @@ def near_identity_channel(dim, weight, rng, kraus=3):
 
 class TestPhaseAverageBound:
     def test_identity(self):
-        report = phase_average_bound(identity_channel([2]), QUBIT_GRAPH, [np.eye(2)],
-                                     make_rng(0), restarts=4)
+        report = phase_average_bound(identity_channel([2]), QUBIT_GRAPH, make_rng(0), restarts=4)
         assert report.eta < 1e-9
         assert abs(report.entanglement_fidelity - 1.0) < 1e-10
         assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_weak_dephasing_values(self):
         # eta = 0.01 at the equator, F_e(I/2) = 0.99, bound 0.985
-        report = phase_average_bound(dephasing(0.01), QUBIT_GRAPH, [np.eye(2)],
-                                     make_rng(1), restarts=8)
+        report = phase_average_bound(dephasing(0.01), QUBIT_GRAPH, make_rng(1), restarts=8)
         assert abs(report.eta - 0.01) < 1e-9
         assert abs(report.entanglement_fidelity - 0.99) < 1e-10
         assert abs(report.bound - 0.985) < 1e-9
@@ -286,8 +283,7 @@ class TestPhaseAverageBound:
 
     def test_depolarizing_saturates(self):
         # qubit depolarizing meets the bound with equality
-        report = phase_average_bound(depolarizing(2, 0.2), QUBIT_GRAPH, [np.eye(2)],
-                                     make_rng(2), restarts=8)
+        report = phase_average_bound(depolarizing(2, 0.2), QUBIT_GRAPH, make_rng(2), restarts=8)
         assert abs(report.entanglement_fidelity - report.bound) < 1e-9
         assert report.bound - report.entanglement_fidelity <= 1e-9
 
@@ -295,8 +291,7 @@ class TestPhaseAverageBound:
         rng = make_rng(17)
         for k in range(5):
             ch = near_identity_channel(2, 1e-3, rng)
-            report = phase_average_bound(ch, QUBIT_GRAPH, [np.eye(2)],
-                                         make_rng(100 + k), restarts=16)
+            report = phase_average_bound(ch, QUBIT_GRAPH, make_rng(100 + k), restarts=16)
             assert report.bound - report.entanglement_fidelity <= 1e-9
 
     def test_pair_near_identity(self):
@@ -304,22 +299,20 @@ class TestPhaseAverageBound:
         graph = ConnectionGraph.diagonal([2, 2])
         ch4 = near_identity_channel(4, 1e-3, rng)
         ch = KrausChannel(ch4.kraus_ops, [2, 2], [2, 2])
-        report = phase_average_bound(ch, graph, [np.eye(2), np.eye(2)],
-                                     make_rng(7), restarts=16)
+        report = phase_average_bound(ch, graph, make_rng(7), restarts=16)
         assert report.bound - report.entanglement_fidelity <= 1e-9
 
-
-class TestSubspaceBasis:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SubspaceBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_finite_basis(self):
-        # a NaN Gram matrix passes max|G - I| > tol, so the entries are checked first
-        with pytest.raises(ValueError, match="subspace basis contains non-finite"):
-            SubspaceBasis(np.array([[np.nan], [1.0]]))
-
-    def test_uniform_state(self):
-        basis = SubspaceBasis(np.eye(3, dtype=complex)[:, :2])
-        rho = basis.uniform_state()
-        assert np.allclose(rho, np.diag([0.5, 0.5, 0.0]))
+    @pytest.mark.parametrize("links, in_layout, out_layout", [
+        ([(0, 0, 3)], [3], [3]),
+        ([(0, 0, 2), (1, 0, 2)], [2, 2], [4]),
+        ([(0, 0, 2), (0, 1, 2)], [4], [2, 2]),
+    ], ids=["single", "multiple_access", "broadcast"])
+    def test_entanglement_fidelity_is_channel_fidelity(self, links, in_layout, out_layout,
+                                                       rng):
+        # F_e is taken at maximally mixed inputs, so it is the channel fidelity
+        graph = ConnectionGraph(links)
+        d = graph.total_dim()
+        ch = KrausChannel(random_channel(d, d, 3, rng).kraus_ops, in_layout, out_layout)
+        report = phase_average_bound(ch, graph, make_rng(3), restarts=2)
+        assert abs(report.entanglement_fidelity
+                   - channel_fidelity(ch, graph, "definition")) < 1e-12
